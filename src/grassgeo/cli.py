@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 domain/numerical errors (machine-readable error
 object on stdout), 2 usage errors.  GRASSGEO_TOL overrides the default
-tolerance.
+tolerance of cut-test and schubert; their --tol overrides both.
 """
 
 from __future__ import annotations
@@ -21,17 +21,20 @@ from .linalg import principal_angles
 from .sampling import random_plane
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, origin_frame
 
-DEFAULT_TOL = 1e-9
 
-
-def _default_tol() -> float:
-    raw = os.environ.get("GRASSGEO_TOL")
+def _tol(args) -> float:
+    raw = os.environ.get("GRASSGEO_TOL") if args.tol is None else args.tol
     if raw is None:
-        return DEFAULT_TOL
+        return loci.DEFAULT_DET_TOL
     try:
         return float(raw)
     except ValueError:
         raise PreconditionError(f"GRASSGEO_TOL is not a number: {raw!r}")
+
+
+def _usage_error(message: str):
+    print(f"usage error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _read_doc(path: str, name: str) -> np.ndarray:
@@ -43,22 +46,21 @@ def _read_doc(path: str, name: str) -> np.ndarray:
                 text = fh.read()
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        print(
-            f"usage error: malformed JSON in {name}: {exc.msg} "
-            f"(line {exc.lineno}, column {exc.colno})",
-            file=sys.stderr,
+        _usage_error(
+            f"malformed JSON in {name}: {exc.msg} "
+            f"(line {exc.lineno}, column {exc.colno})"
         )
-        raise SystemExit(2)
     except OSError as exc:
-        print(f"usage error: cannot read {name}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"cannot read {name}: {exc}")
     return jsonio.doc_to_matrix(doc, name)
 
 
 def _space(args) -> GrassmannSpace:
     n, m, kind = args.space
-    eps = 1 if kind == "compact" else -1
-    return GrassmannSpace(int(n), int(m), epsilon=eps)
+    try:
+        return GrassmannSpace(int(n), int(m), {"compact": 1, "noncompact": -1}[kind])
+    except (KeyError, ValueError):
+        _usage_error(f"--space takes N M compact|noncompact, got {n} {m} {kind}")
 
 
 def _frame_arg(space: GrassmannSpace, args, attr="frame", seed_attr="seed") -> Frame:
@@ -193,6 +195,8 @@ def cmd_conjugate_times(args):
 
 def cmd_conjugate_scan(args):
     space = _space(args)
+    if args.points < 1:
+        _usage_error(f"--points must be at least 1, got {args.points}")
     h = _cartan(args)
     B = loci.cartan_to_tangent(space, h)
     predicted = [c.t for c in loci.tangent_conjugate_times(space, h, args.tmax)]
@@ -207,8 +211,9 @@ def cmd_conjugate_scan(args):
 def cmd_cut_test(args):
     space = _space(args)
     F = _frame_arg(space, args)
-    on_cut = loci.cut_locus_test(space, F, tol=args.tol)
-    check = loci.disjoint_union_check(space, F, tol=args.tol)
+    tol = _tol(args)
+    on_cut = loci.cut_locus_test(space, F, tol=tol)
+    check = loci.disjoint_union_check(space, F, tol=tol)
     _emit(
         {
             "on_cut_locus": on_cut,
@@ -222,7 +227,7 @@ def cmd_schubert(args):
     space = _space(args)
     F = _frame_arg(space, args)
     flag = loci.standard_flag(space) if args.flag == "standard" else loci.dual_flag(space)
-    out = {"dims": loci.schubert_dims(F, flag, tol=args.tol)}
+    out = {"dims": loci.schubert_dims(F, flag, tol=_tol(args))}
     if args.omega is not None:
         symbol = loci.SchubertSymbol(tuple(args.omega), space.m)
         in_z, generic = loci.schubert_membership(F, symbol, flag)
@@ -326,7 +331,6 @@ def _add_space(p):
         required=True,
         help="plane dim, codim, compact|noncompact",
     )
-    p.add_argument("--tol", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,12 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cut-test", cmd_cut_test)
     p.add_argument("--frame")
     p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
 
     p = add("schubert", cmd_schubert)
     p.add_argument("--frame")
     p.add_argument("--seed", type=int)
     p.add_argument("--omega", nargs="+", type=int)
     p.add_argument("--flag", choices=["standard", "dual"], default="standard")
+    p.add_argument("--tol", type=float)
 
     p = add("strata", cmd_strata)
     p.add_argument("--frame")
@@ -416,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is None:
-        args.tol = _default_tol()
     try:
         args.fn(args)
     except GrassGeoError as exc:

@@ -71,20 +71,18 @@ def exp0(space: GrassmannSpace, B: TangentVector) -> ChartPoint:
     """
     if B.space != space:
         raise PreconditionError("tangent vector belongs to a different space")
-    if space.compact:
-        s = svd(B.B).s
-        # distance of each singular value to the nearest pi/2 + k*pi pole
-        r = np.remainder(s - np.pi / 2, np.pi)
-        pole_dist = np.minimum(r, np.pi - r)
-        if s.size and np.min(pole_dist) < TAN_POLE_TOL:
-            raise ConjugateToChartError(
-                "tan singularity: a singular value of B equals pi/2 mod pi; "
-                "the point exists but leaves the chart -- use exp0_frame"
-            )
-        Z = apply_spectral(B.B, np.tan)
-    else:
-        Z = apply_spectral(B.B, np.tanh)
-    return ChartPoint(space, Z)
+    return ChartPoint(space, apply_spectral(B.B, _tan if space.compact else np.tanh))
+
+
+def _tan(s: np.ndarray) -> np.ndarray:
+    # distance of each singular value to the nearest pi/2 + k*pi pole
+    r = np.remainder(s - np.pi / 2, np.pi)
+    if np.min(np.minimum(r, np.pi - r)) < TAN_POLE_TOL:
+        raise ConjugateToChartError(
+            "tan singularity: a singular value of B equals pi/2 mod pi; "
+            "the point exists but leaves the chart -- use exp0_frame"
+        )
+    return np.tan(s)
 
 
 def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
@@ -96,20 +94,26 @@ def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
     """
     if B.space != space:
         raise PreconditionError("tangent vector belongs to a different space")
-    n, m = space.n, space.m
-    u, s, vh = np.linalg.svd(B.B, full_matrices=True)
-    k = s.size
-    if space.compact:
+    return Frame(space, _exp0_frames(space.epsilon, B.B))
+
+
+def _exp0_frames(eps: int, B: np.ndarray) -> np.ndarray:
+    """exp0_frame on raw arrays: a stack B (..., n, m) gives frames (..., n+m, n)."""
+    n, m = B.shape[-2:]
+    u, s, vh = np.linalg.svd(B, full_matrices=True)
+    k = s.shape[-1]
+    if eps > 0:
         co, si = np.cos(s), np.sin(s)
     else:
         co, si = np.cosh(s), np.sinh(s)
-    cpad = np.ones(n)
-    cpad[:k] = co
-    top = (u * cpad) @ u.conj().T
-    S = np.zeros((m, n), dtype=complex)
-    S[:k, :k] = np.diag(si)
-    bottom = vh.conj().T @ S @ u.conj().T
-    return Frame(space, np.vstack([top, bottom]))
+    cpad = np.ones(s.shape[:-1] + (n,))
+    cpad[..., :k] = co
+    uh = np.swapaxes(u, -1, -2).conj()
+    top = (u * cpad[..., None, :]) @ uh
+    S = np.zeros(s.shape[:-1] + (m, n), dtype=complex)
+    S[..., range(k), range(k)] = si
+    bottom = np.swapaxes(vh, -1, -2).conj() @ S @ uh
+    return np.concatenate([top, bottom], axis=-2)
 
 
 def log0(space: GrassmannSpace, p: ChartPoint) -> TangentVector:
@@ -146,7 +150,7 @@ def geodesic_ode(
     at the stage's own Z and W, with one k x k inverse, or a division when
     k = 1.  Entries that pass BLOWUP_LIMIT or stop being finite (a compact
     geodesic crossing a tan pole) raise LeftChartError, without
-    floating-point warnings.
+    floating-point warnings; so does a singular stage Gram matrix.
     """
     if steps < 100:
         raise PreconditionError("geodesic_ode requires steps >= 100")
@@ -155,8 +159,11 @@ def geodesic_ode(
     flip = space.n > space.m
     V = B.B.T if flip else B.B
     rk4 = _rk4_row if V.shape[0] == 1 else _rk4_block
-    with np.errstate(all="ignore"):
-        Z = rk4(V, space.epsilon, t / steps, steps)
+    try:
+        with np.errstate(all="ignore"):
+            Z = rk4(V, space.epsilon, t / steps, steps)
+    except np.linalg.LinAlgError as exc:
+        raise LeftChartError("integration left the chart: singular stage Gram matrix") from exc
     return ChartPoint(space, Z.T if flip else Z)
 
 

@@ -31,11 +31,14 @@ def doc_to_matrix(doc: Any, name: str = "matrix") -> np.ndarray:
         rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"{name} document needs rows, cols, data") from exc
-    if len(data) != rows * cols:
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"{name} document data must be [re, im] pairs") from exc
+    if rows < 1 or cols < 1 or flat.size != rows * cols:
         raise PreconditionError(
-            f"{name} document has {len(data)} entries, expected {rows * cols}"
+            f"{name} document has {flat.size} entries, expected {rows} x {cols}"
         )
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     return as_matrix(flat.reshape(rows, cols), name)
 
 

@@ -111,14 +111,7 @@ class Frame:
                 f"frame must be {self.space.N}x{self.space.n}, got {F.shape}"
             )
         object.__setattr__(self, "F", F)
-        if self.space.compact:
-            gram = F.conj().T @ F
-        else:
-            gram = F.conj().T @ self.space.j_matrix() @ F
-        dev = np.max(np.abs(gram - np.eye(self.space.n)))
-        if dev > FRAME_GRAM_TOL:
-            kind = "orthonormality" if self.space.compact else "J-orthonormality"
-            raise PreconditionError(f"frame {kind} deviation {dev:.3e} exceeds 1e-10")
+        check_frame_gram(self.space, F)
 
     @property
     def top(self) -> np.ndarray:
@@ -127,6 +120,17 @@ class Frame:
     @property
     def bottom(self) -> np.ndarray:
         return self.F[self.space.n :]
+
+
+def check_frame_gram(space: GrassmannSpace, F: np.ndarray) -> None:
+    """Raise unless every frame in the stack F (..., N, n) has F^dagger F = I
+    (compact) or F^dagger J F = I (noncompact) to within FRAME_GRAM_TOL."""
+    Fh = np.swapaxes(F, -1, -2).conj()
+    gram = Fh @ F if space.compact else Fh @ space.j_matrix() @ F
+    dev = np.max(np.abs(gram - np.eye(space.n)))
+    if dev > FRAME_GRAM_TOL:
+        kind = "orthonormality" if space.compact else "J-orthonormality"
+        raise PreconditionError(f"frame {kind} deviation {dev:.3e} exceeds 1e-10")
 
 
 def origin_frame(space: GrassmannSpace) -> Frame:

@@ -13,7 +13,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, PreconditionError
-from .kernels import EnergySpec, coordinate_plane_frame, critical_points, plucker_overlap_oracle
+from .kernels import EnergySpec, coordinate_plane_frame, critical_points, plucker_embed
 from .loci import SchubertSymbol
 from .spaces import GrassmannSpace
 
@@ -76,20 +76,18 @@ def schubert_cells(n: int, m: int) -> list[SchubertSymbol]:
 
 def orthogonal_coherent_count(space: GrassmannSpace) -> int:
     """Constructive count of pairwise orthogonal coherent states: the
-    coordinate n-planes, verified pairwise orthogonal through the Plucker
-    overlap oracle."""
-    frames = [
-        coordinate_plane_frame(space, S)
-        for S in combinations(range(space.N), space.n)
-    ]
-    for i in range(len(frames)):
-        for j in range(i + 1, len(frames)):
-            ov = abs(plucker_overlap_oracle(frames[i], frames[j]))
-            if ov >= ORTHOGONALITY_TOL:
-                raise ConsistencyError(
-                    f"coordinate planes {i} and {j} are not orthogonal ({ov:.3e})"
-                )
-    return len(frames)
+    coordinate n-planes, verified orthonormal through the Gram matrix of
+    their normalized Plucker vectors."""
+    subsets = combinations(range(space.N), space.n)
+    P = np.array([plucker_embed(coordinate_plane_frame(space, S)).components for S in subsets])
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    dev = np.abs(P.conj() @ P.T - np.eye(len(P)))
+    i, j = np.unravel_index(np.argmax(dev), dev.shape)
+    if dev[i, j] >= ORTHOGONALITY_TOL:
+        raise ConsistencyError(
+            f"coordinate planes {i} and {j} are not orthonormal ({dev[i, j]:.3e})"
+        )
+    return len(P)
 
 
 def characteristic_report(n: int, m: int, spec: EnergySpec) -> CharacteristicReport:

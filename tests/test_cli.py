@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -287,8 +288,6 @@ class TestDeterminism:
         assert run_cli(args).stdout == run_cli(args).stdout
 
     def test_tol_env_override(self, tmp_path):
-        import os
-
         F = np.zeros((4, 2), dtype=complex)
         F[2, 0] = F[3, 1] = 1.0
         doc = write_doc(tmp_path / "f.json", F)
@@ -297,9 +296,77 @@ class TestDeterminism:
             ["cut-test", "--space", "2", "2", "compact", "--frame", doc], env=env
         )
         assert out.returncode == 1
+        assert json.loads(out.stdout)["error"]["type"] == "PreconditionError"
+        assert out.stderr == ""
         env["GRASSGEO_TOL"] = "1e-6"
         out = run_cli(
             ["cut-test", "--space", "2", "2", "compact", "--frame", doc], env=env
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["on_cut_locus"] is True
+
+
+POINT_DOC = '{"rows": 1, "cols": 1, "data": [[0.7, 0.0]]}'
+SCAN = ["conjugate-scan", "--space", "1", "1", "compact", "--h", "1", "--tmax", "3"]
+SCHUBERT = ["schubert", "--space", "2", "2", "compact", "--seed", "7"]
+BAD_TOL = {"GRASSGEO_TOL": "abc"}
+
+
+class TestInputHoles:
+    """Every bad input ends in a usage error (exit 2) or a JSON error object
+    (exit 1), never in a traceback or a silently misread argument."""
+
+    @pytest.mark.parametrize(
+        "args, env, stdin, code, error",
+        [
+            pytest.param(
+                ["exp", "--space", "1", "1", "compcat"], {}, POINT_DOC, 2, None,
+                id="kind-typo",
+            ),
+            pytest.param(
+                ["exp", "--space", "x", "1", "compact"], {}, POINT_DOC, 2, None,
+                id="n-not-int",
+            ),
+            pytest.param(
+                ["exp", "--space", "1", "1", "compact"], {},
+                '{"rows": 1, "cols": 1, "data": [[0.7]]}', 1, "PreconditionError",
+                id="entry-not-pair",
+            ),
+            pytest.param(
+                ["exp", "--space", "1", "1", "compact"], {},
+                '{"rows": -1, "cols": -1, "data": [[0.7, 0.0]]}', 1,
+                "PreconditionError",
+                id="negative-shape",
+            ),
+            pytest.param(
+                ["exp", "--space", "1", "1", "compact", "--tol", "1e-6"], {},
+                POINT_DOC, 2, None,
+                id="tol-unused",
+            ),
+            pytest.param([*SCAN, "--points", "0"], {}, None, 2, None, id="points-0"),
+            pytest.param(
+                [*SCAN, "--points", "-3"], {}, None, 2, None, id="points-negative"
+            ),
+            pytest.param(
+                SCHUBERT, BAD_TOL, None, 1, "PreconditionError", id="env-tol-bad"
+            ),
+            pytest.param(
+                [*SCHUBERT, "--tol", "1e-6"], BAD_TOL, None, 0, None,
+                id="tol-over-env",
+            ),
+            pytest.param(
+                ["plucker", "--space", "2", "2", "compact", "--seed", "7"], BAD_TOL,
+                None, 0, None,
+                id="env-tol-unread",
+            ),
+        ],
+    )
+    def test_outcome(self, args, env, stdin, code, error):
+        out = run_cli(args, stdin=stdin, env=dict(os.environ, **env))
+        assert out.returncode == code
+        assert "Traceback" not in out.stderr
+        if code == 1:
+            assert json.loads(out.stdout)["error"]["type"] == error
+            assert out.stderr == ""
+        elif code == 2:
+            assert "usage" in out.stderr

@@ -182,6 +182,16 @@ class TestGeodesicOde:
             with pytest.raises(LeftChartError):
                 geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_singular_stage_gram_leaves_chart(self, m):
+        # a fast noncompact tangent drives a stage Gram matrix singular;
+        # that must be a typed error, not numpy's LinAlgError
+        space = GrassmannSpace(2, m, epsilon=-1)
+        B = np.zeros((2, m))
+        B[0, 0], B[1, 1] = 1000.0, 0.2
+        with pytest.raises(LeftChartError, match="integration"):
+            geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
+
     def test_initial_velocity_cubic(self, g24, rng):
         # acceleration vanishes at Z = 0, so exp0(hB) - hB = O(h^3)
         B = random_tangent_rng(g24, rng, max_norm=1.0)

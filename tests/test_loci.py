@@ -146,6 +146,48 @@ class TestDexp:
         with pytest.raises(PreconditionError):
             dexp_min_singular(CP1, B, 0.5, fd_step=1e-2)
 
+    @staticmethod
+    def _per_column_reference(space, B, t, fd_step=1e-5):
+        # one public exp0_frame per perturbed point, one column at a time
+        def projection(Bp):
+            F = exp0_frame(space, TangentVector(space, Bp)).F
+            return F @ np.linalg.inv(F.conj().T @ F) @ F.conj().T
+
+        cols = []
+        for i in range(space.n):
+            for j in range(space.m):
+                for unit in (1.0, 1.0j):
+                    dB = np.zeros((space.n, space.m), dtype=complex)
+                    dB[i, j] = unit * fd_step
+                    diff = projection(t * B.B + dB) - projection(t * B.B - dB)
+                    diff /= 2.0 * fd_step
+                    cols.append(np.concatenate([diff.real.ravel(), diff.imag.ravel()]))
+        s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        return s[-1] / s[0]
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_matches_per_column_reference(self, n, m, eps):
+        space = GrassmannSpace(n, m, eps)
+        rng = np.random.default_rng(10 * n + m)
+        B = TangentVector(space, rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+        for t in (0.3, 1.1):
+            got = dexp_min_singular(space, B, t)
+            assert got == pytest.approx(self._per_column_reference(space, B, t), rel=1e-12)
+
+    def test_noncompact_has_no_conjugate_dip(self):
+        # the compact G_2(C^4) dips below 1e-6 at this time; its dual does not
+        sp = GrassmannSpace(2, 2, -1)
+        B = cartan_to_tangent(sp, CartanVector([0.8, 0.6]))
+        assert dexp_min_singular(sp, B, np.pi / 1.6) > 1e-2
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, t):
+        sp = GrassmannSpace(2, 2, 1)
+        B = cartan_to_tangent(sp, CartanVector([0.8, 0.6]))
+        with pytest.raises(PreconditionError):
+            dexp_min_singular(sp, B, t)
+
 
 class TestCutLocus:
     def test_hyperplane_at_infinity(self):

@@ -1,5 +1,6 @@
 import pytest
 
+from grassgeo import topology
 from grassgeo.errors import ConsistencyError, EnumerationSizeError, PreconditionError
 from grassgeo.kernels import EnergySpec
 from grassgeo.topology import (
@@ -66,6 +67,18 @@ class TestOrthogonalCoherent:
 
     def test_g2c5(self):
         assert orthogonal_coherent_count(GrassmannSpace(2, 3, 1)) == 10
+
+    def test_repeated_plane_fails(self, monkeypatch):
+        # subset (2, 3) is given the plane of (0, 1): the Plucker Gram check
+        # must see the unit overlap between planes 0 and 5
+        real = topology.coordinate_plane_frame
+
+        def fake(space, subset):
+            return real(space, (0, 1) if tuple(subset) == (2, 3) else subset)
+
+        monkeypatch.setattr(topology, "coordinate_plane_frame", fake)
+        with pytest.raises(ConsistencyError, match="planes 0 and 5"):
+            orthogonal_coherent_count(GrassmannSpace(2, 2, 1))
 
 
 class TestCharacteristicReport:

@@ -32,6 +32,13 @@ def _tol(args) -> float:
         raise PreconditionError(f"GRASSGEO_TOL is not a number: {raw!r}")
 
 
+def _t(args) -> float:
+    # checked before t * B, where inf * 0 would warn
+    if not np.isfinite(args.t):
+        raise PreconditionError(f"--t must be finite, got {args.t!r}")
+    return args.t
+
+
 def _usage_error(message: str):
     print(f"usage error: {message}", file=sys.stderr)
     raise SystemExit(2)
@@ -88,7 +95,7 @@ def _emit(obj) -> None:
 def cmd_exp(args):
     space = _space(args)
     B0 = _read_doc(args.input, "input")
-    B = TangentVector(space, args.t * B0)
+    B = TangentVector(space, _t(args) * B0)
     Z = geometry.exp0(space, B)
     out = {"Z": jsonio.matrix_to_doc(Z.Z), "arc_length": B.norm}
     if args.verify:
@@ -110,7 +117,7 @@ def cmd_log(args):
 def cmd_geodesic_check(args):
     space = _space(args)
     B = TangentVector(space, _read_doc(args.input, "input"))
-    closed = geometry.exp0(space, TangentVector(space, args.t * B.B))
+    closed = geometry.exp0(space, TangentVector(space, _t(args) * B.B))
     ode = geometry.geodesic_ode(space, B, args.t, args.steps)
     _emit(
         {

@@ -128,11 +128,8 @@ def plucker_embed(F: Frame) -> PluckerVector:
     if not F.space.compact:
         raise UnsupportedSpaceError("Plucker embedding implemented for the compact space")
     n, N = F.space.n, F.space.N
-    comps = np.array(
-        [np.linalg.det(F.F[list(S)]) for S in combinations(range(N), n)],
-        dtype=complex,
-    )
-    return PluckerVector(n, N, comps)
+    rows = np.array(list(combinations(range(N), n)))
+    return PluckerVector(n, N, np.linalg.det(F.F[rows]))
 
 
 def plucker_overlap_oracle(F1: Frame, F2: Frame) -> complex:

@@ -75,10 +75,15 @@ def apply_spectral(B, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return (r.u * fs) @ r.vh
 
 
+def check_positive_finite(x: float, name: str) -> None:
+    """Raise unless 0 < x < inf; written so that NaN fails too."""
+    if not 0 < x < np.inf:
+        raise PreconditionError(f"{name} must be positive and finite")
+
+
 def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values exceeding tol * max(1, largest singular value)."""
-    if tol <= 0:
-        raise PreconditionError("rank tolerance must be positive")
+    check_positive_finite(tol, "rank tolerance")
     s = svd(M).s
     if s.size == 0:
         return 0

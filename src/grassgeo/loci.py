@@ -7,10 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _exp0_frames, chart_of_frame
-from .errors import OnPolarDivisorError
-from .linalg import principal_angles, rank_tol, svd
+from .linalg import check_positive_finite, principal_angles, rank_tol, svd
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_frame_gram, origin_frame
 
 DEFAULT_DET_TOL = 1e-9
@@ -18,6 +17,7 @@ DEFAULT_ANGLE_TOL = 1e-5
 DEFAULT_EQUAL_ANGLE_TOL = 1e-6
 DEFAULT_CONJUGACY_TOL = 1e-3
 COALESCE_REL_TOL = 1e-12
+MAX_CONJUGATE_TIMES = 100_000
 _FAMILY_ORDER = {"T1": 0, "T2": 1, "T3": 2}
 
 
@@ -105,8 +105,7 @@ def cut_locus_test(
     """
     if not space.compact:
         raise PreconditionError("cut locus test applies to the compact space")
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    check_positive_finite(tol, "tol")
     det_val = abs(np.linalg.det(F.top))
     angles = principal_angles(origin_frame(space).F, F.F)
     by_det = det_val < tol
@@ -133,6 +132,7 @@ def disjoint_union_check(
     Borderline determinants in [tol, 10 tol) are flagged rather than
     classified.
     """
+    check_positive_finite(tol, "tol")
     det_val = abs(np.linalg.det(F.top))
     if det_val < tol:
         return DisjointUnionResult("polar-divisor", det_val, None)
@@ -159,34 +159,39 @@ def tangent_conjugate_times(
     lambda) are merged, multiplicities summed; the surviving tag is the
     largest single contribution.
     """
-    if t_max <= 0:
-        raise PreconditionError("t_max must be positive")
+    check_positive_finite(t_max, "t_max")
     r = space.rank
     if h.h.size != r:
         raise PreconditionError(f"h must have length r = {r}")
     hv = h.h
-    tiny = 1e-14
 
-    raw: list[ConjugateTime] = []
+    # (denominator, family, multiplicity, indices); time lam pi / denom
+    series = []
+    for p in range(r):
+        for q in range(p + 1, r):
+            series.append((abs(hv[p] + hv[q]), "T1", 2, (p, q)))
+            series.append((abs(hv[p] - hv[q]), "T1", 2, (p, q)))
+    for p in range(r):
+        series.append((2 * abs(hv[p]), "T2", 1, (p,)))
+    if space.n != space.m:
+        mult3 = 2 * abs(space.m - space.n)
+        for p in range(r):
+            series.append((abs(hv[p]), "T3", mult3, (p,)))
+    series = [s for s in series if s[0] >= 1e-14]
 
-    def emit(denom, family, mult, indices):
-        if denom < tiny:
-            return
+    # Python floats: an overflowing product is inf without a warning
+    count = sum(np.floor(t_max * float(s[0]) / np.pi) for s in series)
+    if count > MAX_CONJUGATE_TIMES:
+        raise EnumerationSizeError(
+            f"about {count:.3g} conjugate times up to t_max; "
+            f"at most {MAX_CONJUGATE_TIMES} are listed"
+        )
+    raw = []
+    for denom, family, mult, indices in series:
         lam = 1
         while lam * np.pi / denom <= t_max + 1e-15:
             raw.append(ConjugateTime(lam * np.pi / denom, family, mult, indices, lam))
             lam += 1
-
-    for p in range(r):
-        for q in range(p + 1, r):
-            emit(abs(hv[p] + hv[q]), "T1", 2, (p, q))
-            emit(abs(hv[p] - hv[q]), "T1", 2, (p, q))
-    for p in range(r):
-        emit(2 * abs(hv[p]), "T2", 1, (p,))
-    if space.n != space.m:
-        mult3 = 2 * abs(space.m - space.n)
-        for p in range(r):
-            emit(abs(hv[p]), "T3", mult3, (p,))
 
     raw.sort(key=lambda c: (c.t, _FAMILY_ORDER[c.family]))
     merged: list[ConjugateTime] = []
@@ -232,6 +237,8 @@ def dexp_min_singular(
     """
     if not (1e-7 <= fd_step <= 1e-3):
         raise PreconditionError("fd_step must lie in [1e-7, 1e-3]")
+    if not np.isfinite(t):
+        raise PreconditionError("t must be finite")
     n, m = space.n, space.m
     B0 = TangentVector(space, t * B.B).B
     # all 4nm points in one stack; column 2 idx + {0, 1} moves entry

@@ -310,6 +310,8 @@ POINT_DOC = '{"rows": 1, "cols": 1, "data": [[0.7, 0.0]]}'
 SCAN = ["conjugate-scan", "--space", "1", "1", "compact", "--h", "1", "--tmax", "3"]
 SCHUBERT = ["schubert", "--space", "2", "2", "compact", "--seed", "7"]
 BAD_TOL = {"GRASSGEO_TOL": "abc"}
+CUT = ["cut-test", "--space", "2", "2", "compact", "--seed", "7"]
+ROW_DOC = '{"rows": 1, "cols": 2, "data": [[0.7, 0.0], [0.0, 0.0]]}'
 
 
 class TestInputHoles:
@@ -358,6 +360,43 @@ class TestInputHoles:
                 ["plucker", "--space", "2", "2", "compact", "--seed", "7"], BAD_TOL,
                 None, 0, None,
                 id="env-tol-unread",
+            ),
+            pytest.param(
+                [*SCHUBERT, "--tol", "nan"], {}, None, 1, "PreconditionError",
+                id="tol-nan",
+            ),
+            pytest.param(
+                SCHUBERT, {"GRASSGEO_TOL": "nan"}, None, 1, "PreconditionError",
+                id="env-tol-nan",
+            ),
+            pytest.param(
+                [*CUT, "--tol", "inf"], {}, None, 1, "PreconditionError",
+                id="cut-tol-inf",
+            ),
+            pytest.param(
+                CUT, {"GRASSGEO_TOL": "nan"}, None, 1, "PreconditionError",
+                id="cut-env-tol-nan",
+            ),
+            # inf * 0 would warn on stderr before the error object
+            pytest.param(
+                ["exp", "--space", "1", "2", "compact", "--t", "inf"], {}, ROW_DOC,
+                1, "PreconditionError",
+                id="exp-t-inf",
+            ),
+            pytest.param(
+                ["geodesic-check", "--space", "1", "2", "compact", "--t", "inf"], {},
+                ROW_DOC, 1, "PreconditionError",
+                id="geodesic-check-t-inf",
+            ),
+            pytest.param(
+                ["conjugate-times", "--space", "1", "1", "compact", "--h", "1",
+                 "--tmax", "inf"], {}, None, 1, "PreconditionError",
+                id="tmax-inf",
+            ),
+            pytest.param(
+                [*SCAN[:-1], "1e9", "--points", "1"], {}, None, 1,
+                "EnumerationSizeError",
+                id="tmax-huge",
             ),
         ],
     )

@@ -76,6 +76,13 @@ class TestFrames:
         with pytest.raises(DomainError):
             ChartPoint(cp1_dual, [[1.2]])
 
+    def test_indefinite_gram_is_domain_error(self, cp1_dual):
+        # a point that got past the boundary check still fails as a DomainError
+        p = ChartPoint(cp1_dual, [[0.5]])
+        object.__setattr__(p, "Z", np.array([[1.2 + 0j]]))
+        with pytest.raises(DomainError, match="outside the bounded domain"):
+            frame_of_chart(p)
+
 
 class TestExp:
     def test_zero(self, g24):
@@ -203,7 +210,42 @@ class TestGeodesicOde:
         assert errs[1] < 10 * (1e-3) ** 3
 
 
+SIZES = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+
+
+def cholesky_frame(space, Z):
+    # [I ; Z^dagger] L^{-dagger} with L L^dagger = I + eps Z Z^dagger
+    L = np.linalg.cholesky(np.eye(space.n) + space.epsilon * (Z @ Z.conj().T))
+    return np.linalg.solve(L.conj(), raw_frame(ChartPoint(space, Z)).T).T
+
+
+def distance_oracle(space, Z1, Z2):
+    """Principal angles (compact) or arccosh of the J-Gram singular values
+    (noncompact) of Cholesky-normalized frames."""
+    F1, F2 = cholesky_frame(space, Z1), cholesky_frame(space, Z2)
+    J = np.diag([1.0] * space.n + [float(space.epsilon)] * space.m)
+    s = np.linalg.svd(F1.conj().T @ J @ F2, compute_uv=False)
+    if space.compact:
+        theta = np.arccos(np.minimum(s, 1.0))
+    else:
+        theta = np.arccosh(np.maximum(s, 1.0))
+    return float(np.sqrt(np.sum(theta**2)))
+
+
 class TestTransport:
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_isometry_sending_point_to_origin(self, n, m, eps):
+        space = GrassmannSpace(n, m, eps)
+        rng = np.random.default_rng(100 * n + 10 * m + (eps > 0))
+        J = np.diag([1.0] * n + [float(eps)] * m)
+        for _ in range(5):
+            p = random_chart_point_rng(space, rng)
+            g = transport_to_origin(space, p)
+            assert np.max(np.abs(g.conj().T @ J @ g - J)) < 1e-13
+            moved = g @ cholesky_frame(space, p.Z)
+            assert np.max(np.abs(moved[n:])) < 1e-13
+
     def test_origin_fixed(self, g24):
         g = transport_to_origin(g24, zero_point(g24))
         moved = apply_isometry(g, origin_frame(g24))
@@ -265,6 +307,30 @@ class TestDistance:
             z = exp0(g24_dual, TangentVector(g24_dual, t * B.B))
             d = distance(g24_dual, zero_point(g24_dual), z)
             assert abs(d - t * B.norm) < 1e-8
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_matches_oracle_off_origin(self, n, m, eps):
+        space = GrassmannSpace(n, m, eps)
+        rng = np.random.default_rng(1000 + 100 * n + 10 * m + (eps > 0))
+        for _ in range(5):
+            Z1 = random_chart_point_rng(space, rng).Z
+            Z2 = random_chart_point_rng(space, rng).Z
+            d = distance(space, ChartPoint(space, Z1), ChartPoint(space, Z2))
+            assert d == pytest.approx(distance_oracle(space, Z1, Z2), rel=1e-12, abs=1e-12)
+
+    def test_polar_divisor_fallback_line(self, cp1):
+        # z = 1 and z = -1 are orthogonal lines in C^2
+        d = distance(cp1, ChartPoint(cp1, [[1.0]]), ChartPoint(cp1, [[-1.0]]))
+        assert d == pytest.approx(np.pi / 2, abs=1e-14)
+
+    def test_polar_divisor_fallback_plane(self, g24):
+        # one right angle between the first axes, atan 0.5 - atan 0.3 between the second
+        d = distance(
+            g24, ChartPoint(g24, np.diag([1.0, 0.5])), ChartPoint(g24, np.diag([-1.0, 0.3]))
+        )
+        expected = np.hypot(np.pi / 2, np.arctan(0.5) - np.arctan(0.3))
+        assert d == pytest.approx(expected, abs=1e-14)
 
 
 class TestChartTransition:

@@ -87,6 +87,11 @@ class TestRankTol:
         with pytest.raises(PreconditionError):
             rank_tol(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_requires_finite_tol(self, tol):
+        with pytest.raises(PreconditionError):
+            rank_tol(np.eye(2), tol)
+
 
 class TestPrincipalAngles:
     def test_identical_planes(self, rng):

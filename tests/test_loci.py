@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from grassgeo.errors import PreconditionError
+from grassgeo import loci
+from grassgeo.errors import EnumerationSizeError, PreconditionError
 from grassgeo.geometry import exp0_frame, frame_of_chart
 from grassgeo.kernels import coordinate_plane_frame
 from grassgeo.loci import (
@@ -95,6 +96,23 @@ class TestConjugateTimes:
     def test_requires_matching_rank(self):
         with pytest.raises(PreconditionError):
             tangent_conjugate_times(CP1, CartanVector([0.8, 0.6]), 1.0)
+
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf])
+    def test_requires_finite_horizon(self, t_max):
+        with pytest.raises(PreconditionError):
+            tangent_conjugate_times(CP1, CartanVector([1.0]), t_max)
+
+    def test_count_bounded_before_listing(self, monkeypatch):
+        # on the projective line the times are k pi / 2: ten up to 5 pi
+        monkeypatch.setattr(loci, "MAX_CONJUGATE_TIMES", 10)
+        assert len(tangent_conjugate_times(CP1, CartanVector([1.0]), 5 * np.pi)) == 10
+        with pytest.raises(EnumerationSizeError):
+            tangent_conjugate_times(CP1, CartanVector([1.0]), 5.6 * np.pi)
+
+    @pytest.mark.parametrize("t_max", [1e9, 1e308])
+    def test_huge_horizon_rejected(self, t_max):
+        with pytest.raises(EnumerationSizeError):
+            tangent_conjugate_times(CP2, CartanVector([1.0]), t_max)
 
 
 class TestCartanEmbedding:
@@ -210,6 +228,15 @@ class TestCutLocus:
         sp = GrassmannSpace(1, 1, -1)
         with pytest.raises(PreconditionError):
             cut_locus_test(sp, origin_frame(sp))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        sp = GrassmannSpace(2, 2, 1)
+        for check in (cut_locus_test, disjoint_union_check):
+            with pytest.raises(PreconditionError):
+                check(sp, coordinate_plane_frame(sp, (0, 2)), tol=tol)
+        with pytest.raises(PreconditionError):
+            schubert_dims(coordinate_plane_frame(sp, (0, 2)), standard_flag(sp), tol=tol)
 
 
 class TestDisjointUnion:

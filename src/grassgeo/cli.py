@@ -21,6 +21,9 @@ from .linalg import principal_angles
 from .sampling import random_plane
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, origin_frame
 
+# each scan point runs one dexp_min_singular (about 0.2 ms on G_1(C^2))
+MAX_SCAN_POINTS = 10_000
+
 
 def _tol(args) -> float:
     raw = os.environ.get("GRASSGEO_TOL") if args.tol is None else args.tol
@@ -76,6 +79,8 @@ def _frame_arg(space: GrassmannSpace, args, attr="frame", seed_attr="seed") -> F
     if path is not None:
         return Frame(space, _read_doc(path, attr))
     if seed is not None:
+        if seed < 0:
+            _usage_error(f"--{seed_attr} must be non-negative, got {seed}")
         return random_plane(space, seed)
     raise PreconditionError(f"provide --{attr} FILE or --{seed_attr} N")
 
@@ -92,44 +97,39 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_exp(args):
-    space = _space(args)
-    B0 = _read_doc(args.input, "input")
-    B = TangentVector(space, _t(args) * B0)
-    Z = geometry.exp0(space, B)
-    out = {"Z": jsonio.matrix_to_doc(Z.Z), "arc_length": B.norm}
+def _geodesic(space: GrassmannSpace, args, verify: bool):
+    """(t B, exp0(t B), RK4 endpoint, max |RK4 - exp0|) for the --input
+    tangent B and --t; the last two are None unless verify."""
+    B = TangentVector(space, _read_doc(args.input, "input"))
+    tB = TangentVector(space, _t(args) * B.B)
+    Z = geometry.exp0(space, tB)
+    if not verify:
+        return tB, Z, None, None
+    ode = geometry.geodesic_ode(space, B, args.t, args.steps)
+    return tB, Z, ode, float(np.max(np.abs(ode.Z - Z.Z)))
+
+
+def cmd_exp(space, args):
+    tB, Z, _, diff = _geodesic(space, args, args.verify)
+    out = {"Z": jsonio.matrix_to_doc(Z.Z), "arc_length": tB.norm}
     if args.verify:
-        ode = geometry.geodesic_ode(space, TangentVector(space, B0), args.t, args.steps)
-        out["verify"] = {
-            "steps": args.steps,
-            "max_abs_diff": float(np.max(np.abs(ode.Z - Z.Z))),
-        }
+        out["verify"] = {"steps": args.steps, "max_abs_diff": diff}
     _emit(out)
 
 
-def cmd_log(args):
-    space = _space(args)
+def cmd_log(space, args):
     Z = ChartPoint(space, _read_doc(args.input, "input"))
     B = geometry.log0(space, Z)
     _emit({"B": jsonio.matrix_to_doc(B.B), "norm": B.norm})
 
 
-def cmd_geodesic_check(args):
-    space = _space(args)
-    B = TangentVector(space, _read_doc(args.input, "input"))
-    closed = geometry.exp0(space, TangentVector(space, _t(args) * B.B))
-    ode = geometry.geodesic_ode(space, B, args.t, args.steps)
-    _emit(
-        {
-            "Z_exp": jsonio.matrix_to_doc(closed.Z),
-            "Z_ode": jsonio.matrix_to_doc(ode.Z),
-            "max_abs_diff": float(np.max(np.abs(ode.Z - closed.Z))),
-        }
-    )
+def cmd_geodesic_check(space, args):
+    _, Z, ode, diff = _geodesic(space, args, verify=True)
+    doc = jsonio.matrix_to_doc
+    _emit({"Z_exp": doc(Z.Z), "Z_ode": doc(ode.Z), "max_abs_diff": diff})
 
 
-def cmd_overlap(args):
-    space = _space(args)
+def cmd_overlap(space, args):
     z1 = _chart_arg(space, args, "z1")
     z2 = _chart_arg(space, args, "z2")
     ov = kernels.normalized_overlap(space, z1, z2)
@@ -151,28 +151,21 @@ def cmd_overlap(args):
     _emit(out)
 
 
-def cmd_distance(args):
-    space = _space(args)
-    d = geometry.distance(space, _chart_arg(space, args, "z1"), _chart_arg(space, args, "z2"))
-    _emit({"distance": d})
-
-
-def cmd_diastasis(args):
-    space = _space(args)
-    d = kernels.diastasis(space, _chart_arg(space, args, "z1"), _chart_arg(space, args, "z2"))
-    _emit({"diastasis": d})
-
-
-def cmd_cayley(args):
-    space = _space(args)
-    d = kernels.cayley_distance(
-        space, _chart_arg(space, args, "z1"), _chart_arg(space, args, "z2")
-    )
-    _emit({"cayley_distance": d})
+def cmd_pair(space, args):
+    """distance, diastasis or cayley: one number from two chart points."""
+    key, measure = {
+        "distance": ("distance", geometry.distance),
+        "diastasis": ("diastasis", kernels.diastasis),
+        "cayley": ("cayley_distance", kernels.cayley_distance),
+    }[args.command]
+    _emit({key: measure(space, _chart_arg(space, args, "z1"), _chart_arg(space, args, "z2"))})
 
 
 def _cartan(args) -> loci.CartanVector:
     h = np.asarray(args.h, dtype=float)
+    # checked before h / norm, where inf / inf would warn
+    if not np.all(np.isfinite(h)):
+        raise PreconditionError("--h must be finite")
     norm = np.linalg.norm(h)
     if norm == 0:
         raise PreconditionError("--h must be nonzero")
@@ -181,8 +174,7 @@ def _cartan(args) -> loci.CartanVector:
     return loci.CartanVector(h)
 
 
-def cmd_conjugate_times(args):
-    space = _space(args)
+def cmd_conjugate_times(space, args):
     times = loci.tangent_conjugate_times(space, _cartan(args), args.tmax)
     _emit(
         {
@@ -200,10 +192,9 @@ def cmd_conjugate_times(args):
     )
 
 
-def cmd_conjugate_scan(args):
-    space = _space(args)
-    if args.points < 1:
-        _usage_error(f"--points must be at least 1, got {args.points}")
+def cmd_conjugate_scan(space, args):
+    if not 1 <= args.points <= MAX_SCAN_POINTS:
+        _usage_error(f"--points must lie in [1, {MAX_SCAN_POINTS}], got {args.points}")
     h = _cartan(args)
     B = loci.cartan_to_tangent(space, h)
     predicted = [c.t for c in loci.tangent_conjugate_times(space, h, args.tmax)]
@@ -215,8 +206,7 @@ def cmd_conjugate_scan(args):
         sys.stdout.write(f"{t:.17g},{val:.17g},{flag}\n")
 
 
-def cmd_cut_test(args):
-    space = _space(args)
+def cmd_cut_test(space, args):
     F = _frame_arg(space, args)
     tol = _tol(args)
     on_cut = loci.cut_locus_test(space, F, tol=tol)
@@ -230,8 +220,7 @@ def cmd_cut_test(args):
     )
 
 
-def cmd_schubert(args):
-    space = _space(args)
+def cmd_schubert(space, args):
     F = _frame_arg(space, args)
     flag = loci.standard_flag(space) if args.flag == "standard" else loci.dual_flag(space)
     out = {"dims": loci.schubert_dims(F, flag, tol=_tol(args))}
@@ -246,8 +235,7 @@ def cmd_schubert(args):
     _emit(out)
 
 
-def cmd_strata(args):
-    space = _space(args)
+def cmd_strata(space, args):
     F = _frame_arg(space, args)
     angles = principal_angles(origin_frame(space).F, F.F)
     _emit(
@@ -259,8 +247,7 @@ def cmd_strata(args):
     )
 
 
-def cmd_isoclinic(args):
-    space = _space(args)
+def cmd_isoclinic(space, args):
     F1 = _frame_arg(space, args, "frame1", "seed1")
     F2 = _frame_arg(space, args, "frame2", "seed2")
     angles = principal_angles(F1.F, F2.F)
@@ -272,8 +259,7 @@ def cmd_isoclinic(args):
     )
 
 
-def cmd_plucker(args):
-    space = _space(args)
+def cmd_plucker(space, args):
     F = _frame_arg(space, args)
     pv = kernels.plucker_embed(F)
     _emit(
@@ -284,8 +270,7 @@ def cmd_plucker(args):
     )
 
 
-def cmd_energy(args):
-    space = _space(args)
+def cmd_energy(space, args):
     F = _frame_arg(space, args)
     spec = EnergySpec(np.asarray(args.eps, dtype=float))
     _emit({"energy": kernels.energy(space, spec, F)})
@@ -295,8 +280,7 @@ def _default_eps(space: GrassmannSpace) -> np.ndarray:
     return np.arange(space.N, 0, -1, dtype=float)
 
 
-def cmd_critical_points(args):
-    space = _space(args)
+def cmd_critical_points(space, args):
     eps = np.asarray(args.eps, dtype=float) if args.eps else _default_eps(space)
     pts = kernels.critical_points(space, EnergySpec(eps))
     _emit(
@@ -309,8 +293,7 @@ def cmd_critical_points(args):
     )
 
 
-def cmd_char_numbers(args):
-    space = _space(args)
+def cmd_char_numbers(space, args):
     eps = np.asarray(args.eps, dtype=float) if args.eps else _default_eps(space)
     report = topology.characteristic_report(space.n, space.m, EnergySpec(eps))
     _emit(
@@ -330,23 +313,22 @@ def cmd_char_numbers(args):
 # ---------------------------------------------------------------- parser
 
 
-def _add_space(p):
-    p.add_argument(
-        "--space",
-        nargs=3,
-        metavar=("N", "M", "KIND"),
-        required=True,
-        help="plane dim, codim, compact|noncompact",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="grassgeo")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, frame=False, **kw):
         p = sub.add_parser(name, **kw)
-        _add_space(p)
+        p.add_argument(
+            "--space",
+            nargs=3,
+            metavar=("N", "M", "KIND"),
+            required=True,
+            help="plane dim, codim, compact|noncompact",
+        )
+        if frame:  # read by _frame_arg
+            p.add_argument("--frame")
+            p.add_argument("--seed", type=int)
         p.set_defaults(fn=fn)
         return p
 
@@ -364,13 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=4000)
 
-    for name, fn in (
-        ("overlap", cmd_overlap),
-        ("distance", cmd_distance),
-        ("diastasis", cmd_diastasis),
-        ("cayley", cmd_cayley),
-    ):
-        p = add(name, fn)
+    for name in ("overlap", "distance", "diastasis", "cayley"):
+        p = add(name, cmd_overlap if name == "overlap" else cmd_pair)
         p.add_argument("--z1", required=True)
         p.add_argument("--z2", required=True)
         if name == "overlap":
@@ -387,21 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--no-normalize", action="store_true")
 
-    p = add("cut-test", cmd_cut_test)
-    p.add_argument("--frame")
-    p.add_argument("--seed", type=int)
+    p = add("cut-test", cmd_cut_test, frame=True)
     p.add_argument("--tol", type=float)
 
-    p = add("schubert", cmd_schubert)
-    p.add_argument("--frame")
-    p.add_argument("--seed", type=int)
+    p = add("schubert", cmd_schubert, frame=True)
     p.add_argument("--omega", nargs="+", type=int)
     p.add_argument("--flag", choices=["standard", "dual"], default="standard")
     p.add_argument("--tol", type=float)
 
-    p = add("strata", cmd_strata)
-    p.add_argument("--frame")
-    p.add_argument("--seed", type=int)
+    add("strata", cmd_strata, frame=True)
 
     p = add("isoclinic", cmd_isoclinic)
     p.add_argument("--frame1")
@@ -409,13 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed1", type=int)
     p.add_argument("--seed2", type=int)
 
-    p = add("plucker", cmd_plucker)
-    p.add_argument("--frame")
-    p.add_argument("--seed", type=int)
+    add("plucker", cmd_plucker, frame=True)
 
-    p = add("energy", cmd_energy)
-    p.add_argument("--frame")
-    p.add_argument("--seed", type=int)
+    p = add("energy", cmd_energy, frame=True)
     p.add_argument("--eps", nargs="+", type=float, required=True)
 
     p = add("critical-points", cmd_critical_points)
@@ -430,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        args.fn(_space(args), args)
     except GrassGeoError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1

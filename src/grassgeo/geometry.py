@@ -24,6 +24,7 @@ from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, origin_fra
 CHART_SINGULAR_TOL = 1e-12
 TAN_POLE_TOL = 1e-12
 BLOWUP_LIMIT = 1e8
+MAX_ODE_STEPS = 100_000
 
 
 def raw_frame(p: ChartPoint) -> np.ndarray:
@@ -53,15 +54,21 @@ def chart_of_frame(F: Frame) -> ChartPoint:
     is itself meaningful (the plane meets the orthocomplement of the chart
     origin, see the loci module).
     """
-    top = F.top
+    return _chart_of_rows(
+        F.space, F.top, F.bottom, OnPolarDivisorError,
+        "plane is on the polar divisor of the chart origin "
+        "(top-block smallest singular value {smin:.3e})",
+    )
+
+
+def _chart_of_rows(space: GrassmannSpace, top, bottom, error, message: str) -> ChartPoint:
+    """Chart point with Z^dagger = bottom @ top^{-1}; raises error(message),
+    which may name {smin}, when the smallest singular value smin of top is
+    below CHART_SINGULAR_TOL."""
     smin = svd(top).s[-1]
     if smin < CHART_SINGULAR_TOL:
-        raise OnPolarDivisorError(
-            f"plane is on the polar divisor of the chart origin "
-            f"(top-block smallest singular value {smin:.3e})"
-        )
-    Zdag = F.bottom @ np.linalg.inv(top)
-    return ChartPoint(F.space, Zdag.conj().T)
+        raise error(message.format(smin=smin))
+    return ChartPoint(space, (bottom @ np.linalg.inv(top)).conj().T)
 
 
 def exp0(space: GrassmannSpace, B: TangentVector) -> ChartPoint:
@@ -151,19 +158,32 @@ def geodesic_ode(
     at the stage's own Z and W, with one k x k inverse, or a division when
     k = 1.  Entries that pass BLOWUP_LIMIT or stop being finite (a compact
     geodesic crossing a tan pole) raise LeftChartError, without
-    floating-point warnings; so does a singular stage Gram matrix.
+    floating-point warnings; so does a singular stage Gram matrix.  On the
+    noncompact dual either failure means the step is too coarse.
     """
     if steps < 100:
         raise PreconditionError("geodesic_ode requires steps >= 100")
+    if steps > MAX_ODE_STEPS:
+        raise PreconditionError(f"geodesic_ode allows at most {MAX_ODE_STEPS} steps")
     if B.space != space:
         raise PreconditionError("tangent vector belongs to a different space")
     flip = space.n > space.m
     V = B.B.T if flip else B.B
     rk4 = _rk4_row if V.shape[0] == 1 else _rk4_block
+    h = t / steps
     try:
         with np.errstate(all="ignore"):
-            Z = rk4(V, space.epsilon, t / steps, steps)
-    except np.linalg.LinAlgError as exc:
+            Z = rk4(V, space.epsilon, h, steps)
+    except (np.linalg.LinAlgError, LeftChartError) as exc:
+        if not space.compact:
+            # the exact noncompact geodesic never leaves the bounded domain
+            hB = abs(h) * np.linalg.norm(B.B, 2)
+            raise LeftChartError(
+                f"RK4 integration diverged with step x |B|_2 = {hB:.3g}; "
+                "the noncompact geodesic stays in the domain, so raise steps"
+            ) from exc
+        if isinstance(exc, LeftChartError):
+            raise
         raise LeftChartError("integration left the chart: singular stage Gram matrix") from exc
     return ChartPoint(space, Z.T if flip else Z)
 
@@ -315,10 +335,7 @@ def chart_transition(
     if rows[0] < 0 or rows[-1] >= space.N:
         raise PreconditionError("row_selection indices out of range")
     rest = [i for i in range(space.N) if i not in set(rows)]
-    top = F.F[rows]
-    if svd(top).s[-1] < CHART_SINGULAR_TOL:
-        raise WrongChartError(
-            "selected rows give a singular block; plane not in that chart"
-        )
-    Zdag = F.F[rest] @ np.linalg.inv(top)
-    return ChartPoint(space, Zdag.conj().T)
+    return _chart_of_rows(
+        space, F.F[rows], F.F[rest], WrongChartError,
+        "selected rows give a singular block; plane not in that chart",
+    )

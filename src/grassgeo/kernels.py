@@ -8,6 +8,7 @@ weight one is used here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,10 +22,11 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .geometry import raw_frame
-from .spaces import ChartPoint, Frame, GrassmannSpace
+from .spaces import ChartPoint, Frame, GrassmannSpace, check_enumeration_size, coordinate_plane_frame
 
 ZERO_OVERLAP_TOL = 1e-15
 CRITICAL_GRAD_TOL = 1e-8
+DISTINCT_REL_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,13 @@ class EnergySpec:
             raise PreconditionError("eps contains non-finite entries")
         object.__setattr__(self, "eps", e)
 
-    def require_distinct(self, rel_gap: float = 1e-6) -> None:
+    def require_distinct(self) -> None:
         e = np.sort(self.eps)
         scale = max(1.0, float(np.max(np.abs(e))))
-        if np.min(np.diff(e)) < rel_gap * scale:
+        if np.min(np.diff(e)) < DISTINCT_REL_GAP * scale:
             raise DegenerateSpectrumError(
                 "Hamiltonian coefficients must be pairwise distinct "
-                f"(relative gap >= {rel_gap:g})"
+                f"(relative gap >= {DISTINCT_REL_GAP:g})"
             )
 
 
@@ -128,6 +130,7 @@ def plucker_embed(F: Frame) -> PluckerVector:
     if not F.space.compact:
         raise UnsupportedSpaceError("Plucker embedding implemented for the compact space")
     n, N = F.space.n, F.space.N
+    check_enumeration_size(math.comb(N, n), "Plucker embedding")
     rows = np.array(list(combinations(range(N), n)))
     return PluckerVector(n, N, np.linalg.det(F.F[rows]))
 
@@ -186,42 +189,31 @@ def energy_gradient(
     return 2.0 * (C @ Z @ a2 - C @ M @ C @ Z)
 
 
-def coordinate_plane_frame(space: GrassmannSpace, subset) -> Frame:
-    """Frame of the coordinate plane spanned by the selected standard axes."""
-    S = sorted(int(i) for i in subset)
-    if len(S) != space.n or len(set(S)) != space.n:
-        raise PreconditionError(f"subset must pick {space.n} distinct axes")
-    F = np.zeros((space.N, space.n), dtype=complex)
-    for col, i in enumerate(S):
-        F[i, col] = 1.0
-    return Frame(space, F)
-
-
 def critical_points(space: GrassmannSpace, spec: EnergySpec):
     """All critical points of the energy function for distinct coefficients.
 
-    Returns one (subset, frame, value) per coordinate n-plane; each is
-    verified critical by evaluating the analytic gradient at the origin of
-    the chart centered on that plane (same functional form with the
-    coefficients permuted so the subset comes first).
+    Returns one (subset, frame, value) per coordinate n-plane; each frame F
+    is verified critical by the first-order condition of tr(A P) with
+    A = diag(eps): the residual A F - F (F^dagger A F) must vanish, i.e. A
+    maps the plane into itself.
     """
     if not space.compact:
         raise UnsupportedSpaceError("critical points implemented for the compact space")
     if spec.eps.size != space.N:
         raise PreconditionError(f"eps must have length {space.N}")
     spec.require_distinct()
+    check_enumeration_size(math.comb(space.N, space.n), "critical point enumeration")
     out = []
-    zero = ChartPoint(space, np.zeros((space.n, space.m)))
     for S in combinations(range(space.N), space.n):
-        rest = [i for i in range(space.N) if i not in set(S)]
-        perm = EnergySpec(np.concatenate([spec.eps[list(S)], spec.eps[rest]]))
-        gnorm = float(np.linalg.norm(energy_gradient(space, perm, zero)))
+        F = coordinate_plane_frame(space, S)
+        AF = spec.eps[:, None] * F.F
+        gnorm = float(np.linalg.norm(AF - F.F @ (F.F.conj().T @ AF)))
         if gnorm >= CRITICAL_GRAD_TOL:
             raise ConsistencyError(
                 f"coordinate plane {S} failed the gradient check ({gnorm:.3e})"
             )
         value = float(np.sum(spec.eps[list(S)]))
-        out.append((S, coordinate_plane_frame(space, S), value))
+        out.append((S, F, value))
     return out
 
 

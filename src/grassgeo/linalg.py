@@ -90,11 +90,11 @@ def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
-def check_orthonormal(F, tol: float = ORTHONORMALITY_TOL, name: str = "frame") -> np.ndarray:
+def check_orthonormal(F, name: str = "frame") -> np.ndarray:
     F = as_matrix(F, name)
     gram = F.conj().T @ F
     dev = np.max(np.abs(gram - np.eye(F.shape[1])))
-    if dev > tol:
+    if dev > ORTHONORMALITY_TOL:
         raise PreconditionError(
             f"{name} columns are not orthonormal (Gram deviation {dev:.3e})"
         )

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _exp0_frames, chart_of_frame
-from .linalg import check_positive_finite, principal_angles, rank_tol, svd
+from .linalg import check_orthonormal, check_positive_finite, principal_angles, rank_tol, svd
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_frame_gram, origin_frame
 
 DEFAULT_DET_TOL = 1e-9
@@ -32,6 +32,8 @@ class CartanVector:
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 1 or h.size < 1:
             raise PreconditionError("h must be a nonempty 1-D real array")
+        if not np.all(np.isfinite(h)):
+            raise PreconditionError("h contains non-finite entries")
         if abs(np.sum(h**2) - 1.0) > 1e-10:
             raise PreconditionError("Cartan vector must satisfy sum h_i^2 = 1")
         object.__setattr__(self, "h", h)
@@ -91,17 +93,12 @@ class SchubertSymbol:
         return int(sum(self.omega))
 
 
-def cut_locus_test(
-    space: GrassmannSpace,
-    F: Frame,
-    tol: float = DEFAULT_DET_TOL,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
-) -> bool:
+def cut_locus_test(space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL) -> bool:
     """True iff the plane lies on the polar divisor of the origin.
 
     Both criteria are computed: |det(F_O^dagger F)| < tol and largest
-    principal angle with O within angle_tol of pi/2; a mismatch raises a
-    consistency error.
+    principal angle with O within DEFAULT_ANGLE_TOL of pi/2; a mismatch raises
+    a consistency error.
     """
     if not space.compact:
         raise PreconditionError("cut locus test applies to the compact space")
@@ -109,7 +106,7 @@ def cut_locus_test(
     det_val = abs(np.linalg.det(F.top))
     angles = principal_angles(origin_frame(space).F, F.F)
     by_det = det_val < tol
-    by_angle = float(angles[-1]) > np.pi / 2 - angle_tol
+    by_angle = float(angles[-1]) > np.pi / 2 - DEFAULT_ANGLE_TOL
     if by_det != by_angle:
         raise ConsistencyError(
             f"cut-locus criteria disagree: |det| = {det_val:.3e}, "
@@ -256,16 +253,11 @@ def dexp_min_singular(
     return float(s[-1] / s[0])
 
 
-def is_conjugate(
-    space: GrassmannSpace,
-    B: TangentVector,
-    t: float,
-    tol: float = DEFAULT_CONJUGACY_TOL,
-) -> bool:
-    """True iff exp0(tB) is conjugate to the origin at normalized tolerance tol."""
+def is_conjugate(space: GrassmannSpace, B: TangentVector, t: float) -> bool:
+    """True iff exp0(tB) is conjugate to the origin, at DEFAULT_CONJUGACY_TOL."""
     if B.norm == 0.0:
         raise PreconditionError("conjugacy test needs a nonzero direction")
-    return dexp_min_singular(space, B, t) < tol
+    return dexp_min_singular(space, B, t) < DEFAULT_CONJUGACY_TOL
 
 
 def standard_flag(space: GrassmannSpace) -> np.ndarray:
@@ -285,9 +277,7 @@ def schubert_dims(F: Frame, flag: np.ndarray, tol: float = DEFAULT_DET_TOL) -> l
     N, n = F.space.N, F.space.n
     if flag.shape != (N, N):
         raise PreconditionError(f"flag basis must be {N}x{N}")
-    gram_dev = np.max(np.abs(flag.conj().T @ flag - np.eye(N)))
-    if gram_dev > 1e-8:
-        raise PreconditionError("flag basis must be orthonormal")
+    check_orthonormal(flag, name="flag basis")
     dims = []
     for p in range(1, N + 1):
         stacked = np.hstack([F.F, flag[:, :p]])
@@ -321,34 +311,30 @@ def _angles_with_origin(space: GrassmannSpace, F: Frame) -> np.ndarray:
     return principal_angles(origin_frame(space).F, F.F)
 
 
-def conjugate_stratum_W(
-    space: GrassmannSpace, F: Frame, tol: float = DEFAULT_EQUAL_ANGLE_TOL
-) -> bool:
+def conjugate_stratum_W(space: GrassmannSpace, F: Frame) -> bool:
     """Angle-based test for the Wong stratum of the conjugate locus: more
     zero angles with O than the generic forced count max(0, n - m), or at
     least one right angle."""
     if not space.compact:
         raise PreconditionError("conjugate strata apply to the compact space")
     ang = _angles_with_origin(space, F)
-    zeros = int(np.count_nonzero(ang < tol))
-    rights = int(np.count_nonzero(ang > np.pi / 2 - tol))
+    zeros = int(np.count_nonzero(ang < DEFAULT_EQUAL_ANGLE_TOL))
+    rights = int(np.count_nonzero(ang > np.pi / 2 - DEFAULT_EQUAL_ANGLE_TOL))
     return zeros > max(0, space.n - space.m) or rights >= 1
 
 
-def conjugate_stratum_I(
-    space: GrassmannSpace, F: Frame, tol: float = DEFAULT_EQUAL_ANGLE_TOL
-) -> bool:
+def conjugate_stratum_I(space: GrassmannSpace, F: Frame) -> bool:
     """Necessary-condition stratum test: some pair of stationary angles with
-    O coincide within tol.  Not claimed sufficient for membership."""
+    O coincide within tolerance.  Not claimed sufficient for membership."""
     if not space.compact:
         raise PreconditionError("conjugate strata apply to the compact space")
     ang = np.sort(_angles_with_origin(space, F))
     if ang.size < 2:
         return False
-    return bool(np.min(np.diff(ang)) < tol)
+    return bool(np.min(np.diff(ang)) < DEFAULT_EQUAL_ANGLE_TOL)
 
 
-def isoclinic_test(F1: Frame, F2: Frame, tol: float = DEFAULT_EQUAL_ANGLE_TOL) -> bool:
+def isoclinic_test(F1: Frame, F2: Frame) -> bool:
     """True iff all stationary angles between the two planes coincide."""
     ang = principal_angles(F1.F, F2.F)
-    return bool(ang[-1] - ang[0] < tol)
+    return bool(ang[-1] - ang[0] < DEFAULT_EQUAL_ANGLE_TOL)

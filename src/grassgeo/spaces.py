@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, EnumerationSizeError, PreconditionError
 from .linalg import as_matrix, svd
 
 FRAME_GRAM_TOL = 1e-10
+MAX_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,24 @@ def check_frame_gram(space: GrassmannSpace, F: np.ndarray) -> None:
         raise PreconditionError(f"frame {kind} deviation {dev:.3e} exceeds 1e-10")
 
 
+def coordinate_plane_frame(space: GrassmannSpace, subset) -> Frame:
+    """Frame of the coordinate plane spanned by the selected standard axes."""
+    S = sorted(int(i) for i in subset)
+    if len(S) != space.n or len(set(S)) != space.n:
+        raise PreconditionError(f"subset must pick {space.n} distinct axes")
+    F = np.zeros((space.N, space.n), dtype=complex)
+    for col, i in enumerate(S):
+        F[i, col] = 1.0
+    return Frame(space, F)
+
+
 def origin_frame(space: GrassmannSpace) -> Frame:
     """Frame of the origin plane O = span(e_1, ..., e_n)."""
-    F = np.zeros((space.N, space.n), dtype=complex)
-    F[: space.n] = np.eye(space.n)
-    return Frame(space, F)
+    return coordinate_plane_frame(space, range(space.n))
+
+
+def check_enumeration_size(count: int, what: str) -> None:
+    """Raise EnumerationSizeError when an enumeration of count coordinate
+    planes, cells or minors, not yet built, would exceed MAX_CELLS."""
+    if count > MAX_CELLS:
+        raise EnumerationSizeError(f"{what} of size {count} exceeds {MAX_CELLS}")

@@ -13,12 +13,14 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, PreconditionError
-from .kernels import EnergySpec, coordinate_plane_frame, critical_points, plucker_embed
+from .kernels import EnergySpec, critical_points, plucker_embed
 from .loci import SchubertSymbol
-from .spaces import GrassmannSpace
+from .spaces import GrassmannSpace, check_enumeration_size, coordinate_plane_frame
 
-MAX_CELLS = 10**6
 ORTHOGONALITY_TOL = 1e-14
+# orthogonal_coherent_count holds two k x k complex arrays for k = C(n+m, n)
+# planes: 2000 admits (6, 7) with 1716 planes and refuses (7, 7) with 3432
+MAX_ORTHOGONAL_PLANES = 2000
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,7 @@ def weyl_group_ratio(n: int, m: int) -> int:
 
 def schubert_cells(n: int, m: int) -> list[SchubertSymbol]:
     """All Schubert symbols for G_n(C^{n+m}): nondecreasing omega in [0, m]^n."""
-    count = euler_characteristic(n, m)
-    if count > MAX_CELLS:
-        raise EnumerationSizeError(f"cell enumeration of size {count} exceeds {MAX_CELLS}")
+    check_enumeration_size(euler_characteristic(n, m), "cell enumeration")
     return [
         SchubertSymbol(w, m) for w in combinations_with_replacement(range(m + 1), n)
     ]
@@ -78,6 +78,7 @@ def orthogonal_coherent_count(space: GrassmannSpace) -> int:
     """Constructive count of pairwise orthogonal coherent states: the
     coordinate n-planes, verified orthonormal through the Gram matrix of
     their normalized Plucker vectors."""
+    _check_orthogonal_count(space)
     subsets = combinations(range(space.N), space.n)
     P = np.array([plucker_embed(coordinate_plane_frame(space, S)).components for S in subsets])
     P /= np.linalg.norm(P, axis=1, keepdims=True)
@@ -90,6 +91,14 @@ def orthogonal_coherent_count(space: GrassmannSpace) -> int:
     return len(P)
 
 
+def _check_orthogonal_count(space: GrassmannSpace) -> None:
+    count = math.comb(space.N, space.n)
+    if count > MAX_ORTHOGONAL_PLANES:
+        raise EnumerationSizeError(
+            f"orthogonal coherent states: {count} planes exceed {MAX_ORTHOGONAL_PLANES}"
+        )
+
+
 def characteristic_report(n: int, m: int, spec: EnergySpec) -> CharacteristicReport:
     """Assemble the seven equal numbers, each through its own route.
 
@@ -98,6 +107,7 @@ def characteristic_report(n: int, m: int, spec: EnergySpec) -> CharacteristicRep
     minimality search is attempted.
     """
     space = GrassmannSpace(n, m, epsilon=1)
+    _check_orthogonal_count(space)  # before any enumeration
     chi = euler_characteristic(n, m)
     cells = schubert_cells(n, m)
     dims = np.array([c.cell_dim for c in cells])

@@ -312,6 +312,7 @@ SCHUBERT = ["schubert", "--space", "2", "2", "compact", "--seed", "7"]
 BAD_TOL = {"GRASSGEO_TOL": "abc"}
 CUT = ["cut-test", "--space", "2", "2", "compact", "--seed", "7"]
 ROW_DOC = '{"rows": 1, "cols": 2, "data": [[0.7, 0.0], [0.0, 0.0]]}'
+SQUARE_DOC = '{"rows": 2, "cols": 2, "data": [[0.2, 0], [0.5, 0], [0.1, 0], [-0.3, 0]]}'
 
 
 class TestInputHoles:
@@ -397,6 +398,28 @@ class TestInputHoles:
                 [*SCAN[:-1], "1e9", "--points", "1"], {}, None, 1,
                 "EnumerationSizeError",
                 id="tmax-huge",
+            ),
+            pytest.param(
+                [*SCAN, "--points", "1000000000"], {}, None, 2, None,
+                id="points-over-cap",
+            ),
+            pytest.param(
+                ["exp", "--space", "2", "2", "compact", "--verify",
+                 "--steps", "1000000000"], {}, SQUARE_DOC, 1, "PreconditionError",
+                id="steps-over-cap",
+            ),
+            pytest.param(
+                ["conjugate-times", "--space", "1", "1", "compact", "--h", "nan",
+                 "--tmax", "3"], {}, None, 1, "PreconditionError",
+                id="h-nan",
+            ),
+            pytest.param(
+                ["conjugate-times", "--space", "2", "2", "compact", "--h", "inf", "1",
+                 "--tmax", "3"], {}, None, 1, "PreconditionError",
+                id="h-inf",
+            ),
+            pytest.param(
+                [*CUT[:-1], "-1"], {}, None, 2, None, id="seed-negative"
             ),
         ],
     )

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from grassgeo import geometry
 from grassgeo.errors import (
     ConjugateToChartError,
     DomainError,
@@ -198,6 +199,20 @@ class TestGeodesicOde:
         B[0, 0], B[1, 1] = 1000.0, 0.2
         with pytest.raises(LeftChartError, match="integration"):
             geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
+
+    def test_step_cap(self, cp1):
+        with pytest.raises(PreconditionError):
+            geodesic_ode(cp1, TangentVector(cp1, [[1.0]]), 1.0, geometry.MAX_ODE_STEPS + 1)
+
+    @pytest.mark.parametrize("b, hB", [(1000.0, "0.25"), (4000.0, "1")])
+    def test_noncompact_failure_names_the_step(self, b, hB):
+        # the exact noncompact geodesic stays in the bounded domain, so both
+        # failures (singular stage Gram matrix at b = 1000, blow-up at
+        # b = 4000) must blame the step h |B|_2 and ask for more steps
+        space = GrassmannSpace(2, 2, epsilon=-1)
+        B = TangentVector(space, np.diag([b, 0.2]))
+        with pytest.raises(LeftChartError, match=rf"integration.* = {hB};.*raise steps"):
+            geodesic_ode(space, B, 1.0, 4000)
 
     def test_initial_velocity_cubic(self, g24, rng):
         # acceleration vanishes at Z = 0, so exp0(hB) - hB = O(h^3)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from grassgeo import kernels, spaces
 from grassgeo.errors import (
+    ConsistencyError,
     DegenerateSpectrumError,
+    EnumerationSizeError,
     DiastasisUndefinedError,
     UnsupportedSpaceError,
 )
@@ -148,6 +151,13 @@ class TestCayleyDiastasis:
 
 
 class TestPlucker:
+    def test_enumeration_bounded(self, g24, monkeypatch):
+        monkeypatch.setattr(spaces, "MAX_CELLS", 6)
+        assert plucker_embed(origin_frame(g24)).components.size == 6
+        monkeypatch.setattr(spaces, "MAX_CELLS", 5)
+        with pytest.raises(EnumerationSizeError):
+            plucker_embed(origin_frame(g24))
+
     def test_origin_components(self, g24):
         pv = plucker_embed(origin_frame(g24))
         assert abs(pv.components[0] - 1.0) < 1e-14
@@ -276,3 +286,25 @@ class TestCriticalPoints:
     def test_repeated_eps_rejected(self, g24):
         with pytest.raises(DegenerateSpectrumError):
             critical_points(g24, EnergySpec([1.0, 1.0, 2.0, 3.0]))
+
+    def test_check_fails_on_non_critical_planes(self, g24, monkeypatch):
+        # the per-plane check must test the returned frame itself
+        rng = np.random.default_rng(3)
+        monkeypatch.setattr(
+            kernels, "coordinate_plane_frame", lambda space, S: random_plane_rng(space, rng)
+        )
+        with pytest.raises(ConsistencyError, match="gradient check"):
+            critical_points(g24, EnergySpec([4.0, 3.0, 2.0, 1.0]))
+
+    def test_enumeration_bounded_before_building(self, g24, monkeypatch):
+        spec = EnergySpec([4.0, 3.0, 2.0, 1.0])
+        monkeypatch.setattr(spaces, "MAX_CELLS", 6)
+        assert len(critical_points(g24, spec)) == 6
+        monkeypatch.setattr(spaces, "MAX_CELLS", 5)
+
+        def no_plane(space, S):
+            raise AssertionError("a plane was built")
+
+        monkeypatch.setattr(kernels, "coordinate_plane_frame", no_plane)
+        with pytest.raises(EnumerationSizeError):
+            critical_points(g24, spec)

@@ -43,6 +43,11 @@ class TestCartanVector:
         with pytest.raises(PreconditionError):
             CartanVector(np.eye(2))
 
+    @pytest.mark.parametrize("h", [[np.nan], [1.0, np.nan]])
+    def test_rejects_non_finite(self, h):
+        with pytest.raises(PreconditionError):
+            CartanVector(h)
+
 
 class TestConjugateTimes:
     def test_projective_line(self):

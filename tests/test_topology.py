@@ -1,6 +1,6 @@
 import pytest
 
-from grassgeo import topology
+from grassgeo import spaces, topology
 from grassgeo.errors import ConsistencyError, EnumerationSizeError, PreconditionError
 from grassgeo.kernels import EnergySpec
 from grassgeo.topology import (
@@ -57,6 +57,12 @@ class TestSchubertCells:
         with pytest.raises(EnumerationSizeError):
             schubert_cells(12, 12)
 
+    def test_shared_bound(self, monkeypatch):
+        monkeypatch.setattr(spaces, "MAX_CELLS", 6)
+        assert len(schubert_cells(2, 2)) == 6
+        with pytest.raises(EnumerationSizeError):
+            schubert_cells(2, 3)
+
 
 class TestOrthogonalCoherent:
     def test_projective_line(self):
@@ -93,6 +99,22 @@ class TestCharacteristicReport:
     def test_g2c5(self):
         rep = characteristic_report(2, 3, EnergySpec([5.0, 4.0, 3.0, 2.0, 1.0]))
         assert rep.values() == (10,) * 7
+
+    def test_orthogonal_bound_checked_first(self, monkeypatch):
+        # C(4, 2) = 6 planes against a bound of 5: refused before any
+        # enumeration, here the Schubert cells
+        monkeypatch.setattr(topology, "MAX_ORTHOGONAL_PLANES", 5)
+
+        def no_cells(n, m):
+            raise AssertionError("cells were enumerated")
+
+        monkeypatch.setattr(topology, "schubert_cells", no_cells)
+        with pytest.raises(EnumerationSizeError):
+            orthogonal_coherent_count(GrassmannSpace(2, 2, 1))
+        with pytest.raises(EnumerationSizeError):
+            characteristic_report(2, 2, EnergySpec([4.0, 3.0, 2.0, 1.0]))
+        monkeypatch.setattr(topology, "MAX_ORTHOGONAL_PLANES", 6)
+        assert orthogonal_coherent_count(GrassmannSpace(2, 2, 1)) == 6
 
     def test_report_rejects_disagreement(self):
         with pytest.raises(ConsistencyError):

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import geometry, jsonio, kernels, loci, topology
-from .errors import GrassGeoError, PreconditionError
+from .errors import GrassGeoError, PreconditionError, UnsupportedSpaceError
 from .kernels import EnergySpec
 from .linalg import principal_angles
 from .sampling import random_plane
@@ -237,12 +237,15 @@ def cmd_schubert(space, args):
 
 def cmd_strata(space, args):
     F = _frame_arg(space, args)
+    # the stratum tests reject the dual before any angle is taken
+    stratum_W = loci.conjugate_stratum_W(space, F)
+    stratum_I = loci.conjugate_stratum_I(space, F)
     angles = principal_angles(origin_frame(space).F, F.F)
     _emit(
         {
             "angles_with_origin": list(map(float, angles)),
-            "stratum_W": loci.conjugate_stratum_W(space, F),
-            "stratum_I": loci.conjugate_stratum_I(space, F),
+            "stratum_W": stratum_W,
+            "stratum_I": stratum_I,
         }
     )
 
@@ -250,13 +253,9 @@ def cmd_strata(space, args):
 def cmd_isoclinic(space, args):
     F1 = _frame_arg(space, args, "frame1", "seed1")
     F2 = _frame_arg(space, args, "frame2", "seed2")
+    isoclinic = loci.isoclinic_test(F1, F2)  # rejects the dual before the angles
     angles = principal_angles(F1.F, F2.F)
-    _emit(
-        {
-            "isoclinic": loci.isoclinic_test(F1, F2),
-            "angles": list(map(float, angles)),
-        }
-    )
+    _emit({"isoclinic": isoclinic, "angles": list(map(float, angles))})
 
 
 def cmd_plucker(space, args):
@@ -294,6 +293,11 @@ def cmd_critical_points(space, args):
 
 
 def cmd_char_numbers(space, args):
+    if not space.compact:
+        raise UnsupportedSpaceError(
+            "characteristic numbers are defined for the compact space; "
+            "the noncompact dual is a contractible domain"
+        )
     eps = np.asarray(args.eps, dtype=float) if args.eps else _default_eps(space)
     report = topology.characteristic_report(space.n, space.m, EnergySpec(eps))
     _emit(

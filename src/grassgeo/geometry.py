@@ -19,10 +19,11 @@ from .errors import (
     WrongChartError,
 )
 from .linalg import apply_spectral, inv_sqrt_hermitian, principal_angles, svd
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, origin_frame
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
 CHART_SINGULAR_TOL = 1e-12
 TAN_POLE_TOL = 1e-12
+TANH_LIMIT_TOL = 16 * np.finfo(float).eps
 BLOWUP_LIMIT = 1e8
 MAX_ODE_STEPS = 100_000
 
@@ -61,6 +62,12 @@ def chart_of_frame(F: Frame) -> ChartPoint:
     )
 
 
+def _check_same_space(space: GrassmannSpace, *points: ChartPoint) -> None:
+    for p in points:
+        if p.space != space:
+            raise PreconditionError("chart point belongs to a different space")
+
+
 def _chart_of_rows(space: GrassmannSpace, top, bottom, error, message: str) -> ChartPoint:
     """Chart point with Z^dagger = bottom @ top^{-1}; raises error(message),
     which may name {smin}, when the smallest singular value smin of top is
@@ -79,7 +86,7 @@ def exp0(space: GrassmannSpace, B: TangentVector) -> ChartPoint:
     """
     if B.space != space:
         raise PreconditionError("tangent vector belongs to a different space")
-    return ChartPoint(space, apply_spectral(B.B, _tan if space.compact else np.tanh))
+    return ChartPoint(space, apply_spectral(B.B, _tan if space.compact else _tanh))
 
 
 def _tan(s: np.ndarray) -> np.ndarray:
@@ -91,6 +98,20 @@ def _tan(s: np.ndarray) -> np.ndarray:
             "the point exists but leaves the chart -- use exp0_frame"
         )
     return np.tan(s)
+
+
+def _tanh(s: np.ndarray) -> np.ndarray:
+    th = np.tanh(s)
+    # s is nonincreasing; within TANH_LIMIT_TOL of 1 the rounding of u tanh(s) vh
+    # can already push the largest singular value of Z to 1
+    if 1.0 - th[0] < TANH_LIMIT_TOL:
+        raise DomainError(
+            f"tanh of the singular value {s[0]:.6g} of B is within {TANH_LIMIT_TOL:.2g} "
+            "of 1 (float64 rounds it to 1 above about 19), so the chart point cannot "
+            "be told from the boundary of the domain; exp0_frame reaches its own "
+            "float64 limit earlier (its J-Gram check fails from about 7)"
+        )
+    return th
 
 
 def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
@@ -129,8 +150,7 @@ def log0(space: GrassmannSpace, p: ChartPoint) -> TangentVector:
 
     Compact: principal branch, all singular values of B land in [0, pi/2).
     """
-    if p.space != space:
-        raise PreconditionError("chart point belongs to a different space")
+    _check_same_space(space, p)
     if space.compact:
         B = apply_spectral(p.Z, np.arctan)
     else:
@@ -281,8 +301,7 @@ def transport_to_origin(space: GrassmannSpace, p: ChartPoint) -> np.ndarray:
     (noncompact).
 
     The off-diagonal blocks are formed as eps Z D and -Z^dagger A, equal to
-    the above by push-through; against a 40-digit oracle this cuts the
-    worst relative rounding error of `distance` on the dual about threefold.
+    the above by push-through.
     """
     eps, Z = space.epsilon, p.Z
     Zh = Z.conj().T
@@ -295,30 +314,22 @@ def apply_isometry(g: np.ndarray, F: Frame) -> Frame:
     return Frame(F.space, g @ F.F)
 
 
-def frame_distance(space: GrassmannSpace, F1: Frame, F2: Frame) -> float:
-    """Compact geodesic distance as the 2-norm of the principal-angle vector.
-
-    Valid through the polar divisor, where the largest angle equals pi/2.
-    """
-    if not space.compact:
-        raise PreconditionError("frame_distance is the compact angle formula")
-    return float(np.linalg.norm(principal_angles(F1.F, F2.F)))
-
-
 def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
-    """Geodesic distance: transport p1 to the origin, then ||log0||_F.
+    """Geodesic distance: the 2-norm of the principal angles (compact) or of
+    the hyperbolic angles tau_i (noncompact) between the two planes.
 
-    Compact pairs whose second image lands on the polar divisor of the first
-    fall back to the principal-angle formula, which tolerates pi/2 angles.
+    The compact angles, taken between orthonormal frames, hold through the
+    polar divisor.  Noncompact: sinh tau_i are the singular values of
+    S = (I - Z1^dagger Z1)^{-1/2} (Z2 - Z1)^dagger (I - Z2 Z2^dagger)^{-1/2},
+    since S = -G1^dagger J F2 with F2 = frame_of_chart(p2) and
+    G1 = [Z1 ; I] (I - Z1^dagger Z1)^{-1/2} the J-orthonormal frame of p1's complement.
     """
-    g = transport_to_origin(space, p1)
-    moved = apply_isometry(g, frame_of_chart(p2))
-    try:
-        return log0(space, chart_of_frame(moved)).norm
-    except OnPolarDivisorError:
-        if not space.compact:
-            raise
-        return frame_distance(space, origin_frame(space), moved)
+    _check_same_space(space, p1, p2)
+    if space.compact:
+        return float(np.linalg.norm(principal_angles(frame_of_chart(p1).F, frame_of_chart(p2).F)))
+    Z1, Z2 = p1.Z, p2.Z
+    S = _inv_sqrt_gram(-1, Z1.conj().T) @ (Z2 - Z1).conj().T @ _inv_sqrt_gram(-1, Z2)
+    return float(np.linalg.norm(np.arcsinh(svd(S).s)))
 
 
 def chart_transition(

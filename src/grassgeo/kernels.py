@@ -18,15 +18,19 @@ from .errors import (
     ConsistencyError,
     DegenerateSpectrumError,
     DiastasisUndefinedError,
+    EnumerationSizeError,
     PreconditionError,
     UnsupportedSpaceError,
 )
-from .geometry import raw_frame
+from .geometry import _check_same_space, raw_frame
 from .spaces import ChartPoint, Frame, GrassmannSpace, check_enumeration_size, coordinate_plane_frame
 
 ZERO_OVERLAP_TOL = 1e-15
 CRITICAL_GRAD_TOL = 1e-8
 DISTINCT_REL_GAP = 1e-6
+# plucker_embed stacks C(N, n) blocks of n x n entries: 1e7 complex entries
+# are 160 MB, and det factors a copy; G_11(C^22) would need 8.5e7 (1.4 GB)
+MAX_PLUCKER_ENTRIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -77,12 +81,6 @@ class PluckerVector:
         return list(combinations(range(self.N), self.n))
 
 
-def _check_same_space(space: GrassmannSpace, *points: ChartPoint) -> None:
-    for p in points:
-        if p.space != space:
-            raise PreconditionError("chart point belongs to a different space")
-
-
 def kernel(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> complex:
     """Reproducing kernel; holomorphic in Z1 entries, antiholomorphic in Z2."""
     _check_same_space(space, Z1, Z2)
@@ -130,7 +128,13 @@ def plucker_embed(F: Frame) -> PluckerVector:
     if not F.space.compact:
         raise UnsupportedSpaceError("Plucker embedding implemented for the compact space")
     n, N = F.space.n, F.space.N
-    check_enumeration_size(math.comb(N, n), "Plucker embedding")
+    count = math.comb(N, n)
+    check_enumeration_size(count, "Plucker embedding")
+    if count * n * n > MAX_PLUCKER_ENTRIES:
+        raise EnumerationSizeError(
+            f"Plucker embedding: {count} minors of size {n} need {count * n * n} "
+            f"entries, more than {MAX_PLUCKER_ENTRIES}"
+        )
     rows = np.array(list(combinations(range(N), n)))
     return PluckerVector(n, N, np.linalg.det(F.F[rows]))
 

@@ -154,12 +154,15 @@ def tangent_conjugate_times(
     Zero denominators (h_p = h_q or h_p = 0) contribute no time: the formula
     value is infinite.  Coincident times from different (family, indices,
     lambda) are merged, multiplicities summed; the surviving tag is the
-    largest single contribution.
+    largest single contribution.  The noncompact dual has nonpositive
+    curvature, so its list is empty.
     """
     check_positive_finite(t_max, "t_max")
     r = space.rank
     if h.h.size != r:
         raise PreconditionError(f"h must have length r = {r}")
+    if not space.compact:
+        return []
     hv = h.h
 
     # (denominator, family, multiplicity, indices); time lam pi / denom
@@ -254,9 +257,15 @@ def dexp_min_singular(
 
 
 def is_conjugate(space: GrassmannSpace, B: TangentVector, t: float) -> bool:
-    """True iff exp0(tB) is conjugate to the origin, at DEFAULT_CONJUGACY_TOL."""
+    """True iff exp0(tB) is conjugate to the origin, at DEFAULT_CONJUGACY_TOL.
+
+    Always False on the noncompact dual, which has no conjugate points; there
+    the normalized dexp singular value only decays like 1/sinh.
+    """
     if B.norm == 0.0:
         raise PreconditionError("conjugacy test needs a nonzero direction")
+    if not space.compact:
+        return False
     return dexp_min_singular(space, B, t) < DEFAULT_CONJUGACY_TOL
 
 
@@ -336,5 +345,7 @@ def conjugate_stratum_I(space: GrassmannSpace, F: Frame) -> bool:
 
 def isoclinic_test(F1: Frame, F2: Frame) -> bool:
     """True iff all stationary angles between the two planes coincide."""
+    if not F1.space.compact:
+        raise PreconditionError("isoclinic test applies to the compact space")
     ang = principal_angles(F1.F, F2.F)
     return bool(ang[-1] - ang[0] < DEFAULT_EQUAL_ANGLE_TOL)

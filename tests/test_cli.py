@@ -128,6 +128,18 @@ class TestRoundTripCommands:
         )
         assert abs(json.loads(out.stdout)["distance"] - 0.9) < 1e-12
 
+    def test_distance_near_disk_boundary(self, tmp_path):
+        # unit-disk distance arcsinh(|z2 - z1| / sqrt((1 - |z1|^2)(1 - |z2|^2)))
+        a, b = 0.999999, -0.5
+        z1 = write_doc(tmp_path / "z1.json", [[a]])
+        z2 = write_doc(tmp_path / "z2.json", [[b]])
+        out = run_cli(
+            ["distance", "--space", "1", "1", "noncompact", "--z1", z1, "--z2", z2]
+        )
+        assert out.returncode == 0
+        expected = np.arcsinh(abs(b - a) / np.sqrt((1 - a) * (1 + a) * (1 - b) * (1 + b)))
+        assert json.loads(out.stdout)["distance"] == pytest.approx(expected, rel=1e-11)
+
     def test_overlap_with_oracle(self, tmp_path):
         z1 = write_doc(tmp_path / "z1.json", [[0.2, 0.1], [0.0, -0.4]])
         z2 = write_doc(tmp_path / "z2.json", [[0.5, -0.2], [0.3, 0.1]])
@@ -156,6 +168,31 @@ class TestRoundTripCommands:
 
 
 class TestLociCommands:
+    def test_conjugate_times_dual_empty(self):
+        out = run_cli(
+            ["conjugate-times", "--space", "2", "2", "noncompact", "--h", "1", "0",
+             "--tmax", "3"]
+        )
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == {"times": []}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["strata", "--space", "2", "2", "noncompact", "--seed", "7"],
+            ["isoclinic", "--space", "2", "2", "noncompact", "--seed1", "1",
+             "--seed2", "2"],
+        ],
+        ids=["strata", "isoclinic"],
+    )
+    def test_compact_only_on_dual(self, args):
+        # the space is checked before any principal angle is taken
+        out = run_cli(args)
+        assert out.returncode == 1
+        error = json.loads(out.stdout)["error"]
+        assert error["type"] == "PreconditionError"
+        assert "compact space" in error["message"]
+
     def test_conjugate_times_projective_plane(self):
         out = run_cli(
             ["conjugate-times", "--space", "1", "2", "compact",
@@ -420,6 +457,21 @@ class TestInputHoles:
             ),
             pytest.param(
                 [*CUT[:-1], "-1"], {}, None, 2, None, id="seed-negative"
+            ),
+            pytest.param(
+                ["char-numbers", "--space", "2", "2", "noncompact"], {}, None, 1,
+                "UnsupportedSpaceError",
+                id="char-numbers-dual",
+            ),
+            pytest.param(
+                ["strata", "--space", "2", "2", "noncompact", "--seed", "7"], {}, None,
+                1, "PreconditionError",
+                id="strata-dual",
+            ),
+            pytest.param(
+                ["isoclinic", "--space", "2", "2", "noncompact", "--seed1", "1",
+                 "--seed2", "2"], {}, None, 1, "PreconditionError",
+                id="isoclinic-dual",
             ),
         ],
     )

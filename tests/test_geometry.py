@@ -110,6 +110,12 @@ class TestExp:
         with pytest.raises(ConjugateToChartError):
             exp0(cp1, TangentVector(cp1, [[np.pi / 2]]))
 
+    @pytest.mark.parametrize("s", [18.0, 20.0, 1000.0])
+    def test_noncompact_float64_limit_message(self, g24_dual, s):
+        # tanh(s) is within rounding of 1, so Z would sit on the boundary
+        with pytest.raises(DomainError, match="float64.*exp0_frame"):
+            exp0(g24_dual, TangentVector(g24_dual, np.diag([s, 0.2])))
+
 
 class TestExpFrame:
     def test_zero(self, g24):

@@ -158,6 +158,14 @@ class TestPlucker:
         with pytest.raises(EnumerationSizeError):
             plucker_embed(origin_frame(g24))
 
+    def test_entry_count_bounded(self, g24, monkeypatch):
+        # the stacked minors of G_2(C^4) hold C(4, 2) * 2 * 2 = 24 entries
+        monkeypatch.setattr(kernels, "MAX_PLUCKER_ENTRIES", 24)
+        assert plucker_embed(origin_frame(g24)).components.size == 6
+        monkeypatch.setattr(kernels, "MAX_PLUCKER_ENTRIES", 23)
+        with pytest.raises(EnumerationSizeError, match="24 entries"):
+            plucker_embed(origin_frame(g24))
+
     def test_origin_components(self, g24):
         pv = plucker_embed(origin_frame(g24))
         assert abs(pv.components[0] - 1.0) < 1e-14

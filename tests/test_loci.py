@@ -119,6 +119,13 @@ class TestConjugateTimes:
         with pytest.raises(EnumerationSizeError):
             tangent_conjugate_times(CP2, CartanVector([1.0]), t_max)
 
+    def test_dual_has_no_conjugate_times(self):
+        # the compact G_2(C^4) has four times up to 4 along this direction
+        sp = GrassmannSpace(2, 2, -1)
+        assert tangent_conjugate_times(sp, CartanVector([0.6, 0.8]), 4.0) == []
+        with pytest.raises(PreconditionError):
+            tangent_conjugate_times(sp, CartanVector([0.6, 0.8]), np.inf)
+
 
 class TestCartanEmbedding:
     def test_diagonal(self):
@@ -163,6 +170,11 @@ class TestDexp:
     def test_zero_direction_rejected(self):
         with pytest.raises(PreconditionError):
             is_conjugate(CP1, TangentVector(CP1, [[0.0]]), 1.0)
+
+    def test_dual_never_conjugate(self):
+        # the normalized singular value decays like 1/sinh but never vanishes
+        sp = GrassmannSpace(2, 2, -1)
+        assert not is_conjugate(sp, TangentVector(sp, np.diag([1.0, 0.0])), 4.0)
 
     def test_step_bounds(self):
         B = cartan_to_tangent(CP1, CartanVector([1.0]))
@@ -411,6 +423,11 @@ class TestIsoclinic:
         sp = GrassmannSpace(2, 2, 1)
         F = exp0_frame(sp, TangentVector(sp, np.diag([0.3, 0.9])))
         assert not isoclinic_test(origin_frame(sp), F)
+
+    def test_noncompact_rejected(self):
+        sp = GrassmannSpace(2, 2, -1)
+        with pytest.raises(PreconditionError, match="compact space"):
+            isoclinic_test(origin_frame(sp), origin_frame(sp))
 
     def test_any_line_pair_isoclinic(self, rng):
         # rank-one spaces have a single stationary angle

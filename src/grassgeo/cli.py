@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry, jsonio, kernels, loci, topology
 from .errors import GrassGeoError, PreconditionError, UnsupportedSpaceError
 from .kernels import EnergySpec
-from .linalg import principal_angles
+from .linalg import ENTRY_LIMIT, _principal_angles
 from .sampling import random_plane
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, origin_frame
 
@@ -36,9 +36,11 @@ def _tol(args) -> float:
 
 
 def _t(args) -> float:
-    # checked before t * B, where inf * 0 would warn
-    if not np.isfinite(args.t):
-        raise PreconditionError(f"--t must be finite, got {args.t!r}")
+    # checked before t * B, where inf * 0 or an overflow would warn
+    if not abs(args.t) <= ENTRY_LIMIT:
+        raise PreconditionError(
+            f"--t must be finite and at most {ENTRY_LIMIT:g} in modulus, got {args.t!r}"
+        )
     return args.t
 
 
@@ -163,9 +165,9 @@ def cmd_pair(space, args):
 
 def _cartan(args) -> loci.CartanVector:
     h = np.asarray(args.h, dtype=float)
-    # checked before h / norm, where inf / inf would warn
-    if not np.all(np.isfinite(h)):
-        raise PreconditionError("--h must be finite")
+    # checked before the norm, whose squares could overflow, and h / norm
+    if not np.all(np.abs(h) <= ENTRY_LIMIT):
+        raise PreconditionError(f"--h must be finite and at most {ENTRY_LIMIT:g} in modulus")
     norm = np.linalg.norm(h)
     if norm == 0:
         raise PreconditionError("--h must be nonzero")
@@ -198,12 +200,13 @@ def cmd_conjugate_scan(space, args):
     h = _cartan(args)
     B = loci.cartan_to_tangent(space, h)
     predicted = [c.t for c in loci.tangent_conjugate_times(space, h, args.tmax)]
-    ts = np.linspace(args.tmax / args.points, args.tmax, args.points)
-    sys.stdout.write("t,min_singular_normalized,predicted_flag\n")
-    for t in ts:
+    rows = ["t,min_singular_normalized,predicted_flag\n"]
+    for t in np.linspace(args.tmax / args.points, args.tmax, args.points):
         val = loci.dexp_min_singular(space, B, float(t))
         flag = int(any(abs(t - p) < 1e-2 for p in predicted))
-        sys.stdout.write(f"{t:.17g},{val:.17g},{flag}\n")
+        rows.append(f"{t:.17g},{val:.17g},{flag}\n")
+    # written only once every row is computed, so a failed scan prints only its error
+    sys.stdout.write("".join(rows))
 
 
 def cmd_cut_test(space, args):
@@ -240,7 +243,7 @@ def cmd_strata(space, args):
     # the stratum tests reject the dual before any angle is taken
     stratum_W = loci.conjugate_stratum_W(space, F)
     stratum_I = loci.conjugate_stratum_I(space, F)
-    angles = principal_angles(origin_frame(space).F, F.F)
+    angles = _principal_angles(origin_frame(space).F, F.F)
     _emit(
         {
             "angles_with_origin": list(map(float, angles)),
@@ -254,7 +257,7 @@ def cmd_isoclinic(space, args):
     F1 = _frame_arg(space, args, "frame1", "seed1")
     F2 = _frame_arg(space, args, "frame2", "seed2")
     isoclinic = loci.isoclinic_test(F1, F2)  # rejects the dual before the angles
-    angles = principal_angles(F1.F, F2.F)
+    angles = _principal_angles(F1.F, F2.F)
     _emit({"isoclinic": isoclinic, "angles": list(map(float, angles))})
 
 

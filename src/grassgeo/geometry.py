@@ -14,12 +14,13 @@ from .errors import (
     ConjugateToChartError,
     DomainError,
     LeftChartError,
+    NumericalFailure,
     OnPolarDivisorError,
     PreconditionError,
     WrongChartError,
 )
-from .linalg import apply_spectral, inv_sqrt_hermitian, principal_angles, svd
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
+from .linalg import _principal_angles, apply_spectral, inv_sqrt_hermitian, svd
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
 CHART_SINGULAR_TOL = 1e-12
 TAN_POLE_TOL = 1e-12
@@ -45,6 +46,11 @@ def _inv_sqrt_gram(eps: int, X: np.ndarray) -> np.ndarray:
     try:
         return inv_sqrt_hermitian(np.eye(X.shape[0]) + eps * (X @ X.conj().T))
     except PreconditionError:
+        if eps > 0:  # the eigenvalues are >= 1 exactly
+            raise NumericalFailure(
+                "I + Z Z^dagger is not positive definite in float64: the entries of Z "
+                "differ in scale by more than about 1e8"
+            ) from None
         raise DomainError("chart point lies outside the bounded domain") from None
 
 
@@ -60,12 +66,6 @@ def chart_of_frame(F: Frame) -> ChartPoint:
         "plane is on the polar divisor of the chart origin "
         "(top-block smallest singular value {smin:.3e})",
     )
-
-
-def _check_same_space(space: GrassmannSpace, *points: ChartPoint) -> None:
-    for p in points:
-        if p.space != space:
-            raise PreconditionError("chart point belongs to a different space")
 
 
 def _chart_of_rows(space: GrassmannSpace, top, bottom, error, message: str) -> ChartPoint:
@@ -84,8 +84,7 @@ def exp0(space: GrassmannSpace, B: TangentVector) -> ChartPoint:
     Z = B ta(sqrt(B*B)) / sqrt(B*B) with ta = tan (compact) or tanh
     (noncompact); unit speed, so ||B||_F is arc length.
     """
-    if B.space != space:
-        raise PreconditionError("tangent vector belongs to a different space")
+    check_space(space, B)
     return ChartPoint(space, apply_spectral(B.B, _tan if space.compact else _tanh))
 
 
@@ -121,9 +120,10 @@ def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
     one full SVD of B, with co/si = cos/sin (compact) or cosh/sinh
     (noncompact).
     """
-    if B.space != space:
-        raise PreconditionError("tangent vector belongs to a different space")
-    return Frame(space, _exp0_frames(space.epsilon, B.B))
+    check_space(space, B)
+    with np.errstate(all="ignore"):  # cosh overflows from about 710 on; Frame rejects that
+        F = _exp0_frames(space.epsilon, B.B)
+    return Frame(space, F)
 
 
 def _exp0_frames(eps: int, B: np.ndarray) -> np.ndarray:
@@ -150,7 +150,7 @@ def log0(space: GrassmannSpace, p: ChartPoint) -> TangentVector:
 
     Compact: principal branch, all singular values of B land in [0, pi/2).
     """
-    _check_same_space(space, p)
+    check_space(space, p)
     if space.compact:
         B = apply_spectral(p.Z, np.arctan)
     else:
@@ -185,8 +185,7 @@ def geodesic_ode(
         raise PreconditionError("geodesic_ode requires steps >= 100")
     if steps > MAX_ODE_STEPS:
         raise PreconditionError(f"geodesic_ode allows at most {MAX_ODE_STEPS} steps")
-    if B.space != space:
-        raise PreconditionError("tangent vector belongs to a different space")
+    check_space(space, B)
     flip = space.n > space.m
     V = B.B.T if flip else B.B
     rk4 = _rk4_row if V.shape[0] == 1 else _rk4_block
@@ -303,6 +302,7 @@ def transport_to_origin(space: GrassmannSpace, p: ChartPoint) -> np.ndarray:
     The off-diagonal blocks are formed as eps Z D and -Z^dagger A, equal to
     the above by push-through.
     """
+    check_space(space, p)
     eps, Z = space.epsilon, p.Z
     Zh = Z.conj().T
     A = _inv_sqrt_gram(eps, Z)
@@ -324,9 +324,10 @@ def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
     since S = -G1^dagger J F2 with F2 = frame_of_chart(p2) and
     G1 = [Z1 ; I] (I - Z1^dagger Z1)^{-1/2} the J-orthonormal frame of p1's complement.
     """
-    _check_same_space(space, p1, p2)
+    check_space(space, p1, p2)
     if space.compact:
-        return float(np.linalg.norm(principal_angles(frame_of_chart(p1).F, frame_of_chart(p2).F)))
+        F1, F2 = frame_of_chart(p1).F, frame_of_chart(p2).F
+        return float(np.linalg.norm(_principal_angles(F1, F2)))
     Z1, Z2 = p1.Z, p2.Z
     S = _inv_sqrt_gram(-1, Z1.conj().T) @ (Z2 - Z1).conj().T @ _inv_sqrt_gram(-1, Z2)
     return float(np.linalg.norm(np.arcsinh(svd(S).s)))
@@ -340,6 +341,7 @@ def chart_transition(
     row_selection lists the n rows forming the new top block; it must be
     invertible there.
     """
+    check_space(space, F)
     rows = sorted(int(i) for i in row_selection)
     if len(rows) != space.n or len(set(rows)) != space.n:
         raise PreconditionError(f"row_selection must pick {space.n} distinct rows")

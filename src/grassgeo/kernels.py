@@ -19,11 +19,13 @@ from .errors import (
     DegenerateSpectrumError,
     DiastasisUndefinedError,
     EnumerationSizeError,
+    NumericalFailure,
     PreconditionError,
     UnsupportedSpaceError,
 )
-from .geometry import _check_same_space, raw_frame
-from .spaces import ChartPoint, Frame, GrassmannSpace, check_enumeration_size, coordinate_plane_frame
+from .geometry import raw_frame
+from .spaces import ChartPoint, Frame, GrassmannSpace, check_space
+from .spaces import check_enumeration_size, coordinate_plane_frame
 
 ZERO_OVERLAP_TOL = 1e-15
 CRITICAL_GRAD_TOL = 1e-8
@@ -83,18 +85,32 @@ class PluckerVector:
 
 def kernel(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> complex:
     """Reproducing kernel; holomorphic in Z1 entries, antiholomorphic in Z2."""
-    _check_same_space(space, Z1, Z2)
-    G = np.eye(space.n) + space.epsilon * (Z1.Z @ Z2.Z.conj().T)
-    det = complex(np.linalg.det(G))
-    return det if space.compact else 1.0 / det
+    return _kernels(space, (Z1, Z2))[0]
+
+
+def _kernels(space: GrassmannSpace, *pairs) -> list[complex]:
+    """kernel(space, Z1, Z2) for each pair (Z1, Z2), through one stacked det."""
+    check_space(space, *(p for pair in pairs for p in pair))
+    G = np.stack([np.eye(space.n) + space.epsilon * (Z1.Z @ Z2.Z.conj().T) for Z1, Z2 in pairs])
+    with np.errstate(all="ignore"):
+        dets = np.linalg.det(G)
+    if not np.isfinite(dets).all():
+        raise PreconditionError("kernel determinant is outside the float64 range")
+    return [complex(d) if space.compact else 1.0 / complex(d) for d in dets]
 
 
 def normalized_overlap(
     space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint
 ) -> OverlapValue:
-    raw = kernel(space, Z1, Z2)
-    d1 = kernel(space, Z1, Z1).real
-    d2 = kernel(space, Z2, Z2).real
+    raw, d1, d2 = _kernels(space, (Z1, Z2), (Z1, Z1), (Z2, Z2))
+    d1, d2 = d1.real, d2.real
+    # d1, d2 >= 1 exactly, but float64 can round them to <= 0, when the entries
+    # of Z differ in scale by more than about 1e8 and the identity in
+    # I + eps Z Z^dagger is lost, and their product can overflow
+    if not (d1 > 0 and d2 > 0 and d1 * d2 < np.inf):
+        raise NumericalFailure(
+            f"kernel normalization {d1:.3g} x {d2:.3g} is not a positive float64 product"
+        )
     return OverlapValue(raw, raw / np.sqrt(d1 * d2))
 
 
@@ -145,8 +161,7 @@ def plucker_overlap_oracle(F1: Frame, F2: Frame) -> complex:
     Equals det(F1^dagger F2) up to the norms, hence matches the normalized
     chart-kernel overlap in modulus (and up to a unit phase).
     """
-    if F1.space != F2.space:
-        raise PreconditionError("frames belong to different spaces")
+    check_space(F1.space, F2)
     p1 = plucker_embed(F1).components
     p2 = plucker_embed(F2).components
     ip = complex(np.vdot(p1, p2))
@@ -160,6 +175,7 @@ def energy(space: GrassmannSpace, spec: EnergySpec, F: Frame) -> float:
         raise UnsupportedSpaceError("energy function implemented for the compact space")
     if spec.eps.size != space.N:
         raise PreconditionError(f"eps must have length {space.N}")
+    check_space(space, F)
     row_weights = np.sum(np.abs(F.F) ** 2, axis=1)
     return float(np.dot(spec.eps, row_weights))
 
@@ -174,6 +190,7 @@ def _energy_chart_pieces(space: GrassmannSpace, spec: EnergySpec, Z: np.ndarray)
 
 def energy_chart(space: GrassmannSpace, spec: EnergySpec, p: ChartPoint) -> float:
     """Energy in chart coordinates: tr((A1 + Z A2 Z^dagger)(I + Z Z^dagger)^{-1})."""
+    check_space(space, p)
     _, _, C, M = _energy_chart_pieces(space, spec, p.Z)
     return float(np.trace(M @ C).real)
 
@@ -187,7 +204,7 @@ def energy_gradient(
         raise UnsupportedSpaceError("energy gradient implemented for the compact space")
     if spec.eps.size != space.N:
         raise PreconditionError(f"eps must have length {space.N}")
-    _check_same_space(space, p)
+    check_space(space, p)
     Z = p.Z
     _, a2, C, M = _energy_chart_pieces(space, spec, Z)
     return 2.0 * (C @ Z @ a2 - C @ M @ C @ Z)
@@ -224,4 +241,5 @@ def critical_points(space: GrassmannSpace, spec: EnergySpec):
 def kernel_frame_oracle(Z1: ChartPoint, Z2: ChartPoint) -> complex:
     """det(F_raw(Z1)^dagger F_raw(Z2)): the raw-frame Gram determinant, which
     the compact kernel must reproduce exactly."""
+    check_space(Z1.space, Z2)
     return complex(np.linalg.det(raw_frame(Z1).conj().T @ raw_frame(Z2)))

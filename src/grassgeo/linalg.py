@@ -15,17 +15,23 @@ from .errors import NumericalFailure, PreconditionError, SingularityError
 
 DEFAULT_RANK_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-8
+# bound on every matrix entry and scalar factor: a product of two bounded
+# numbers, or a sum of squares over fewer than 1e8 of them, stays finite
+ENTRY_LIMIT = 1e150
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting NaN/Inf entries."""
+    """Coerce to a 2-D complex array whose entries are at most ENTRY_LIMIT in
+    modulus; NaN and Inf fail the same comparison."""
     M = np.asarray(a, dtype=complex)
     if M.ndim != 2:
         raise PreconditionError(f"{name} must be 2-dimensional, got ndim={M.ndim}")
     if M.shape[0] < 1 or M.shape[1] < 1:
         raise PreconditionError(f"{name} must have positive dimensions, got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise PreconditionError(f"{name} contains non-finite entries")
+    if not np.abs(M).max() <= ENTRY_LIMIT:
+        if not np.isfinite(M).all():
+            raise PreconditionError(f"{name} contains non-finite entries")
+        raise PreconditionError(f"{name} has an entry above {ENTRY_LIMIT:g} in modulus")
     return M
 
 
@@ -90,15 +96,17 @@ def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
-def check_orthonormal(F, name: str = "frame") -> np.ndarray:
-    F = as_matrix(F, name)
-    gram = F.conj().T @ F
-    dev = np.max(np.abs(gram - np.eye(F.shape[1])))
-    if dev > ORTHONORMALITY_TOL:
-        raise PreconditionError(
-            f"{name} columns are not orthonormal (Gram deviation {dev:.3e})"
-        )
-    return F
+def check_gram(F: np.ndarray, eps: int, tol: float, name: str = "frame") -> None:
+    """Raise unless every frame in the stack F (..., N, n) has F^dagger J F = I_n
+    to within tol, with J = diag(I_n, eps I_{N-n}); a NaN deviation fails too."""
+    N, n = F.shape[-2:]
+    Fh = np.swapaxes(F, -1, -2).conj()
+    if eps < 0:
+        Fh = Fh * np.concatenate([np.ones(n), -np.ones(N - n)])  # F^dagger J
+    dev = np.abs(Fh @ F - np.eye(n)).max()
+    if not dev <= tol:
+        kind = "orthonormality" if eps > 0 else "J-orthonormality"
+        raise PreconditionError(f"{name} {kind} deviation {dev:.3e} exceeds {tol:g}")
 
 
 def principal_angles(F1, F2) -> np.ndarray:
@@ -111,20 +119,25 @@ def principal_angles(F1, F2) -> np.ndarray:
     nearly-aligned planes accurate to machine precision where arccos alone
     loses half the digits.
     """
-    F1 = check_orthonormal(F1, name="first frame")
-    F2 = check_orthonormal(F2, name="second frame")
+    F1, F2 = as_matrix(F1, "first frame"), as_matrix(F2, "second frame")
+    check_gram(F1, 1, ORTHONORMALITY_TOL, "first frame")
+    check_gram(F2, 1, ORTHONORMALITY_TOL, "second frame")
     if F1.shape != F2.shape:
         raise PreconditionError(
             f"frames must have equal shapes, got {F1.shape} and {F2.shape}"
         )
+    return _principal_angles(F1, F2)
+
+
+def _principal_angles(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
+    """principal_angles of two frames already checked, such as two Frame.F of one space."""
     cross = F1.conj().T @ F2
     theta = np.arccos(np.clip(svd(cross).s, -1.0, 1.0))
     small = theta < np.pi / 4
     if np.any(small):
         residual = F2 - F1 @ cross
         sines = np.sort(np.clip(svd(residual).s, -1.0, 1.0))
-        theta_sin = np.arcsin(sines)
-        theta = np.where(small, theta_sin, theta)
+        theta = np.where(small, np.arcsin(sines), theta)
     return theta
 
 

@@ -9,8 +9,10 @@ import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _exp0_frames, chart_of_frame
-from .linalg import check_orthonormal, check_positive_finite, principal_angles, rank_tol, svd
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_frame_gram, origin_frame
+from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
+from .linalg import check_positive_finite, rank_tol, svd
+from .spaces import FRAME_GRAM_TOL, ChartPoint, Frame, GrassmannSpace, TangentVector
+from .spaces import check_space, origin_frame
 
 DEFAULT_DET_TOL = 1e-9
 DEFAULT_ANGLE_TOL = 1e-5
@@ -104,7 +106,7 @@ def cut_locus_test(space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL
         raise PreconditionError("cut locus test applies to the compact space")
     check_positive_finite(tol, "tol")
     det_val = abs(np.linalg.det(F.top))
-    angles = principal_angles(origin_frame(space).F, F.F)
+    angles = _angles_with_origin(space, F)
     by_det = det_val < tol
     by_angle = float(angles[-1]) > np.pi / 2 - DEFAULT_ANGLE_TOL
     if by_det != by_angle:
@@ -129,6 +131,7 @@ def disjoint_union_check(
     Borderline determinants in [tol, 10 tol) are flagged rather than
     classified.
     """
+    check_space(space, F)
     check_positive_finite(tol, "tol")
     det_val = abs(np.linalg.det(F.top))
     if det_val < tol:
@@ -235,18 +238,20 @@ def dexp_min_singular(
     projective plane at parameter pi, three of the four real directions
     degenerate at once, so any mid-spectrum normalizer collapses with them.
     """
+    check_space(space, B)
     if not (1e-7 <= fd_step <= 1e-3):
         raise PreconditionError("fd_step must lie in [1e-7, 1e-3]")
-    if not np.isfinite(t):
-        raise PreconditionError("t must be finite")
+    if not abs(t) <= ENTRY_LIMIT:
+        raise PreconditionError(f"t must be finite and at most {ENTRY_LIMIT:g} in modulus")
     n, m = space.n, space.m
     B0 = TangentVector(space, t * B.B).B
     # all 4nm points in one stack; column 2 idx + {0, 1} moves entry
     # divmod(idx, m) by fd_step, 1j fd_step
     E = np.eye(n * m).reshape(n * m, n, m)
     dB = np.stack([E * fd_step, E * (1j * fd_step)], axis=1).reshape(-1, n, m)
-    F = _exp0_frames(space.epsilon, np.concatenate([B0 + dB, B0 - dB]))
-    check_frame_gram(space, F)
+    with np.errstate(all="ignore"):  # cosh overflows from about 710 on; the check fails then
+        F = _exp0_frames(space.epsilon, np.concatenate([B0 + dB, B0 - dB]))
+        check_gram(F, space.epsilon, FRAME_GRAM_TOL)
     Fh = np.swapaxes(F, -1, -2).conj()
     P = F @ np.linalg.inv(Fh @ F) @ Fh  # orthogonal projection onto each span
     diff = (P[: 2 * n * m] - P[2 * n * m :]).reshape(2 * n * m, -1) / (2.0 * fd_step)
@@ -262,6 +267,7 @@ def is_conjugate(space: GrassmannSpace, B: TangentVector, t: float) -> bool:
     Always False on the noncompact dual, which has no conjugate points; there
     the normalized dexp singular value only decays like 1/sinh.
     """
+    check_space(space, B)
     if B.norm == 0.0:
         raise PreconditionError("conjugacy test needs a nonzero direction")
     if not space.compact:
@@ -286,7 +292,7 @@ def schubert_dims(F: Frame, flag: np.ndarray, tol: float = DEFAULT_DET_TOL) -> l
     N, n = F.space.N, F.space.n
     if flag.shape != (N, N):
         raise PreconditionError(f"flag basis must be {N}x{N}")
-    check_orthonormal(flag, name="flag basis")
+    check_gram(as_matrix(flag, "flag basis"), 1, ORTHONORMALITY_TOL, "flag basis")
     dims = []
     for p in range(1, N + 1):
         stacked = np.hstack([F.F, flag[:, :p]])
@@ -317,7 +323,8 @@ def wong_cut_symbol(space: GrassmannSpace) -> SchubertSymbol:
 
 
 def _angles_with_origin(space: GrassmannSpace, F: Frame) -> np.ndarray:
-    return principal_angles(origin_frame(space).F, F.F)
+    check_space(space, F)
+    return _principal_angles(origin_frame(space).F, F.F)
 
 
 def conjugate_stratum_W(space: GrassmannSpace, F: Frame) -> bool:
@@ -347,5 +354,6 @@ def isoclinic_test(F1: Frame, F2: Frame) -> bool:
     """True iff all stationary angles between the two planes coincide."""
     if not F1.space.compact:
         raise PreconditionError("isoclinic test applies to the compact space")
-    ang = principal_angles(F1.F, F2.F)
+    check_space(F1.space, F2)
+    ang = _principal_angles(F1.F, F2.F)
     return bool(ang[-1] - ang[0] < DEFAULT_EQUAL_ANGLE_TOL)

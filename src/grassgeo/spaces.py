@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EnumerationSizeError, PreconditionError
-from .linalg import as_matrix, svd
+from .linalg import as_matrix, check_gram, svd
 
 FRAME_GRAM_TOL = 1e-10
 MAX_CELLS = 10**6
@@ -50,6 +50,15 @@ class GrassmannSpace:
         return np.diag(np.concatenate([np.ones(self.n), -np.ones(self.m)]))
 
 
+def _store_matrix(obj, attr: str, name: str, shape: tuple) -> np.ndarray:
+    """Replace obj.attr by as_matrix(obj.attr, name), which must have the given shape."""
+    M = as_matrix(getattr(obj, attr), name)
+    if M.shape != shape:
+        raise PreconditionError(f"{name} must be {shape[0]}x{shape[1]}, got {M.shape}")
+    object.__setattr__(obj, attr, M)
+    return M
+
+
 @dataclass(frozen=True)
 class ChartPoint:
     """Local coordinates Z (n x m) in the maximal chart around the origin plane."""
@@ -58,12 +67,7 @@ class ChartPoint:
     Z: np.ndarray
 
     def __post_init__(self):
-        Z = as_matrix(self.Z, "Z")
-        if Z.shape != (self.space.n, self.space.m):
-            raise PreconditionError(
-                f"Z must be {self.space.n}x{self.space.m}, got {Z.shape}"
-            )
-        object.__setattr__(self, "Z", Z)
+        Z = _store_matrix(self, "Z", "Z", (self.space.n, self.space.m))
         if not self.space.compact:
             top = svd(Z).s[0] if Z.size else 0.0
             if top >= 1.0:
@@ -81,12 +85,7 @@ class TangentVector:
     B: np.ndarray
 
     def __post_init__(self):
-        B = as_matrix(self.B, "B")
-        if B.shape != (self.space.n, self.space.m):
-            raise PreconditionError(
-                f"B must be {self.space.n}x{self.space.m}, got {B.shape}"
-            )
-        object.__setattr__(self, "B", B)
+        _store_matrix(self, "B", "B", (self.space.n, self.space.m))
 
     @property
     def norm(self) -> float:
@@ -106,13 +105,8 @@ class Frame:
     F: np.ndarray
 
     def __post_init__(self):
-        F = as_matrix(self.F, "F")
-        if F.shape != (self.space.N, self.space.n):
-            raise PreconditionError(
-                f"frame must be {self.space.N}x{self.space.n}, got {F.shape}"
-            )
-        object.__setattr__(self, "F", F)
-        check_frame_gram(self.space, F)
+        F = _store_matrix(self, "F", "frame", (self.space.N, self.space.n))
+        check_gram(F, self.space.epsilon, FRAME_GRAM_TOL)
 
     @property
     def top(self) -> np.ndarray:
@@ -123,15 +117,14 @@ class Frame:
         return self.F[self.space.n :]
 
 
-def check_frame_gram(space: GrassmannSpace, F: np.ndarray) -> None:
-    """Raise unless every frame in the stack F (..., N, n) has F^dagger F = I
-    (compact) or F^dagger J F = I (noncompact) to within FRAME_GRAM_TOL."""
-    Fh = np.swapaxes(F, -1, -2).conj()
-    gram = Fh @ F if space.compact else Fh @ space.j_matrix() @ F
-    dev = np.max(np.abs(gram - np.eye(space.n)))
-    if dev > FRAME_GRAM_TOL:
-        kind = "orthonormality" if space.compact else "J-orthonormality"
-        raise PreconditionError(f"frame {kind} deviation {dev:.3e} exceeds 1e-10")
+def check_space(space: GrassmannSpace, *items) -> None:
+    """Raise unless each chart point, tangent vector or frame belongs to space."""
+    for item in items:
+        if item.space != space:
+            raise PreconditionError(f"{_KINDS[type(item)]} belongs to a different space")
+
+
+_KINDS = {ChartPoint: "chart point", TangentVector: "tangent vector", Frame: "frame"}
 
 
 def coordinate_plane_frame(space: GrassmannSpace, subset) -> Frame:

@@ -350,6 +350,9 @@ BAD_TOL = {"GRASSGEO_TOL": "abc"}
 CUT = ["cut-test", "--space", "2", "2", "compact", "--seed", "7"]
 ROW_DOC = '{"rows": 1, "cols": 2, "data": [[0.7, 0.0], [0.0, 0.0]]}'
 SQUARE_DOC = '{"rows": 2, "cols": 2, "data": [[0.2, 0], [0.5, 0], [0.1, 0], [-0.3, 0]]}'
+BIG_ROW_DOC = '{"rows": 1, "cols": 2, "data": [[2.0, 0.0], [0.0, 0.0]]}'
+HUGE_SQUARE_DOC = '{"rows": 2, "cols": 2, "data": [[1e300, 0], [1e300, 0], [0, 0], [1e300, 0]]}'
+HUGE_POINT_DOC = '{"rows": 1, "cols": 1, "data": [[1e200, 0.0]]}'
 
 
 class TestInputHoles:
@@ -473,6 +476,43 @@ class TestInputHoles:
                  "--seed2", "2"], {}, None, 1, "PreconditionError",
                 id="isoclinic-dual",
             ),
+            # a failed scan prints its error object alone, without CSV rows
+            pytest.param(
+                ["conjugate-scan", "--space", "1", "1", "noncompact", "--h", "1",
+                 "--tmax", "12", "--points", "4"], {}, None, 1, "PreconditionError",
+                id="scan-fails-after-two-rows",
+            ),
+            # numbers beyond the entry bound end in an error without warnings
+            pytest.param(
+                ["exp", "--space", "1", "2", "compact", "--t", "1e308"], {}, BIG_ROW_DOC,
+                1, "PreconditionError",
+                id="exp-t-huge",
+            ),
+            pytest.param(
+                ["geodesic-check", "--space", "1", "2", "compact", "--t", "1e308"], {},
+                BIG_ROW_DOC, 1, "PreconditionError",
+                id="geodesic-check-t-huge",
+            ),
+            pytest.param(
+                ["conjugate-times", "--space", "2", "2", "compact", "--h", "1e308",
+                 "1e308", "--tmax", "3"], {}, None, 1, "PreconditionError",
+                id="h-huge",
+            ),
+            pytest.param(
+                ["exp", "--space", "2", "2", "compact"], {}, HUGE_SQUARE_DOC, 1,
+                "PreconditionError",
+                id="exp-entries-huge",
+            ),
+            pytest.param(
+                ["log", "--space", "1", "1", "compact"], {}, HUGE_POINT_DOC, 1,
+                "PreconditionError",
+                id="log-entry-huge",
+            ),
+            pytest.param(
+                ["conjugate-scan", "--space", "1", "1", "noncompact", "--h", "1",
+                 "--tmax", "1e77", "--points", "1"], {}, None, 1, "PreconditionError",
+                id="scan-dual-cosh-overflow",
+            ),
         ],
     )
     def test_outcome(self, args, env, stdin, code, error):
@@ -484,3 +524,39 @@ class TestInputHoles:
             assert out.stderr == ""
         elif code == 2:
             assert "usage" in out.stderr
+
+    @pytest.mark.parametrize(
+        "command, space, z1, z2, error",
+        [
+            # |Z| >= 1.3e154 overflows I + Z Z^dagger
+            *(
+                pytest.param(
+                    command, ["1", "1"], [[0.5]], [[2e154]], "PreconditionError",
+                    id=f"{command}-entry-huge",
+                )
+                for command in ("overlap", "distance", "diastasis", "cayley")
+            ),
+            # each diagonal kernel is 1 + 1e300, their product overflows
+            pytest.param(
+                "overlap", ["1", "1"], [[1e150]], [[1e150]], "NumericalFailure",
+                id="overlap-normalization-overflow",
+            ),
+            # float64 rounds I + Z Z^dagger to a singular matrix
+            *(
+                pytest.param(
+                    command, ["2", "1"], [[0.0], [0.0]], [[1e77j], [1e8j]],
+                    "NumericalFailure",
+                    id=f"{command}-scales-apart",
+                )
+                for command in ("diastasis", "distance")
+            ),
+        ],
+    )
+    def test_pair_outcome(self, tmp_path, command, space, z1, z2, error):
+        docs = [write_doc(tmp_path / f"{name}.json", z) for name, z in (("z1", z1), ("z2", z2))]
+        out = run_cli(
+            [command, "--space", *space, "compact", "--z1", docs[0], "--z2", docs[1]]
+        )
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["error"]["type"] == error
+        assert out.stderr == ""

@@ -1,0 +1,112 @@
+"""Validate once: each object is checked when it is built, and every public
+call checks its arguments' space before it works on their raw arrays."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from grassgeo import kernels, linalg, loci
+from grassgeo.errors import PreconditionError
+from grassgeo.geometry import chart_transition, distance, exp0_frame, transport_to_origin
+from grassgeo.sampling import (
+    generator,
+    random_chart_point_rng,
+    random_plane_rng,
+    random_tangent_rng,
+)
+from grassgeo.spaces import ChartPoint, GrassmannSpace, TangentVector
+
+G24 = GrassmannSpace(2, 2)
+
+
+@pytest.fixture
+def gram_checks(monkeypatch):
+    """List that records one entry per Gram check run in any grassgeo module."""
+    calls = []
+    check_gram = linalg.check_gram
+
+    def counting(F, *args, **kwargs):
+        calls.append(F.shape)
+        return check_gram(F, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grassgeo") and vars(module).get("check_gram") is check_gram:
+            monkeypatch.setattr(module, "check_gram", counting)
+    return calls
+
+
+def _count(gram_checks, call):
+    gram_checks.clear()
+    call()
+    return len(gram_checks)
+
+
+def test_gram_checks_per_call(gram_checks):
+    rng = generator(11)
+    p1, p2 = random_chart_point_rng(G24, rng), random_chart_point_rng(G24, rng)
+    F = random_plane_rng(G24, rng)
+    Q1, Q2 = random_plane_rng(G24, rng).F, F.F
+    # the two frames distance builds; the origin frame of each loci call
+    assert _count(gram_checks, lambda: distance(G24, p1, p2)) == 2
+    assert _count(gram_checks, lambda: loci.cut_locus_test(G24, F)) == 1
+    assert _count(gram_checks, lambda: loci.conjugate_stratum_W(G24, F)) == 1
+    assert _count(gram_checks, lambda: loci.conjugate_stratum_I(G24, F)) == 1
+    # raw arrays are still checked, both of them
+    assert _count(gram_checks, lambda: linalg.principal_angles(Q1, Q2)) == 2
+    assert _count(gram_checks, lambda: loci.isoclinic_test(F, F)) == 0
+
+
+G14 = GrassmannSpace(1, 3)
+G24_DUAL = GrassmannSpace(2, 2, epsilon=-1)
+SPEC = kernels.EnergySpec([4.0, 3.0, 2.0, 1.0])
+_rng = generator(5)
+F14, F24, F24_DUAL = (random_plane_rng(s, _rng) for s in (G14, G24, G24_DUAL))
+P14, P24, P24_DUAL = (random_chart_point_rng(s, _rng) for s in (G14, G24, G24_DUAL))
+B24, B24_DUAL = (random_tangent_rng(s, _rng) for s in (G24, G24_DUAL))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: kernels.energy(G24, SPEC, F14), id="energy"),
+        pytest.param(lambda: kernels.energy_chart(G24, SPEC, P14), id="energy_chart"),
+        pytest.param(lambda: kernels.kernel_frame_oracle(P24, P24_DUAL), id="kernel_frame_oracle"),
+        pytest.param(lambda: transport_to_origin(G24, P24_DUAL), id="transport_to_origin"),
+        pytest.param(lambda: chart_transition(G24, F14, [0, 1]), id="chart_transition"),
+        pytest.param(lambda: loci.dexp_min_singular(G24, B24_DUAL, 1.0), id="dexp_min_singular"),
+        pytest.param(lambda: loci.is_conjugate(G24, B24_DUAL, 1.0), id="is_conjugate"),
+        pytest.param(lambda: loci.is_conjugate(G24_DUAL, B24, 1.0), id="is_conjugate-dual"),
+        pytest.param(lambda: loci.disjoint_union_check(G24, F14), id="disjoint_union_check"),
+        pytest.param(lambda: loci.cut_locus_test(G24, F14), id="cut_locus_test"),
+        pytest.param(lambda: loci.conjugate_stratum_W(G24, F24_DUAL), id="conjugate_stratum_W"),
+        pytest.param(lambda: loci.conjugate_stratum_I(G24, F24_DUAL), id="conjugate_stratum_I"),
+        pytest.param(lambda: loci.isoclinic_test(F24, F24_DUAL), id="isoclinic_test"),
+    ],
+)
+def test_rejects_objects_of_another_space(call):
+    with pytest.raises(PreconditionError, match="belongs to a different space"):
+        call()
+
+
+G12_DUAL = GrassmannSpace(1, 1, epsilon=-1)
+BIG_P24 = ChartPoint(G24, 1e100 * np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: loci.dexp_min_singular(G24, TangentVector(G24, 2 * np.eye(2)), 1e308),
+            id="dexp-t-huge",
+        ),
+        pytest.param(
+            lambda: exp0_frame(G12_DUAL, TangentVector(G12_DUAL, [[1e3]])),
+            id="exp0_frame-cosh-overflow",
+        ),
+        pytest.param(lambda: kernels.kernel(G24, BIG_P24, BIG_P24), id="kernel-det-overflow"),
+    ],
+)
+def test_float64_range_ends_in_a_typed_error(call):
+    with pytest.raises(PreconditionError):
+        call()

@@ -19,7 +19,7 @@ from .errors import GrassGeoError, PreconditionError, UnsupportedSpaceError
 from .kernels import EnergySpec
 from .linalg import ENTRY_LIMIT, _principal_angles
 from .sampling import random_plane
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, origin_frame
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
 # each scan point runs one dexp_min_singular (about 0.2 ms on G_1(C^2))
 MAX_SCAN_POINTS = 10_000
@@ -240,10 +240,7 @@ def cmd_schubert(space, args):
 
 def cmd_strata(space, args):
     F = _frame_arg(space, args)
-    # the stratum tests reject the dual before any angle is taken
-    stratum_W = loci.conjugate_stratum_W(space, F)
-    stratum_I = loci.conjugate_stratum_I(space, F)
-    angles = _principal_angles(origin_frame(space).F, F.F)
+    angles, stratum_W, stratum_I = loci._conjugate_strata(space, F)
     _emit(
         {
             "angles_with_origin": list(map(float, angles)),

@@ -166,20 +166,29 @@ def geodesic_ode(
 
     Z'' = 2 eps Z' Z^dagger (I + eps Z Z^dagger)^{-1} Z', Z(0) = 0,
     Z'(0) = B.  Independent oracle for exp0: nothing from the closed form
-    enters (no exp0, no SVD of B, no conserved quantity), so a wrong exp0
-    fails the comparison on its own.  Fixed stepping keeps the output
-    deterministic for golden tests.
+    enters (no exp0, no SVD or eigh of B, no tan or tanh, no conserved
+    quantity), so a wrong exp0 fails the comparison on its own.  Fixed
+    stepping keeps the output deterministic for golden tests.
 
     The equation keeps its form under Z -> Z^T, by the push-through identity
     Z^dagger (I + eps Z Z^dagger)^{-1} = (I + eps Z^dagger Z)^{-1} Z^dagger,
-    so it is integrated in the orientation Z (k x l) with k = min(n, m) <= l.
-    There the Hermitian Gram matrix G = I_k + eps Z Z^dagger is the smaller
-    side: each RK4 stage evaluates the acceleration 2 eps (W Z^dagger G^{-1}) W
-    at the stage's own Z and W, with one k x k inverse, or a division when
-    k = 1.  Entries that pass BLOWUP_LIMIT or stop being finite (a compact
-    geodesic crossing a tan pole) raise LeftChartError, without
-    floating-point warnings; so does a singular stage Gram matrix.  On the
-    noncompact dual either failure means the step is too coarse.
+    so it is integrated in the orientation V (k x l) of B with
+    k = min(n, m) <= l.  There the factor W Z^dagger G^{-1}, with
+    G = I_k + eps Z Z^dagger, is k x k and multiplies W from the left, so the
+    solution keeps the form Z = Psi V, W = Z' = Phi V with k x k
+    coefficients:
+
+        Psi' = Phi,  Phi' = 2 eps Phi C Psi^dagger H Phi,
+        H = (I + eps Psi C Psi^dagger)^{-1},  Psi(0) = 0,  Phi(0) = I,
+
+    where C = V V^dagger is initial data.  RK4 runs on these coefficients
+    only (see _rk4_row and _rk4_block); the reduction is an identity of the
+    equation, not of its solution, so the oracle still knows nothing of the
+    closed form.  Entries of Z that pass BLOWUP_LIMIT or stop being finite
+    (a compact geodesic crossing a tan pole) raise LeftChartError, without
+    floating-point warnings; so does a vanishing stage Gram factor when
+    k = 1.  On the noncompact dual either failure means the step is too
+    coarse.
     """
     if steps < 100:
         raise PreconditionError("geodesic_ode requires steps >= 100")
@@ -193,17 +202,15 @@ def geodesic_ode(
     try:
         with np.errstate(all="ignore"):
             Z = rk4(V, space.epsilon, h, steps)
-    except (np.linalg.LinAlgError, LeftChartError) as exc:
-        if not space.compact:
-            # the exact noncompact geodesic never leaves the bounded domain
-            hB = abs(h) * np.linalg.norm(B.B, 2)
-            raise LeftChartError(
-                f"RK4 integration diverged with step x |B|_2 = {hB:.3g}; "
-                "the noncompact geodesic stays in the domain, so raise steps"
-            ) from exc
-        if isinstance(exc, LeftChartError):
+    except LeftChartError as exc:
+        if space.compact:
             raise
-        raise LeftChartError("integration left the chart: singular stage Gram matrix") from exc
+        # the exact noncompact geodesic never leaves the bounded domain
+        hB = abs(h) * np.linalg.norm(B.B, 2)
+        raise LeftChartError(
+            f"RK4 integration diverged with step x |B|_2 = {hB:.3g}; "
+            "the noncompact geodesic stays in the domain, so raise steps"
+        ) from exc
     return ChartPoint(space, Z.T if flip else Z)
 
 
@@ -214,79 +221,90 @@ def _check_in_chart(Z: np.ndarray) -> None:
 
 
 def _rk4_row(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
-    """RK4 for a 1 x l chart point, where Z'' = 2 eps vdot(Z, W) W / (1 + eps |Z|^2).
+    """RK4 for a 1 x l chart point Z = x V, in Python floats.
 
-    Every stage point of a step is (z + x w, y w) for complex scalars x and y,
-    so its acceleration is 2 eps y^2 (zw + conj(x) ww) / (1 + eps |z + x w|^2)
-    times w, with |z + x w|^2 = zz + 2 Re(x zw) + |x|^2 ww.  The inner
-    products zz, zw and ww of the step's own z and w are all it takes.
+    With k = 1, C = beta = |V|^2 and the coefficients Psi, Phi stay real
+    scalars x, y: x' = y, y' = 2 eps beta x y^2 / (1 + eps beta x^2),
+    x(0) = 0, y(0) = 1.  No numpy call is made per step.  A stage where
+    1 + eps beta x^2 vanishes (possible on the dual only) leaves the chart.
     """
-    c = 2.0 * eps
-    p = 0.5 * h
-    z = np.zeros_like(V[0])
-    w = V[0].copy()
-    for step in range(steps):
-        zz, zw, ww = np.vdot(z, z).real, np.vdot(z, w), np.vdot(w, w).real
-
-        def acc(x, y):
-            norm2 = zz + 2.0 * (x * zw).real + abs(x) ** 2 * ww
-            return c * y * y * (zw + np.conj(x) * ww) / (1.0 + eps * norm2)
-
-        g1 = acc(0.0, 1.0)
-        y2 = 1.0 + p * g1
-        g2 = acc(p, y2)
-        y3 = 1.0 + p * g2
-        g3 = acc(p * y2, y3)
-        y4 = 1.0 + h * g3
-        g4 = acc(h * y3, y4)
-        z = z + (h / 6.0 * (1.0 + 2.0 * (y2 + y3) + y4)) * w
-        # w + d w rather than (1 + d) w: rounding 1 + d every step would
-        # triple the final error
-        w = w + (h / 6.0 * (g1 + 2.0 * (g2 + g3) + g4)) * w
-        if step % 64 == 0:
-            _check_in_chart(z)
-    _check_in_chart(z)
-    return z[None, :]
+    beta = float(np.vdot(V, V).real)
+    c, e = 2.0 * eps * beta, eps * beta
+    p, sixth = 0.5 * h, h / 6.0
+    x, y = 0.0, 1.0
+    try:
+        for step in range(steps):
+            a1 = c * x * y * y / (1.0 + e * x * x)
+            x2, y2 = x + p * y, y + p * a1
+            a2 = c * x2 * y2 * y2 / (1.0 + e * x2 * x2)
+            x3, y3 = x + p * y2, y + p * a2
+            a3 = c * x3 * y3 * y3 / (1.0 + e * x3 * x3)
+            x4, y4 = x + h * y3, y + h * a3
+            a4 = c * x4 * y4 * y4 / (1.0 + e * x4 * x4)
+            x += sixth * (y + 2.0 * (y2 + y3) + y4)
+            y += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+            if step % 64 == 0:
+                _check_in_chart(x * V)
+    except ZeroDivisionError:
+        raise LeftChartError("integration left the chart: singular stage Gram factor") from None
+    Z = x * V
+    _check_in_chart(Z)
+    return Z
 
 
 def _rk4_block(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
-    """RK4 for a k x l chart point, k >= 2, in real form.
+    """RK4 for a k x l chart point Z = Psi V, k >= 2, on k x k coefficients.
 
-    A complex A is carried as R(A) = [[Re A, -Im A], [Im A, Re A]], so that
-    R(A^dagger) = R(A)^T and every product is one real dot.  Stage i has the
-    state S[i] = [R(Z_i); R(W_i)], and its derivative divided by c = 2 eps is
-    E R(W_i) with E = [I / c; R(W_i Z_i^dagger G_i^{-1})].  All arrays are
-    allocated once; the loop writes into them.
+    H = (I + eps Psi C Psi^dagger)^{-1} is carried as part of the state, with
+    H' = -eps H (T + T^dagger) H, T = Phi C Psi^dagger, H(0) = I, so that no
+    stage inverts anything.  A complex A is carried as
+    R(A) = [[Re A, -Im A], [Im A, Re A]], so that R(A^dagger) = R(A)^T and
+    every product is one real dot.  The state [R(Psi); R(Phi); R(H)] has the
+    derivative [R(Phi); R(T' H Phi); -(U + U^T) / 2], with T' = 2 eps T and
+    U = R(H T' H); R(H) stays exactly symmetric.  All arrays are allocated
+    once; the loop writes into them.  A diverging run makes Z = Psi V blow up
+    or turn NaN.
     """
-    k, l = V.shape
+    k = V.shape[0]
     r = 2 * k
-    c = 2.0 * eps
-    S = np.zeros((4, 2 * r, 2 * l))
-    S[0, r:] = np.block([[V.real, -V.imag], [V.imag, V.real]])
+    C = V @ V.conj().T
+    RC = 2.0 * eps * np.block([[C.real, -C.imag], [C.imag, C.real]])
+    S = np.zeros((4, 3 * r, r))
+    S[0, r:2 * r] = S[0, 2 * r:] = np.eye(r)
     K = np.empty_like(S)
-    E = np.zeros((2 * r, r))
-    E[:r] = np.eye(r) / c
-    P = np.empty((2 * r, r))  # [R(Z_i Z_i^dagger); R(W_i Z_i^dagger)]
-    G = np.empty((r, r))
-    stages = [(S[i], S[i, :r].T, S[i, r:], K[i]) for i in range(4)]
-    S0 = S[0]
-    advance = (0.5 * h * c, 0.5 * h * c, h * c)
-    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h * c / 6.0)
-    eye = np.eye(r)
-    gram = np.add if eps > 0 else np.subtract
+    Q, T, TH, U = (np.empty((r, r)) for _ in range(4))
+    # K[i] holds a_i times the derivative at the stage state S[i], with
+    # a = (h/2, h/2, h, h): taking a_i RC for 2 eps R(C) scales every product
+    # by a_i, so S[i + 1] = S[0] + K[i] and a step adds (h/6)(1, 2, 2, 1)/a K
+    scale = (0.5 * h, 0.5 * h, h, h)
+    stages = [
+        (a * RC, a, S[i, :r], S[i, r:2 * r], S[i, 2 * r:], K[i, :r], K[i, r:2 * r], K[i, 2 * r:])
+        for i, a in enumerate(scale)
+    ]
+    S0, Sflat, Kflat = S[0], S[0].reshape(-1), K.reshape(4, -1)
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0) / np.array(scale)
+
+    def chart_point():
+        Z = (S0[:k, :k] + 1j * S0[k:r, :k]) @ V
+        _check_in_chart(Z)
+        return Z
+
     for step in range(steps):
-        for i, (Si, Zt, Wi, Ki) in enumerate(stages):
-            np.dot(Si, Zt, out=P)
-            gram(eye, P[:r], out=G)
-            np.dot(P[r:], np.linalg.inv(G), out=E[r:])
-            np.dot(E, Wi, out=Ki)
+        for i, (aRC, a, X, Y, Hm, dX, dY, dH) in enumerate(stages):
+            np.dot(aRC, X.T, out=Q)
+            np.dot(Y, Q, out=T)
+            np.dot(T, Hm, out=TH)
+            np.dot(TH, Y, out=dY)
+            np.dot(Hm, TH, out=U)
+            np.add(U, U.T, out=dH)
+            dH *= -0.5
+            np.multiply(Y, a, out=dX)
             if i < 3:
-                np.add(S0, advance[i] * Ki, out=S[i + 1])
-        S0 += np.dot(weights, K.reshape(4, -1)).reshape(S0.shape)
+                np.add(S0, K[i], out=S[i + 1])
+        Sflat += weights @ Kflat
         if step % 64 == 0:
-            _check_in_chart(S0[:r])
-    _check_in_chart(S0[:r])
-    return S0[:k, :l] + 1j * S0[k:r, :l]
+            chart_point()
+    return chart_point()
 
 
 def transport_to_origin(space: GrassmannSpace, p: ChartPoint) -> np.ndarray:

@@ -331,23 +331,26 @@ def conjugate_stratum_W(space: GrassmannSpace, F: Frame) -> bool:
     """Angle-based test for the Wong stratum of the conjugate locus: more
     zero angles with O than the generic forced count max(0, n - m), or at
     least one right angle."""
-    if not space.compact:
-        raise PreconditionError("conjugate strata apply to the compact space")
-    ang = _angles_with_origin(space, F)
-    zeros = int(np.count_nonzero(ang < DEFAULT_EQUAL_ANGLE_TOL))
-    rights = int(np.count_nonzero(ang > np.pi / 2 - DEFAULT_EQUAL_ANGLE_TOL))
-    return zeros > max(0, space.n - space.m) or rights >= 1
+    return _conjugate_strata(space, F)[1]
 
 
 def conjugate_stratum_I(space: GrassmannSpace, F: Frame) -> bool:
     """Necessary-condition stratum test: some pair of stationary angles with
     O coincide within tolerance.  Not claimed sufficient for membership."""
+    return _conjugate_strata(space, F)[2]
+
+
+def _conjugate_strata(space: GrassmannSpace, F: Frame) -> tuple[np.ndarray, bool, bool]:
+    """The angles of F with O, taken once, and both stratum tests on them;
+    the dual is rejected before any angle is taken."""
     if not space.compact:
         raise PreconditionError("conjugate strata apply to the compact space")
-    ang = np.sort(_angles_with_origin(space, F))
-    if ang.size < 2:
-        return False
-    return bool(np.min(np.diff(ang)) < DEFAULT_EQUAL_ANGLE_TOL)
+    ang = _angles_with_origin(space, F)
+    zeros = int(np.count_nonzero(ang < DEFAULT_EQUAL_ANGLE_TOL))
+    rights = int(np.count_nonzero(ang > np.pi / 2 - DEFAULT_EQUAL_ANGLE_TOL))
+    stratum_W = zeros > max(0, space.n - space.m) or rights >= 1
+    stratum_I = ang.size >= 2 and bool(np.min(np.diff(np.sort(ang))) < DEFAULT_EQUAL_ANGLE_TOL)
+    return ang, stratum_W, stratum_I
 
 
 def isoclinic_test(F1: Frame, F2: Frame) -> bool:

@@ -1,7 +1,8 @@
-"""Accuracy envelope of `geometry.distance` against a 50-digit mpmath oracle.
+"""Accuracy envelopes against 50-digit mpmath oracles: of `geometry.distance`,
+and of the RK4 integrator `geometry.geodesic_ode`.
 
-Each row names a region, the worst relative error seen there on its sample
-and the bound asserted.  The oracle takes the angles from their cosines: the
+Each row names a region, the worst error seen there on its sample and the
+bound asserted.  The oracle takes the angles from their cosines: the
 singular values of F1^dagger J F2 for (J-)orthonormal frames F1, F2 are
 cos theta_i (compact) or cosh tau_i (noncompact).  The float code takes
 sines instead (noncompact, and compact angles below pi/4), so the two routes
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 from grassgeo.errors import PreconditionError
-from grassgeo.geometry import distance
-from grassgeo.spaces import ChartPoint, GrassmannSpace
+from grassgeo.geometry import distance, geodesic_ode
+from grassgeo.sampling import generator, random_tangent_rng
+from grassgeo.spaces import ChartPoint, GrassmannSpace, TangentVector
 
 SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 PAIRS_PER_SIZE = 5
@@ -91,6 +93,59 @@ def test_distance_accuracy(eps, radius, apart, observed, bound):
             exact = distance_oracle(eps, Z1, Z2)
             worst = max(worst, float(abs(d - exact) / exact))
     assert worst < bound, f"worst relative error {worst:.2e} (recorded {observed:.1e})"
+
+
+def exp_oracle(eps, B):
+    """U ta(S) V^dagger from the SVD B = U S V^dagger at 50 digits, with
+    ta = tan (compact) or tanh (noncompact): the exact geodesic endpoint."""
+    with mpmath.workdps(50):
+        U, S, V = mpmath.svd_c(_mp_matrix(B))
+        k = min(B.shape)
+        ta = mpmath.tan if eps > 0 else mpmath.tanh
+        Z = U[:, :k] * mpmath.diag([ta(S[i]) for i in range(k)]) * V[:k, :]
+        return np.array([[complex(Z[i, j]) for j in range(Z.cols)] for i in range(Z.rows)])
+
+
+def _criterion_1_directions():
+    rng = generator(20240817)
+    for eps in (1, -1):
+        for n in (1, 2, 3):
+            for m in (1, 2, 3):
+                space = GrassmannSpace(n, m, eps)
+                yield space, random_tangent_rng(space, rng, max_norm=1.0).B
+
+
+def _direction(n, m, eps, B, norm2=None):
+    B = np.asarray(B, dtype=complex)
+    if norm2 is not None:
+        B = B * (norm2 / np.linalg.norm(B, 2))
+    return lambda: [(GrassmannSpace(n, m, eps), B)]
+
+
+# (region, directions, observed worst entrywise deviation at t = 1 with
+# 4000 steps, bound); the truncation error of RK4 dominates the dual row
+ODE_ACCURACY = [
+    ("criterion-1-configurations", _criterion_1_directions, 2.2e-15, 2e-14),
+    ("complex-1x3", _direction(1, 3, 1, [[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]]), 4.0e-16, 4e-15),
+    (
+        "dual-norm-3",
+        _direction(2, 3, -1, [[1.0 + 0.5j, 0.3, -0.2j], [0.1j, -0.6, 0.4 + 0.2j]], norm2=3.0),
+        5.0e-14,
+        5e-13,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "directions, observed, bound",
+    [pytest.param(*row[1:], id=row[0]) for row in ODE_ACCURACY],
+)
+def test_geodesic_ode_accuracy(directions, observed, bound):
+    worst = 0.0
+    for space, B in directions():
+        Z = geodesic_ode(space, TangentVector(space, B), 1.0, 4000).Z
+        worst = max(worst, float(np.max(np.abs(Z - exp_oracle(space.epsilon, B)))))
+    assert worst < bound, f"worst deviation {worst:.2e} (recorded {observed:.1e})"
 
 
 G24 = GrassmannSpace(2, 2, 1)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -26,6 +29,7 @@ from grassgeo.geometry import (
     transport_to_origin,
 )
 from grassgeo.linalg import principal_angles
+from grassgeo.sampling import generator
 from grassgeo.spaces import (
     ChartPoint,
     Frame,
@@ -229,6 +233,63 @@ class TestGeodesicOde:
             errs.append(np.linalg.norm(z - h * B.B))
         assert errs[0] < 10 * (1e-2) ** 3
         assert errs[1] < 10 * (1e-3) ** 3
+
+
+class TestGeodesicOracleIndependence:
+    """The RK4 oracle must be able to fail exp0 on its own: it shares no
+    formula with the closed form, its two integrators check each other, and
+    it calls no dense linear algebra per step."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("eps, name", [(1, "_tan"), (-1, "_tanh")])
+    def test_wrong_closed_form_fails_the_comparison(self, n, eps, name, monkeypatch):
+        space = GrassmannSpace(n, 3, epsilon=eps)  # k = min(n, m) = n
+        B = random_tangent_rng(space, generator(n), max_norm=1.0)
+        ode = geodesic_ode(space, B, 1.0, 4000).Z
+        assert np.max(np.abs(ode - exp0(space, B).Z)) < 1e-6
+        monkeypatch.setattr(geometry, name, np.sin)
+        # the oracle does not move with the closed form, the comparison fails
+        assert np.array_equal(geodesic_ode(space, B, 1.0, 4000).Z, ode)
+        assert np.max(np.abs(ode - exp0(space, B).Z)) > 1e-4
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_row_and_block_integrators_agree(self, eps):
+        V = np.array([[0.3 + 0.2j, -0.4, 0.1j]])
+        row = geometry._rk4_row(V, eps, 1.0 / 4000, 4000)
+        block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
+        assert np.max(np.abs(row - block)) < 1e-12
+
+    @pytest.mark.parametrize("rk4", ["_rk4_row", "_rk4_block"])
+    def test_complex_row_endpoint_is_parallel_to_b(self, rk4):
+        B = np.array([[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]])
+        Z = getattr(geometry, rk4)(B, 1, 1.0 / 4000, 4000)
+        ratio = np.vdot(B, Z) / np.vdot(B, B)
+        assert np.max(np.abs(Z - ratio * B)) < 1e-12 * np.abs(Z).max()
+        # Z = tan(|B|) / |B| B
+        beta = np.linalg.norm(B)
+        assert abs(ratio - np.tan(beta) / beta) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_dense_linear_algebra(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("geodesic_ode called numpy.linalg")
+
+        for name in ("inv", "solve", "svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        space = GrassmannSpace(n, 3)
+        B = TangentVector(space, np.full((n, 3), 0.3 + 0.1j))
+        geodesic_ode(space, B, 1.0, 400)
+        # the dual returns a ChartPoint, whose domain check takes one SVD,
+        # so its integrators are called on their own
+        rk4 = geometry._rk4_row if n == 1 else geometry._rk4_block
+        for eps in (1, -1):
+            rk4(B.B, eps, 1.0 / 400, 400)
+
+    def test_geometry_does_not_import_scipy(self):
+        code = "import sys, grassgeo.geometry; sys.exit('scipy' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 SIZES = [(n, m) for n in range(1, 5) for m in range(1, 5)]

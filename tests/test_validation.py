@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from grassgeo import kernels, linalg, loci
+from grassgeo import cli, kernels, linalg, loci
 from grassgeo.errors import PreconditionError
 from grassgeo.geometry import chart_transition, distance, exp0_frame, transport_to_origin
 from grassgeo.sampling import (
@@ -20,20 +20,26 @@ from grassgeo.spaces import ChartPoint, GrassmannSpace, TangentVector
 G24 = GrassmannSpace(2, 2)
 
 
+def _record_calls(monkeypatch, name):
+    """List that records the first argument's shape of each call to the
+    linalg function `name`, made from any grassgeo module."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def counting(F, *args, **kwargs):
+        calls.append(np.shape(F))
+        return original(F, *args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("grassgeo") and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def gram_checks(monkeypatch):
     """List that records one entry per Gram check run in any grassgeo module."""
-    calls = []
-    check_gram = linalg.check_gram
-
-    def counting(F, *args, **kwargs):
-        calls.append(F.shape)
-        return check_gram(F, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("grassgeo") and vars(module).get("check_gram") is check_gram:
-            monkeypatch.setattr(module, "check_gram", counting)
-    return calls
+    return _record_calls(monkeypatch, "check_gram")
 
 
 def _count(gram_checks, call):
@@ -42,7 +48,7 @@ def _count(gram_checks, call):
     return len(gram_checks)
 
 
-def test_gram_checks_per_call(gram_checks):
+def test_gram_checks_per_call(gram_checks, monkeypatch):
     rng = generator(11)
     p1, p2 = random_chart_point_rng(G24, rng), random_chart_point_rng(G24, rng)
     F = random_plane_rng(G24, rng)
@@ -55,6 +61,11 @@ def test_gram_checks_per_call(gram_checks):
     # raw arrays are still checked, both of them
     assert _count(gram_checks, lambda: linalg.principal_angles(Q1, Q2)) == 2
     assert _count(gram_checks, lambda: loci.isoclinic_test(F, F)) == 0
+    # strata: its own frame and the origin frame, and the angles taken once
+    angles = _record_calls(monkeypatch, "_principal_angles")
+    strata = ["strata", "--space", "2", "2", "compact", "--seed", "5"]
+    assert _count(gram_checks, lambda: cli.main(strata)) == 2
+    assert len(angles) == 1
 
 
 G14 = GrassmannSpace(1, 3)

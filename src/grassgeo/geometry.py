@@ -275,14 +275,15 @@ def _rk4_block(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
     Q, T, TH, U = (np.empty((r, r)) for _ in range(4))
     # K[i] holds a_i times the derivative at the stage state S[i], with
     # a = (h/2, h/2, h, h): taking a_i RC for 2 eps R(C) scales every product
-    # by a_i, so S[i + 1] = S[0] + K[i] and a step adds (h/6)(1, 2, 2, 1)/a K
+    # by a_i, so S[i + 1] = S[0] + K[i] and a step adds (h/6)(1, 2, 2, 1)/a K;
+    # that ratio does not depend on h (and has no 0/0 at h = 0)
     scale = (0.5 * h, 0.5 * h, h, h)
     stages = [
         (a * RC, a, S[i, :r], S[i, r:2 * r], S[i, 2 * r:], K[i, :r], K[i, r:2 * r], K[i, 2 * r:])
         for i, a in enumerate(scale)
     ]
     S0, Sflat, Kflat = S[0], S[0].reshape(-1), K.reshape(4, -1)
-    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (h / 6.0) / np.array(scale)
+    weights = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
 
     def chart_point():
         Z = (S0[:k, :k] + 1j * S0[k:r, :k]) @ V

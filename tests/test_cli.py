@@ -110,6 +110,15 @@ class TestRoundTripCommands:
         )
         assert json.loads(out.stdout)["max_abs_diff"] < 1e-7
 
+    @pytest.mark.parametrize("kind", ["compact", "noncompact"])
+    @pytest.mark.parametrize("cmd", [["geodesic-check"], ["exp", "--verify"]])
+    def test_zero_time_reaches_origin(self, tmp_path, cmd, kind):
+        doc = write_doc(tmp_path / "b.json", [[0.4, -0.1], [0.2, 0.6]])
+        out = run_cli([*cmd, "--space", "2", "2", kind, "--input", doc, "--t", "0"])
+        assert out.returncode == 0
+        payload = json.loads(out.stdout)
+        assert payload.get("verify", payload)["max_abs_diff"] == 0
+
     def test_geodesic_check_through_tan_pole(self, tmp_path):
         doc = write_doc(tmp_path / "b.json", [[2.0]])
         out = run_cli(

@@ -174,6 +174,16 @@ class TestGeodesicOde:
         out = geodesic_ode(g24, TangentVector(g24, np.zeros((2, 2))), 1.0, 200)
         assert np.allclose(out.Z, 0)
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_time_is_origin(self, n, eps, rng):
+        # h = t / steps = 0 is a valid step: Z(0) = 0 exactly, for the
+        # scalar (k = 1) and the block (k = 2) integrator alike
+        space = GrassmannSpace(n, 3, epsilon=eps)
+        B = random_tangent_rng(space, rng, max_norm=1.0)
+        out = geodesic_ode(space, B, 0.0, 100)
+        assert np.array_equal(out.Z, np.zeros((n, 3)))
+
     def test_scalar_closed_form(self, cp1):
         out = geodesic_ode(cp1, TangentVector(cp1, [[1.0]]), 0.7, 4000)
         assert abs(out.Z[0, 0] - np.tan(0.7)) < 1e-8

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry, jsonio, kernels, loci, topology
 from .errors import GrassGeoError, PreconditionError, UnsupportedSpaceError
 from .kernels import EnergySpec
-from .linalg import ENTRY_LIMIT, _principal_angles
+from .linalg import ENTRY_LIMIT
 from .sampling import random_plane
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
@@ -253,8 +253,7 @@ def cmd_strata(space, args):
 def cmd_isoclinic(space, args):
     F1 = _frame_arg(space, args, "frame1", "seed1")
     F2 = _frame_arg(space, args, "frame2", "seed2")
-    isoclinic = loci.isoclinic_test(F1, F2)  # rejects the dual before the angles
-    angles = _principal_angles(F1.F, F2.F)
+    angles, isoclinic = loci._isoclinic(F1, F2)
     _emit({"isoclinic": isoclinic, "angles": list(map(float, angles))})
 
 

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
     WrongChartError,
 )
-from .linalg import _principal_angles, apply_spectral, inv_sqrt_hermitian, svd
+from .linalg import _principal_angles, _svd, apply_spectral
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
 CHART_SINGULAR_TOL = 1e-12
@@ -43,15 +43,15 @@ def frame_of_chart(p: ChartPoint) -> Frame:
 def _inv_sqrt_gram(eps: int, X: np.ndarray) -> np.ndarray:
     """(I + eps X X^dagger)^{-1/2}; its positive definiteness is, for eps = -1,
     the bounded-domain condition."""
-    try:
-        return inv_sqrt_hermitian(np.eye(X.shape[0]) + eps * (X @ X.conj().T))
-    except PreconditionError:
+    w, V = np.linalg.eigh(np.eye(X.shape[0]) + eps * (X @ X.conj().T))
+    if w[0] <= 0:
         if eps > 0:  # the eigenvalues are >= 1 exactly
             raise NumericalFailure(
                 "I + Z Z^dagger is not positive definite in float64: the entries of Z "
                 "differ in scale by more than about 1e8"
-            ) from None
-        raise DomainError("chart point lies outside the bounded domain") from None
+            )
+        raise DomainError("chart point lies outside the bounded domain")
+    return (V / np.sqrt(w)) @ V.conj().T
 
 
 def chart_of_frame(F: Frame) -> ChartPoint:
@@ -72,7 +72,7 @@ def _chart_of_rows(space: GrassmannSpace, top, bottom, error, message: str) -> C
     """Chart point with Z^dagger = bottom @ top^{-1}; raises error(message),
     which may name {smin}, when the smallest singular value smin of top is
     below CHART_SINGULAR_TOL."""
-    smin = svd(top).s[-1]
+    smin = _svd(top)[1][-1]
     if smin < CHART_SINGULAR_TOL:
         raise error(message.format(smin=smin))
     return ChartPoint(space, (bottom @ np.linalg.inv(top)).conj().T)
@@ -117,7 +117,7 @@ def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
     """Geodesic exponential at the origin as a frame; globally defined.
 
     Block form [co(sqrt(BB*)) ; si(sqrt(B*B))/sqrt(B*B) B*] evaluated through
-    one full SVD of B, with co/si = cos/sin (compact) or cosh/sinh
+    one thin SVD of B, with co/si = cos/sin (compact) or cosh/sinh
     (noncompact).
     """
     check_space(space, B)
@@ -128,20 +128,15 @@ def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
 
 def _exp0_frames(eps: int, B: np.ndarray) -> np.ndarray:
     """exp0_frame on raw arrays: a stack B (..., n, m) gives frames (..., n+m, n)."""
-    n, m = B.shape[-2:]
-    u, s, vh = np.linalg.svd(B, full_matrices=True)
-    k = s.shape[-1]
+    u, s, vh = _svd(B)
     if eps > 0:
         co, si = np.cos(s), np.sin(s)
     else:
         co, si = np.cosh(s), np.sinh(s)
-    cpad = np.ones(s.shape[:-1] + (n,))
-    cpad[..., :k] = co
+    # top = I + u diag(co - 1) u^dagger, bottom = vh^dagger diag(si) u^dagger
     uh = np.swapaxes(u, -1, -2).conj()
-    top = (u * cpad[..., None, :]) @ uh
-    S = np.zeros(s.shape[:-1] + (m, n), dtype=complex)
-    S[..., range(k), range(k)] = si
-    bottom = np.swapaxes(vh, -1, -2).conj() @ S @ uh
+    top = np.eye(B.shape[-2]) + (u * (co - 1.0)[..., None, :]) @ uh
+    bottom = (np.swapaxes(vh, -1, -2).conj() * si[..., None, :]) @ uh
     return np.concatenate([top, bottom], axis=-2)
 
 
@@ -349,7 +344,7 @@ def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
         return float(np.linalg.norm(_principal_angles(F1, F2)))
     Z1, Z2 = p1.Z, p2.Z
     S = _inv_sqrt_gram(-1, Z1.conj().T) @ (Z2 - Z1).conj().T @ _inv_sqrt_gram(-1, Z2)
-    return float(np.linalg.norm(np.arcsinh(svd(S).s)))
+    return float(np.linalg.norm(np.arcsinh(_svd(S)[1])))
 
 
 def chart_transition(

@@ -24,6 +24,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .geometry import raw_frame
+from .linalg import _svd
 from .spaces import ChartPoint, Frame, GrassmannSpace, check_space
 from .spaces import check_enumeration_size, coordinate_plane_frame
 
@@ -180,19 +181,26 @@ def energy(space: GrassmannSpace, spec: EnergySpec, F: Frame) -> float:
     return float(np.dot(spec.eps, row_weights))
 
 
-def _energy_chart_pieces(space: GrassmannSpace, spec: EnergySpec, Z: np.ndarray):
-    a1 = np.diag(spec.eps[: space.n]).astype(complex)
-    a2 = np.diag(spec.eps[space.n :]).astype(complex)
-    C = np.linalg.inv(np.eye(space.n) + Z @ Z.conj().T)
-    M = a1 + Z @ a2 @ Z.conj().T
-    return a1, a2, C, M
+def _energy_chart_pieces(Z: np.ndarray):
+    """C = (I + Z Z^dagger)^{-1}, C Z and Z^dagger C Z from the thin SVD
+    Z = u diag(s) vh with w = s^2 / (1 + s^2): C = I - u diag(w) u^dagger,
+    C Z = u diag(s / (1 + s^2)) vh, Z^dagger C Z = vh^dagger diag(w) vh.
+    Every factor stays bounded, where inverting I + Z Z^dagger in float64
+    loses the identity once the entries of Z reach about 1e8."""
+    u, s, vh = _svd(Z)
+    s2 = s * s
+    w = s2 / (1.0 + s2)
+    C = np.eye(Z.shape[0]) - (u * w) @ u.conj().T
+    return C, (u * (s / (1.0 + s2))) @ vh, (vh.conj().T * w) @ vh
 
 
 def energy_chart(space: GrassmannSpace, spec: EnergySpec, p: ChartPoint) -> float:
-    """Energy in chart coordinates: tr((A1 + Z A2 Z^dagger)(I + Z Z^dagger)^{-1})."""
+    """Energy in chart coordinates: tr((A1 + Z A2 Z^dagger)(I + Z Z^dagger)^{-1}),
+    evaluated as tr(A1 C) + tr(A2 Z^dagger C Z) with C = (I + Z Z^dagger)^{-1}."""
     check_space(space, p)
-    _, _, C, M = _energy_chart_pieces(space, spec, p.Z)
-    return float(np.trace(M @ C).real)
+    C, _, ZhCZ = _energy_chart_pieces(p.Z)
+    a1, a2 = spec.eps[: space.n], spec.eps[space.n :]
+    return float(np.dot(a1, C.diagonal().real) + np.dot(a2, ZhCZ.diagonal().real))
 
 
 def energy_gradient(
@@ -205,9 +213,10 @@ def energy_gradient(
     if spec.eps.size != space.N:
         raise PreconditionError(f"eps must have length {space.N}")
     check_space(space, p)
-    Z = p.Z
-    _, a2, C, M = _energy_chart_pieces(space, spec, Z)
-    return 2.0 * (C @ Z @ a2 - C @ M @ C @ Z)
+    C, CZ, ZhCZ = _energy_chart_pieces(p.Z)
+    a1, a2 = spec.eps[: space.n], spec.eps[space.n :]
+    # 2 (C Z A2 - C M C Z) with M = A1 + Z A2 Z^dagger, regrouped on bounded factors
+    return 2.0 * ((CZ * a2) @ (np.eye(space.m) - ZhCZ) - (C * a1) @ CZ)
 
 
 def critical_points(space: GrassmannSpace, spec: EnergySpec):

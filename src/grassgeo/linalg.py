@@ -53,14 +53,19 @@ def svd(M) -> SvdResult:
     Raises NumericalFailure (naming the dimensions) if LAPACK does not
     converge.
     """
-    M = as_matrix(M)
+    return SvdResult(*_svd(as_matrix(M)))
+
+
+def _svd(M: np.ndarray):
+    """Thin SVD (u, s, vh) of a matrix or a stack (..., p, q) that the package
+    built or already checked, so its entries are not checked again; a LAPACK
+    failure raises NumericalFailure."""
     try:
-        u, s, vh = np.linalg.svd(M, full_matrices=False)
+        return np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
-            f"SVD did not converge for a {M.shape[0]}x{M.shape[1]} matrix"
+            f"SVD did not converge for a {M.shape[-2]}x{M.shape[-1]} matrix"
         ) from exc
-    return SvdResult(u, s, vh)
 
 
 def apply_spectral(B, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -91,8 +96,6 @@ def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values exceeding tol * max(1, largest singular value)."""
     check_positive_finite(tol, "rank tolerance")
     s = svd(M).s
-    if s.size == 0:
-        return 0
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
@@ -132,18 +135,10 @@ def principal_angles(F1, F2) -> np.ndarray:
 def _principal_angles(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """principal_angles of two frames already checked, such as two Frame.F of one space."""
     cross = F1.conj().T @ F2
-    theta = np.arccos(np.clip(svd(cross).s, -1.0, 1.0))
+    theta = np.arccos(np.clip(_svd(cross)[1], -1.0, 1.0))
     small = theta < np.pi / 4
     if np.any(small):
         residual = F2 - F1 @ cross
-        sines = np.sort(np.clip(svd(residual).s, -1.0, 1.0))
+        sines = np.sort(np.clip(_svd(residual)[1], -1.0, 1.0))
         theta = np.where(small, np.arcsin(sines), theta)
     return theta
-
-
-def inv_sqrt_hermitian(G) -> np.ndarray:
-    """Inverse square root of a Hermitian positive-definite matrix."""
-    w, V = np.linalg.eigh(np.asarray(G, dtype=complex))
-    if w[0] <= 0:
-        raise PreconditionError("matrix is not positive definite")
-    return (V / np.sqrt(w)) @ V.conj().T

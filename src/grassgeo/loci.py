@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _exp0_frames, chart_of_frame
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
-from .linalg import check_positive_finite, rank_tol, svd
+from .linalg import _svd, check_positive_finite, rank_tol
 from .spaces import FRAME_GRAM_TOL, ChartPoint, Frame, GrassmannSpace, TangentVector
 from .spaces import check_space, origin_frame
 
@@ -18,6 +18,7 @@ DEFAULT_DET_TOL = 1e-9
 DEFAULT_ANGLE_TOL = 1e-5
 DEFAULT_EQUAL_ANGLE_TOL = 1e-6
 DEFAULT_CONJUGACY_TOL = 1e-3
+FD_STEP = 1e-5  # central-difference step of dexp_min_singular
 COALESCE_REL_TOL = 1e-12
 MAX_CONJUGATE_TIMES = 100_000
 _FAMILY_ORDER = {"T1": 0, "T2": 1, "T3": 2}
@@ -221,12 +222,7 @@ def cartan_to_tangent(space: GrassmannSpace, h: CartanVector) -> TangentVector:
     return TangentVector(space, B)
 
 
-def dexp_min_singular(
-    space: GrassmannSpace,
-    B: TangentVector,
-    t: float,
-    fd_step: float = 1e-5,
-) -> float:
+def dexp_min_singular(space: GrassmannSpace, B: TangentVector, t: float) -> float:
     """Smallest singular value of the real Jacobian of B' -> vec(P(exp B'))
     at B' = t B, normalized by the largest singular value.
 
@@ -239,23 +235,21 @@ def dexp_min_singular(
     degenerate at once, so any mid-spectrum normalizer collapses with them.
     """
     check_space(space, B)
-    if not (1e-7 <= fd_step <= 1e-3):
-        raise PreconditionError("fd_step must lie in [1e-7, 1e-3]")
     if not abs(t) <= ENTRY_LIMIT:
         raise PreconditionError(f"t must be finite and at most {ENTRY_LIMIT:g} in modulus")
     n, m = space.n, space.m
     B0 = TangentVector(space, t * B.B).B
     # all 4nm points in one stack; column 2 idx + {0, 1} moves entry
-    # divmod(idx, m) by fd_step, 1j fd_step
+    # divmod(idx, m) by FD_STEP, 1j FD_STEP
     E = np.eye(n * m).reshape(n * m, n, m)
-    dB = np.stack([E * fd_step, E * (1j * fd_step)], axis=1).reshape(-1, n, m)
+    dB = np.stack([E * FD_STEP, E * (1j * FD_STEP)], axis=1).reshape(-1, n, m)
     with np.errstate(all="ignore"):  # cosh overflows from about 710 on; the check fails then
         F = _exp0_frames(space.epsilon, np.concatenate([B0 + dB, B0 - dB]))
         check_gram(F, space.epsilon, FRAME_GRAM_TOL)
     Fh = np.swapaxes(F, -1, -2).conj()
     P = F @ np.linalg.inv(Fh @ F) @ Fh  # orthogonal projection onto each span
-    diff = (P[: 2 * n * m] - P[2 * n * m :]).reshape(2 * n * m, -1) / (2.0 * fd_step)
-    s = svd(np.concatenate([diff.real, diff.imag], axis=1).T).s
+    diff = (P[: 2 * n * m] - P[2 * n * m :]).reshape(2 * n * m, -1) / (2.0 * FD_STEP)
+    s = _svd(np.concatenate([diff.real, diff.imag], axis=1).T)[1]
     if s[0] == 0.0:
         raise PreconditionError("degenerate Jacobian: all singular values vanish")
     return float(s[-1] / s[0])
@@ -355,8 +349,14 @@ def _conjugate_strata(space: GrassmannSpace, F: Frame) -> tuple[np.ndarray, bool
 
 def isoclinic_test(F1: Frame, F2: Frame) -> bool:
     """True iff all stationary angles between the two planes coincide."""
+    return _isoclinic(F1, F2)[1]
+
+
+def _isoclinic(F1: Frame, F2: Frame) -> tuple[np.ndarray, bool]:
+    """The angles between the two planes, taken once, and the isoclinic test
+    on them; the dual is rejected before any angle is taken."""
     if not F1.space.compact:
         raise PreconditionError("isoclinic test applies to the compact space")
     check_space(F1.space, F2)
     ang = _principal_angles(F1.F, F2.F)
-    return bool(ang[-1] - ang[0] < DEFAULT_EQUAL_ANGLE_TOL)
+    return ang, bool(ang[-1] - ang[0] < DEFAULT_EQUAL_ANGLE_TOL)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnumerationSizeError, PreconditionError
-from .linalg import as_matrix, check_gram, svd
+from .linalg import _svd, as_matrix, check_gram
 
 FRAME_GRAM_TOL = 1e-10
 MAX_CELLS = 10**6
@@ -69,7 +69,7 @@ class ChartPoint:
     def __post_init__(self):
         Z = _store_matrix(self, "Z", "Z", (self.space.n, self.space.m))
         if not self.space.compact:
-            top = svd(Z).s[0] if Z.size else 0.0
+            top = _svd(Z)[1][0]
             if top >= 1.0:
                 raise DomainError(
                     f"noncompact chart point needs all singular values < 1, "

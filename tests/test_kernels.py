@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -238,6 +239,23 @@ class TestEnergy:
         assert energy_chart(g24, spec, p) == pytest.approx(
             energy(g24, spec, frame_of_chart(p))
         )
+
+    @pytest.mark.parametrize("Z", [[[1e20], [1e9]], [[1e150], [1e150]]])
+    def test_chart_energy_at_large_entries(self, Z):
+        # entries far apart in scale, or at the entry limit: I + Z Z^dagger
+        # rounds its identity away in float64.  The oracle evaluates
+        # tr((A1 + Z A2 Z^T)(I + Z Z^T)^{-1}) with 360 digits, which keep that
+        # identity next to |Z|^2 <= 2e300 and leave the value right to 50 digits.
+        space, spec = GrassmannSpace(2, 1), EnergySpec([3.0, 2.0, 1.0])
+        p = ChartPoint(space, Z)
+        with mpmath.workdps(360):
+            Zm = mpmath.matrix(Z)
+            M = mpmath.diag([3, 2]) + Zm * mpmath.matrix([[1]]) * Zm.T
+            value = M * (mpmath.eye(2) + Zm * Zm.T) ** -1
+            exact = value[0, 0] + value[1, 1]
+        assert 3.0 <= exact <= 5.0
+        assert energy_chart(space, spec, p) == pytest.approx(float(exact), rel=1e-14)
+        assert np.all(np.isfinite(energy_gradient(space, spec, p)))
 
 
 class TestEnergyGradient:

@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from grassgeo import cli, kernels, linalg, loci
-from grassgeo.errors import PreconditionError
-from grassgeo.geometry import chart_transition, distance, exp0_frame, transport_to_origin
+from grassgeo.errors import NumericalFailure, PreconditionError
+from grassgeo.geometry import (
+    chart_of_frame,
+    chart_transition,
+    distance,
+    exp0_frame,
+    transport_to_origin,
+)
 from grassgeo.sampling import (
     generator,
     random_chart_point_rng,
@@ -121,3 +127,53 @@ BIG_P24 = ChartPoint(G24, 1e100 * np.eye(2))
 def test_float64_range_ends_in_a_typed_error(call):
     with pytest.raises(PreconditionError):
         call()
+
+
+def test_isoclinic_takes_angles_once(monkeypatch, capsys):
+    angles = _record_calls(monkeypatch, "_principal_angles")
+    cli.main(["isoclinic", "--space", "2", "2", "compact", "--seed1", "1", "--seed2", "2"])
+    assert len(angles) == 1
+    assert '"isoclinic"' in capsys.readouterr().out
+
+
+def test_lapack_svd_failure_is_numerical_failure(monkeypatch):
+    """Every SVD the package takes, on the inputs below built beforehand,
+    turns a LAPACK failure into NumericalFailure."""
+    F = random_plane_rng(G24, generator(3))
+    Q1, Q2 = F24.F, F.F
+    calls = {
+        "exp0_frame": lambda: exp0_frame(G24, B24),
+        "dexp_min_singular": lambda: loci.dexp_min_singular(G24, B24, 1.0),
+        "distance": lambda: distance(G24, P24, P24),
+        "distance-dual": lambda: distance(G24_DUAL, P24_DUAL, P24_DUAL),
+        "chart_of_frame": lambda: chart_of_frame(F),
+        "principal_angles": lambda: linalg.principal_angles(Q1, Q2),
+        "ChartPoint-dual": lambda: ChartPoint(G24_DUAL, P24_DUAL.Z),
+    }
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    for name, call in calls.items():
+        with pytest.raises(NumericalFailure, match="SVD did not converge"):
+            call()
+
+
+def test_as_matrix_passes_per_call(monkeypatch):
+    """Entries are checked where an object is built or a raw array comes in;
+    the SVDs taken on the package's own arrays check nothing again."""
+    rng = generator(11)
+    p1, p2 = random_chart_point_rng(G24, rng), random_chart_point_rng(G24, rng)
+    F = random_plane_rng(G24, rng)
+    Q1, Q2 = random_plane_rng(G24, rng).F, F.F
+    checks = _record_calls(monkeypatch, "as_matrix")
+    # the two frames distance builds; the origin frame of cut_locus_test; the
+    # chart point or tangent vector each call builds; the two raw frames
+    assert _count(checks, lambda: distance(G24, p1, p2)) == 2
+    assert _count(checks, lambda: distance(G24_DUAL, P24_DUAL, P24_DUAL)) == 0
+    assert _count(checks, lambda: loci.cut_locus_test(G24, F)) == 1
+    assert _count(checks, lambda: ChartPoint(G24_DUAL, P24_DUAL.Z)) == 1
+    assert _count(checks, lambda: loci.dexp_min_singular(G24, B24, 1.0)) == 1
+    assert _count(checks, lambda: chart_of_frame(F)) == 1
+    assert _count(checks, lambda: linalg.principal_angles(Q1, Q2)) == 2

@@ -177,12 +177,25 @@ def geodesic_ode(
         H = (I + eps Psi C Psi^dagger)^{-1},  Psi(0) = 0,  Phi(0) = I,
 
     where C = V V^dagger is initial data.  RK4 runs on these coefficients
-    only (see _rk4_row and _rk4_block); the reduction is an identity of the
-    equation, not of its solution, so the oracle still knows nothing of the
-    closed form.  Entries of Z that pass BLOWUP_LIMIT or stop being finite
-    (a compact geodesic crossing a tan pole) raise LeftChartError, without
+    only; the reduction is an identity of the equation, not of its solution,
+    so the oracle still knows nothing of the closed form.
+
+    The real algebra R[C] = {a I + b C : a, b real} is invariant too: its
+    elements are Hermitian and commute, so on R[C] the right-hand side is
+    Phi' = 2 eps C Psi Phi^2 (I + eps C Psi^2)^{-1}, again in R[C].  Psi(0)
+    and Phi(0) lie in R[C], and an RK4 stage takes only sums, products and
+    one inverse, so every iterate stays there (Hairer, Lubich & Wanner,
+    Geometric Numerical Integration, ch. IV).  R[C] has dimension k at
+    most, and for k = 1 and k = 2 the run is on 1 or 2 real numbers per
+    coefficient in Python floats (_rk4_row, _rk4_pair, the latter with
+    C^2 = tr(C) C - det(C) I).  For k >= 3 the power basis I, C, C^2, ...
+    loses conditioning as C nears a lower rank, so _rk4_block integrates
+    the full complex k x k coefficients.
+
+    Entries of Z that pass BLOWUP_LIMIT or stop being finite (a compact
+    geodesic crossing a tan pole) raise LeftChartError, without
     floating-point warnings; so does a vanishing stage Gram factor when
-    k = 1.  On the noncompact dual either failure means the step is too
+    k <= 2.  On the noncompact dual either failure means the step is too
     coarse.
     """
     if steps < 100:
@@ -192,7 +205,8 @@ def geodesic_ode(
     check_space(space, B)
     flip = space.n > space.m
     V = B.B.T if flip else B.B
-    rk4 = _rk4_row if V.shape[0] == 1 else _rk4_block
+    k = V.shape[0]
+    rk4 = _rk4_row if k == 1 else _rk4_pair if k == 2 else _rk4_block
     h = t / steps
     try:
         with np.errstate(all="ignore"):
@@ -247,8 +261,66 @@ def _rk4_row(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
     return Z
 
 
+def _rk4_pair(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
+    """RK4 for a 2 x l chart point Z = Psi V on the algebra R[C], in Python floats.
+
+    Psi and Phi stay in R[C] = {a I + b C : a, b real} (see geodesic_ode), so
+    they are carried as x = x0 + x1 C and y = y0 + y1 C, with
+    x' = y, y' = 2 eps C x y^2 (1 + eps C x^2)^{-1}, x(0) = 0, y(0) = 1:
+    _rk4_row's equation with beta replaced by C.  By Cayley-Hamilton
+    C^2 = tau C - delta I (tau = tr C, delta = det C), so that
+    (a0 + a1 C)(b0 + b1 C) = (a0 b0 - delta a1 b1) + (a0 b1 + a1 b0 + tau a1 b1) C
+    and (g0 + g1 C)^{-1} = ((g0 + tau g1) - g1 C) / (g0^2 + tau g0 g1 + delta g1^2).
+    No numpy call is made per step.  A stage where that norm vanishes
+    (possible on the dual only) leaves the chart.
+    """
+    C = V @ V.conj().T
+    CV = C @ V
+    tau = float(C[0, 0].real + C[1, 1].real)
+    delta = float(C[0, 0].real * C[1, 1].real - abs(C[0, 1]) ** 2)
+    c = 2.0 * eps
+
+    def accel(x0, x1, y0, y1):
+        # 2 eps u g^{-1}, with u = C x y^2 and g = 1 + eps C x^2, in the basis (I, C)
+        q0, q1 = x0 * x0 - delta * x1 * x1, 2.0 * x0 * x1 + tau * x1 * x1
+        g0, g1 = 1.0 - eps * delta * q1, eps * (q0 + tau * q1)
+        r0, r1 = y0 * y0 - delta * y1 * y1, 2.0 * y0 * y1 + tau * y1 * y1
+        w0, w1 = x0 * r0 - delta * x1 * r1, x0 * r1 + x1 * r0 + tau * x1 * r1
+        u0, u1 = -delta * w1, w0 + tau * w1
+        d = c / (g0 * g0 + tau * g0 * g1 + delta * g1 * g1)
+        i0, i1 = (g0 + tau * g1) * d, -g1 * d
+        return u0 * i0 - delta * u1 * i1, u0 * i1 + u1 * i0 + tau * u1 * i1
+
+    p, sixth = 0.5 * h, h / 6.0
+    x0 = x1 = y1 = 0.0
+    y0 = 1.0
+    try:
+        for step in range(steps):
+            a10, a11 = accel(x0, x1, y0, y1)
+            y20, y21 = y0 + p * a10, y1 + p * a11
+            a20, a21 = accel(x0 + p * y0, x1 + p * y1, y20, y21)
+            y30, y31 = y0 + p * a20, y1 + p * a21
+            a30, a31 = accel(x0 + p * y20, x1 + p * y21, y30, y31)
+            y40, y41 = y0 + h * a30, y1 + h * a31
+            a40, a41 = accel(x0 + h * y30, x1 + h * y31, y40, y41)
+            x0 += sixth * (y0 + 2.0 * (y20 + y30) + y40)
+            x1 += sixth * (y1 + 2.0 * (y21 + y31) + y41)
+            y0 += sixth * (a10 + 2.0 * (a20 + a30) + a40)
+            y1 += sixth * (a11 + 2.0 * (a21 + a31) + a41)
+            if step % 64 == 0:
+                _check_in_chart(x0 * V + x1 * CV)
+    except ZeroDivisionError:
+        raise LeftChartError("integration left the chart: singular stage Gram factor") from None
+    Z = x0 * V + x1 * CV
+    _check_in_chart(Z)
+    return Z
+
+
 def _rk4_block(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
-    """RK4 for a k x l chart point Z = Psi V, k >= 2, on k x k coefficients.
+    """RK4 for a k x l chart point Z = Psi V on k x k coefficients, any k.
+
+    geodesic_ode takes it for k >= 3; the tests also check _rk4_row and
+    _rk4_pair against it.
 
     H = (I + eps Psi C Psi^dagger)^{-1} is carried as part of the state, with
     H' = -eps H (T + T^dagger) H, T = Phi C Psi^dagger, H(0) = I, so that no

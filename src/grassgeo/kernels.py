@@ -169,13 +169,17 @@ def plucker_overlap_oracle(F1: Frame, F2: Frame) -> complex:
     return ip / (np.linalg.norm(p1) * np.linalg.norm(p2))
 
 
-def energy(space: GrassmannSpace, spec: EnergySpec, F: Frame) -> float:
-    """Covariant Berezin symbol of the diagonal Hamiltonian: trace(diag(eps) P)
-    with P the orthogonal projection onto the plane."""
+def _check_energy(space: GrassmannSpace, spec: EnergySpec) -> None:
     if not space.compact:
         raise UnsupportedSpaceError("energy function implemented for the compact space")
     if spec.eps.size != space.N:
         raise PreconditionError(f"eps must have length {space.N}")
+
+
+def energy(space: GrassmannSpace, spec: EnergySpec, F: Frame) -> float:
+    """Covariant Berezin symbol of the diagonal Hamiltonian: trace(diag(eps) P)
+    with P the orthogonal projection onto the plane."""
+    _check_energy(space, spec)
     check_space(space, F)
     row_weights = np.sum(np.abs(F.F) ** 2, axis=1)
     return float(np.dot(spec.eps, row_weights))
@@ -197,6 +201,7 @@ def _energy_chart_pieces(Z: np.ndarray):
 def energy_chart(space: GrassmannSpace, spec: EnergySpec, p: ChartPoint) -> float:
     """Energy in chart coordinates: tr((A1 + Z A2 Z^dagger)(I + Z Z^dagger)^{-1}),
     evaluated as tr(A1 C) + tr(A2 Z^dagger C Z) with C = (I + Z Z^dagger)^{-1}."""
+    _check_energy(space, spec)
     check_space(space, p)
     C, _, ZhCZ = _energy_chart_pieces(p.Z)
     a1, a2 = spec.eps[: space.n], spec.eps[space.n :]
@@ -208,10 +213,7 @@ def energy_gradient(
 ) -> np.ndarray:
     """Analytic gradient of the chart energy, packed as the n x m matrix with
     entries d f/d Re(Z_ij) + i d f/d Im(Z_ij)."""
-    if not space.compact:
-        raise UnsupportedSpaceError("energy gradient implemented for the compact space")
-    if spec.eps.size != space.N:
-        raise PreconditionError(f"eps must have length {space.N}")
+    _check_energy(space, spec)
     check_space(space, p)
     C, CZ, ZhCZ = _energy_chart_pieces(p.Z)
     a1, a2 = spec.eps[: space.n], spec.eps[space.n :]

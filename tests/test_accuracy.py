@@ -115,24 +115,44 @@ def _criterion_1_directions():
                 yield space, random_tangent_rng(space, rng, max_norm=1.0).B
 
 
-def _direction(n, m, eps, B, norm2=None):
+def _direction(n, m, signs, B, norm2=None):
     B = np.asarray(B, dtype=complex)
     if norm2 is not None:
         B = B * (norm2 / np.linalg.norm(B, 2))
-    return lambda: [(GrassmannSpace(n, m, eps), B)]
+    return lambda: [(GrassmannSpace(n, m, eps), B) for eps in signs]
 
+
+BOTH = (1, -1)
+# unitary factors for a 2 x 3 B with prescribed singular values
+_U2 = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+_W23 = np.array([[0.6, 0.0, 0.8j], [0.0, 1.0, 0.0]])
 
 # (region, directions, observed worst entrywise deviation at t = 1 with
-# 4000 steps, bound); the truncation error of RK4 dominates the dual row
+# 4000 steps, bound).  The last three rows are k = 2 inputs whose
+# C = B B^dagger is degenerate: rank one (det C cancels to rounding), a
+# multiple of I (a repeated eigenvalue), and nearly rank one
 ODE_ACCURACY = [
-    ("criterion-1-configurations", _criterion_1_directions, 2.2e-15, 2e-14),
-    ("complex-1x3", _direction(1, 3, 1, [[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]]), 4.0e-16, 4e-15),
+    ("criterion-1-configurations", _criterion_1_directions, 2.3e-15, 2e-14),
+    ("complex-1x3", _direction(1, 3, (1,), [[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]]), 4.0e-16, 4e-15),
     (
         "dual-norm-3",
-        _direction(2, 3, -1, [[1.0 + 0.5j, 0.3, -0.2j], [0.1j, -0.6, 0.4 + 0.2j]], norm2=3.0),
-        5.0e-14,
-        5e-13,
+        _direction(2, 3, (-1,), [[1.0 + 0.5j, 0.3, -0.2j], [0.1j, -0.6, 0.4 + 0.2j]], norm2=3.0),
+        5.2e-15,
+        5e-14,
     ),
+    (
+        "rank-one-C",
+        _direction(2, 3, BOTH, np.outer([1.0, 0.6 + 0.8j], [0.5 - 0.3j, 0.2j, -0.4 + 0.1j])),
+        6.6e-14,
+        7e-13,
+    ),
+    (
+        "C-multiple-of-I",
+        _direction(2, 3, BOTH, 0.7 / np.sqrt(2) * np.array([[1.0, 1j, 0.0], [1j, 1.0, 0.0]])),
+        2.1e-15,
+        2e-14,
+    ),
+    ("sigma-1.3-1e-4", _direction(2, 3, BOTH, _U2 @ np.diag([1.3, 1e-4]) @ _W23), 8.8e-13, 9e-12),
 ]
 
 

@@ -175,10 +175,10 @@ class TestGeodesicOde:
         assert np.allclose(out.Z, 0)
 
     @pytest.mark.parametrize("eps", [1, -1])
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_zero_time_is_origin(self, n, eps, rng):
         # h = t / steps = 0 is a valid step: Z(0) = 0 exactly, for the
-        # scalar (k = 1) and the block (k = 2) integrator alike
+        # scalar (k = 1), pair (k = 2) and block (k = 3) integrators alike
         space = GrassmannSpace(n, 3, epsilon=eps)
         B = random_tangent_rng(space, rng, max_norm=1.0)
         out = geodesic_ode(space, B, 0.0, 100)
@@ -200,7 +200,9 @@ class TestGeodesicOde:
         with pytest.raises(PreconditionError):
             geodesic_ode(cp1, TangentVector(cp1, [[1.0]]), 1.0, 50)
 
-    @pytest.mark.parametrize("n, B", [(1, [[2.0]]), (2, np.diag([2.0, 0.3]))])
+    @pytest.mark.parametrize(
+        "n, B", [(1, [[2.0]]), (2, np.diag([2.0, 0.3])), (3, np.diag([2.0, 0.3, 0.1]))]
+    )
     def test_tan_pole_leaves_chart(self, n, B):
         # singular value 2 crosses the tan pole at t = pi/4; Z overflows to
         # inf/NaN between guard checks, which must still count as leaving
@@ -210,13 +212,15 @@ class TestGeodesicOde:
             with pytest.raises(LeftChartError):
                 geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_singular_stage_gram_leaves_chart(self, m):
+    @pytest.mark.parametrize(
+        "n, m", [pytest.param(2, 2, id="2"), pytest.param(2, 3, id="3"), pytest.param(3, 3, id="3-3")]
+    )
+    def test_singular_stage_gram_leaves_chart(self, n, m):
         # a fast noncompact tangent drives a stage Gram matrix singular;
         # that must be a typed error, not numpy's LinAlgError
-        space = GrassmannSpace(2, m, epsilon=-1)
-        B = np.zeros((2, m))
-        B[0, 0], B[1, 1] = 1000.0, 0.2
+        space = GrassmannSpace(n, m, epsilon=-1)
+        B = np.zeros((n, m))
+        np.fill_diagonal(B, (1000.0, 0.2, 0.1)[:n])
         with pytest.raises(LeftChartError, match="integration"):
             geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
 
@@ -224,13 +228,22 @@ class TestGeodesicOde:
         with pytest.raises(PreconditionError):
             geodesic_ode(cp1, TangentVector(cp1, [[1.0]]), 1.0, geometry.MAX_ODE_STEPS + 1)
 
-    @pytest.mark.parametrize("b, hB", [(1000.0, "0.25"), (4000.0, "1")])
-    def test_noncompact_failure_names_the_step(self, b, hB):
+    @pytest.mark.parametrize(
+        "tail, b, hB",
+        [
+            pytest.param([0.2], 1000.0, "0.25", id="1000.0-0.25"),
+            pytest.param([0.2], 4000.0, "1", id="4000.0-1"),
+            pytest.param([0.2, 0.1], 1000.0, "0.25", id="k3-1000.0-0.25"),
+            pytest.param([0.2, 0.1], 4000.0, "1", id="k3-4000.0-1"),
+        ],
+    )
+    def test_noncompact_failure_names_the_step(self, tail, b, hB):
         # the exact noncompact geodesic stays in the bounded domain, so both
         # failures (singular stage Gram matrix at b = 1000, blow-up at
         # b = 4000) must blame the step h |B|_2 and ask for more steps
-        space = GrassmannSpace(2, 2, epsilon=-1)
-        B = TangentVector(space, np.diag([b, 0.2]))
+        n = 1 + len(tail)
+        space = GrassmannSpace(n, n, epsilon=-1)
+        B = TangentVector(space, np.diag([b, *tail]))
         with pytest.raises(LeftChartError, match=rf"integration.* = {hB};.*raise steps"):
             geodesic_ode(space, B, 1.0, 4000)
 
@@ -269,6 +282,13 @@ class TestGeodesicOracleIndependence:
         block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
         assert np.max(np.abs(row - block)) < 1e-12
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_pair_and_block_integrators_agree(self, eps):
+        V = np.array([[0.3 + 0.2j, -0.4, 0.1j], [0.2j, 0.1 - 0.3j, 0.5]])
+        pair = geometry._rk4_pair(V, eps, 1.0 / 4000, 4000)
+        block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
+        assert np.max(np.abs(pair - block)) < 1e-12
+
     @pytest.mark.parametrize("rk4", ["_rk4_row", "_rk4_block"])
     def test_complex_row_endpoint_is_parallel_to_b(self, rk4):
         B = np.array([[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]])
@@ -279,19 +299,33 @@ class TestGeodesicOracleIndependence:
         beta = np.linalg.norm(B)
         assert abs(ratio - np.tan(beta) / beta) < 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_dense_linear_algebra(self, n, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("geodesic_ode called numpy.linalg")
 
         for name in ("inv", "solve", "svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        space = GrassmannSpace(n, 3)
+        called = []
+
+        def spy(rk4):
+            def run(*args):
+                called.append(rk4)
+                return rk4(*args)
+
+            return run
+
+        names = ("_rk4_row", "_rk4_pair", "_rk4_block")
+        integrators = [getattr(geometry, name) for name in names]
+        for name, rk4 in zip(names, integrators):
+            monkeypatch.setattr(geometry, name, spy(rk4))
+        space = GrassmannSpace(n, 3)  # k = min(n, m) = n
         B = TangentVector(space, np.full((n, 3), 0.3 + 0.1j))
         geodesic_ode(space, B, 1.0, 400)
+        assert called == [integrators[n - 1]]
         # the dual returns a ChartPoint, whose domain check takes one SVD,
-        # so its integrators are called on their own
-        rk4 = geometry._rk4_row if n == 1 else geometry._rk4_block
+        # so the integrator geodesic_ode chose is called on its own
+        rk4 = called[0]
         for eps in (1, -1):
             rk4(B.B, eps, 1.0 / 400, 400)
 

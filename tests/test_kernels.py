@@ -8,6 +8,7 @@ from grassgeo.errors import (
     DegenerateSpectrumError,
     EnumerationSizeError,
     DiastasisUndefinedError,
+    PreconditionError,
     UnsupportedSpaceError,
 )
 from grassgeo.geometry import apply_isometry, frame_of_chart, transport_to_origin
@@ -256,6 +257,15 @@ class TestEnergy:
         assert 3.0 <= exact <= 5.0
         assert energy_chart(space, spec, p) == pytest.approx(float(exact), rel=1e-14)
         assert np.all(np.isfinite(energy_gradient(space, spec, p)))
+
+    @pytest.mark.parametrize("fn", [energy_chart, energy_gradient])
+    def test_chart_energy_guards(self, fn, g24, g24_dual):
+        # the guards of energy: the dual is unsupported, eps has length n + m
+        Z = 0.3 * np.eye(2)
+        with pytest.raises(UnsupportedSpaceError):
+            fn(g24_dual, EnergySpec([4.0, 3.0, 2.0, 1.0]), ChartPoint(g24_dual, Z))
+        with pytest.raises(PreconditionError, match="length 4"):
+            fn(g24, EnergySpec([3.0, 2.0, 1.0]), ChartPoint(g24, Z))
 
 
 class TestEnergyGradient:

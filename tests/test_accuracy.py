@@ -126,11 +126,17 @@ BOTH = (1, -1)
 # unitary factors for a 2 x 3 B with prescribed singular values
 _U2 = np.array([[0.6, 0.8j], [0.8j, 0.6]])
 _W23 = np.array([[0.6, 0.0, 0.8j], [0.0, 1.0, 0.0]])
+# and for a 3 x 4 B
+_U3 = np.array([[0.6, 0.8j, 0.0], [0.8j, 0.6, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+    [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]]
+)
+_W34 = np.array([[0.6, 0.0, 0.8j, 0.0], [0.0, 0.8, 0.0, 0.6j], [0.8j, 0.0, 0.6, 0.0]])
 
 # (region, directions, observed worst entrywise deviation at t = 1 with
-# 4000 steps, bound).  The last three rows are k = 2 inputs whose
-# C = B B^dagger is degenerate: rank one (det C cancels to rounding), a
-# multiple of I (a repeated eigenvalue), and nearly rank one
+# 4000 steps, bound).  The last seven rows are k = 2 and k = 3 inputs whose
+# C = B B^dagger is degenerate: rank one or two (det C cancels to rounding),
+# a multiple of I (a repeated eigenvalue), and nearly rank one (k = 2) or
+# with two eigenvalues 1e-4 apart (k = 3)
 ODE_ACCURACY = [
     ("criterion-1-configurations", _criterion_1_directions, 2.3e-15, 2e-14),
     ("complex-1x3", _direction(1, 3, (1,), [[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]]), 4.0e-16, 4e-15),
@@ -153,6 +159,30 @@ ODE_ACCURACY = [
         2e-14,
     ),
     ("sigma-1.3-1e-4", _direction(2, 3, BOTH, _U2 @ np.diag([1.3, 1e-4]) @ _W23), 8.8e-13, 9e-12),
+    (
+        "k3-rank-one-C",
+        _direction(
+            3, 4, BOTH, np.outer([1.0, 0.6 + 0.8j, -0.5j], [0.5 - 0.3j, 0.2j, -0.4 + 0.1j, 0.3])
+        ),
+        1.5e-13,
+        1.5e-12,
+    ),
+    ("k3-rank-two-C", _direction(3, 4, BOTH, _U3 @ np.diag([1.2, 0.7, 0.0]) @ _W34), 1.9e-13, 2e-12),
+    (
+        "k3-C-multiple-of-I",
+        _direction(
+            3, 4, BOTH,
+            0.7 / np.sqrt(2) * np.array([[1.0, 1j, 0.0, 0.0], [1j, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1j]]),
+        ),
+        3.4e-15,
+        4e-14,
+    ),
+    (
+        "k3-sigma-1.3-1e-4",
+        _direction(3, 4, BOTH, _U3 @ np.diag([1.3, 1.3 - 1e-4, 0.5]) @ _W34),
+        8.8e-13,
+        9e-12,
+    ),
 ]
 
 

@@ -3,7 +3,8 @@
 Every argv and matrix document must end in one of three ways: exit 0 with an
 empty stderr; exit 1 with a JSON error object on stdout and an empty stderr;
 or exit 2 with a usage message.  A traceback, any other exception or a numpy
-floating-point warning fails the test.
+floating-point warning fails the test.  A second strategy drives the RK4
+oracle at k = min(n, m) >= 3, and fixed regressions check its tan-pole exit.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grassgeo import cli
+from grassgeo import cli, jsonio
 
 HUGE = [1e-300, 1e77, 1e150, 1.3e154, 1e200, 1e300, 1e308, 1.7976931348623157e308]
 
@@ -85,6 +86,21 @@ def invocations(draw):
     return argv, docs
 
 
+@st.composite
+def oracle_invocations(draw):
+    """(argv, {file name: document}) for geodesic-check or exp --verify with
+    n, m in {3, 4}; the entries are moderate and the shape right, so that most
+    runs reach the triple (k = 3) or block (k = 4) integrator."""
+    n, m = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+    kind = draw(st.sampled_from(["compact", "noncompact"]))
+    command = draw(st.sampled_from([["geodesic-check"], ["exp", "--verify"]]))
+    argv = [*command, "--space", str(n), str(m), kind, "--input", "input"]
+    t = draw(st.one_of(st.floats(-2.0, 2.0), SCALARS))
+    argv += [f"--t={_arg(t)}", "--steps", str(draw(st.integers(100, 400)))]
+    data = [[draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))] for _ in range(n * m)]
+    return argv, {"input": {"rows": n, "cols": m, "data": data}}
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -102,16 +118,29 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(
-    max_examples=400,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+def _settings(max_examples):
+    return settings(
+        max_examples=max_examples,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+@_settings(400)
 @given(invocations())
 def test_cli_outcomes(workdir, invocation):
-    argv, docs = invocation
+    _check_outcome(workdir, *invocation)
+
+
+@_settings(100)
+@given(oracle_invocations())
+def test_geodesic_oracle_outcomes(workdir, invocation):
+    _check_outcome(workdir, *invocation)
+
+
+def _check_outcome(workdir, argv, docs):
     for name, doc in docs.items():
         path = workdir / name
         path.write_text(json.dumps(doc))
@@ -126,3 +155,17 @@ def test_cli_outcomes(workdir, invocation):
         assert set(error) == {"type", "message"}
     else:
         assert code == 0 and out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tan_pole_crossing_exits_1(tmp_path, n):
+    # ||t B||_2 = 1.68 > pi/2: the compact geodesic crosses a tan pole, which
+    # the triple (k = 3) and block (k = 4) integrators must report
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(jsonio.matrix_to_doc(B * (1.4 / np.linalg.norm(B, 2)))))
+    argv = ["geodesic-check", "--space", str(n), str(n), "compact", "--input", str(path)]
+    code, out, err = run_main([*argv, "--t", "-1.2"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"]["type"] == "LeftChartError"

@@ -175,14 +175,15 @@ class TestGeodesicOde:
         assert np.allclose(out.Z, 0)
 
     @pytest.mark.parametrize("eps", [1, -1])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zero_time_is_origin(self, n, eps, rng):
-        # h = t / steps = 0 is a valid step: Z(0) = 0 exactly, for the
-        # scalar (k = 1), pair (k = 2) and block (k = 3) integrators alike
-        space = GrassmannSpace(n, 3, epsilon=eps)
+        # h = t / steps = 0 is a valid step: Z(0) = 0 exactly, for the row
+        # (k = 1), pair (k = 2), triple (k = 3) and block (k = 4) integrators
+        m = max(n, 3)
+        space = GrassmannSpace(n, m, epsilon=eps)
         B = random_tangent_rng(space, rng, max_norm=1.0)
         out = geodesic_ode(space, B, 0.0, 100)
-        assert np.array_equal(out.Z, np.zeros((n, 3)))
+        assert np.array_equal(out.Z, np.zeros((n, m)))
 
     def test_scalar_closed_form(self, cp1):
         out = geodesic_ode(cp1, TangentVector(cp1, [[1.0]]), 0.7, 4000)
@@ -201,7 +202,13 @@ class TestGeodesicOde:
             geodesic_ode(cp1, TangentVector(cp1, [[1.0]]), 1.0, 50)
 
     @pytest.mark.parametrize(
-        "n, B", [(1, [[2.0]]), (2, np.diag([2.0, 0.3])), (3, np.diag([2.0, 0.3, 0.1]))]
+        "n, B",
+        [
+            (1, [[2.0]]),
+            (2, np.diag([2.0, 0.3])),
+            (3, np.diag([2.0, 0.3, 0.1])),
+            (4, np.diag([2.0, 0.3, 0.1, 0.05])),
+        ],
     )
     def test_tan_pole_leaves_chart(self, n, B):
         # singular value 2 crosses the tan pole at t = pi/4; Z overflows to
@@ -213,14 +220,20 @@ class TestGeodesicOde:
                 geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
 
     @pytest.mark.parametrize(
-        "n, m", [pytest.param(2, 2, id="2"), pytest.param(2, 3, id="3"), pytest.param(3, 3, id="3-3")]
+        "n, m",
+        [
+            pytest.param(2, 2, id="2"),
+            pytest.param(2, 3, id="3"),
+            pytest.param(3, 3, id="3-3"),
+            pytest.param(4, 4, id="4-4"),
+        ],
     )
     def test_singular_stage_gram_leaves_chart(self, n, m):
         # a fast noncompact tangent drives a stage Gram matrix singular;
         # that must be a typed error, not numpy's LinAlgError
         space = GrassmannSpace(n, m, epsilon=-1)
         B = np.zeros((n, m))
-        np.fill_diagonal(B, (1000.0, 0.2, 0.1)[:n])
+        np.fill_diagonal(B, (1000.0, 0.2, 0.1, 0.05)[:n])
         with pytest.raises(LeftChartError, match="integration"):
             geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
 
@@ -235,6 +248,8 @@ class TestGeodesicOde:
             pytest.param([0.2], 4000.0, "1", id="4000.0-1"),
             pytest.param([0.2, 0.1], 1000.0, "0.25", id="k3-1000.0-0.25"),
             pytest.param([0.2, 0.1], 4000.0, "1", id="k3-4000.0-1"),
+            pytest.param([0.2, 0.1, 0.05], 1000.0, "0.25", id="k4-1000.0-0.25"),
+            pytest.param([0.2, 0.1, 0.05], 4000.0, "1", id="k4-4000.0-1"),
         ],
     )
     def test_noncompact_failure_names_the_step(self, tail, b, hB):
@@ -260,10 +275,10 @@ class TestGeodesicOde:
 
 class TestGeodesicOracleIndependence:
     """The RK4 oracle must be able to fail exp0 on its own: it shares no
-    formula with the closed form, its two integrators check each other, and
+    formula with the closed form, its integrators check each other, and
     it calls no dense linear algebra per step."""
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps, name", [(1, "_tan"), (-1, "_tanh")])
     def test_wrong_closed_form_fails_the_comparison(self, n, eps, name, monkeypatch):
         space = GrassmannSpace(n, 3, epsilon=eps)  # k = min(n, m) = n
@@ -289,6 +304,30 @@ class TestGeodesicOracleIndependence:
         block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
         assert np.max(np.abs(pair - block)) < 1e-12
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_triple_and_block_integrators_agree(self, eps):
+        V = np.array(
+            [
+                [0.3 + 0.2j, -0.4, 0.1j, 0.2],
+                [0.2j, 0.1 - 0.3j, 0.5, -0.1],
+                [-0.2, 0.3j, 0.1 + 0.1j, 0.4 - 0.2j],
+            ]
+        )
+        triple = geometry._rk4_triple(V, eps, 1.0 / 4000, 4000)
+        block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
+        assert np.max(np.abs(triple - block)) < 1e-12
+
+    def test_block_residual_notices_tan_pole(self, monkeypatch):
+        # ||tB||_2 = 1.68 > pi/2: Z stays below BLOWUP_LIMIT at the sampled
+        # steps, so only the carried-H residual sees the run leave the chart
+        space = GrassmannSpace(4, 4)
+        B = random_tangent_rng(space, generator(4), max_norm=1.0).B
+        B = TangentVector(space, B * (1.4 / np.linalg.norm(B, 2)))
+        with pytest.raises(LeftChartError, match="residual"):
+            geodesic_ode(space, B, -1.2, 4000)
+        monkeypatch.setattr(geometry, "H_RESIDUAL_LIMIT", np.inf)
+        geodesic_ode(space, B, -1.2, 4000)
+
     @pytest.mark.parametrize("rk4", ["_rk4_row", "_rk4_block"])
     def test_complex_row_endpoint_is_parallel_to_b(self, rk4):
         B = np.array([[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]])
@@ -299,7 +338,7 @@ class TestGeodesicOracleIndependence:
         beta = np.linalg.norm(B)
         assert abs(ratio - np.tan(beta) / beta) < 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_no_dense_linear_algebra(self, n, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("geodesic_ode called numpy.linalg")
@@ -315,12 +354,12 @@ class TestGeodesicOracleIndependence:
 
             return run
 
-        names = ("_rk4_row", "_rk4_pair", "_rk4_block")
+        names = ("_rk4_row", "_rk4_pair", "_rk4_triple", "_rk4_block")
         integrators = [getattr(geometry, name) for name in names]
         for name, rk4 in zip(names, integrators):
             monkeypatch.setattr(geometry, name, spy(rk4))
-        space = GrassmannSpace(n, 3)  # k = min(n, m) = n
-        B = TangentVector(space, np.full((n, 3), 0.3 + 0.1j))
+        space = GrassmannSpace(n, 4)  # k = min(n, m) = n
+        B = TangentVector(space, np.full((n, 4), 0.3 + 0.1j))
         geodesic_ode(space, B, 1.0, 400)
         assert called == [integrators[n - 1]]
         # the dual returns a ChartPoint, whose domain check takes one SVD,

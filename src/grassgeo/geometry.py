@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
     WrongChartError,
 )
-from .linalg import _principal_angles, _svd, apply_spectral
+from .linalg import _principal_angles, _svd, _svdvals, apply_spectral
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
 CHART_SINGULAR_TOL = 1e-12
@@ -73,7 +73,7 @@ def _chart_of_rows(space: GrassmannSpace, top, bottom, error, message: str) -> C
     """Chart point with Z^dagger = bottom @ top^{-1}; raises error(message),
     which may name {smin}, when the smallest singular value smin of top is
     below CHART_SINGULAR_TOL."""
-    smin = _svd(top)[1][-1]
+    smin = _svdvals(top)[-1]
     if smin < CHART_SINGULAR_TOL:
         raise error(message.format(smin=smin))
     return ChartPoint(space, (bottom @ np.linalg.inv(top)).conj().T)
@@ -212,7 +212,7 @@ def geodesic_ode(
     V = B.B.T if flip else B.B
     k = V.shape[0]
     rk4 = (_rk4_row, _rk4_pair, _rk4_triple)[k - 1] if k <= 3 else _rk4_block
-    h = t / steps
+    h = float(t / steps)  # a numpy scalar h would slow every step of the loops
     try:
         with np.errstate(all="ignore"):
             Z = rk4(V, space.epsilon, h, steps)
@@ -519,7 +519,7 @@ def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
         return float(np.linalg.norm(_principal_angles(F1, F2)))
     Z1, Z2 = p1.Z, p2.Z
     S = _inv_sqrt_gram(-1, Z1.conj().T) @ (Z2 - Z1).conj().T @ _inv_sqrt_gram(-1, Z2)
-    return float(np.linalg.norm(np.arcsinh(_svd(S)[1])))
+    return float(np.linalg.norm(np.arcsinh(_svdvals(S))))
 
 
 def chart_transition(

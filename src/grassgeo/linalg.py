@@ -56,16 +56,22 @@ def svd(M) -> SvdResult:
     return SvdResult(*_svd(as_matrix(M)))
 
 
-def _svd(M: np.ndarray):
-    """Thin SVD (u, s, vh) of a matrix or a stack (..., p, q) that the package
-    built or already checked, so its entries are not checked again; a LAPACK
-    failure raises NumericalFailure."""
+def _svd(M: np.ndarray, compute_uv: bool = True):
+    """Thin SVD (u, s, vh), or s alone if not compute_uv, of a matrix or a
+    stack (..., p, q) that the package built or already checked, so its
+    entries are not checked again; a LAPACK failure raises NumericalFailure."""
     try:
-        return np.linalg.svd(M, full_matrices=False)
+        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"SVD did not converge for a {M.shape[-2]}x{M.shape[-1]} matrix"
         ) from exc
+
+
+def _svdvals(M: np.ndarray) -> np.ndarray:
+    """The singular values, nonincreasing, of what _svd takes, for callers
+    that read no singular vector: LAPACK then forms neither u nor vh."""
+    return _svd(M, compute_uv=False)
 
 
 def apply_spectral(B, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -95,21 +101,33 @@ def check_positive_finite(x: float, name: str) -> None:
 def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values exceeding tol * max(1, largest singular value)."""
     check_positive_finite(tol, "rank tolerance")
-    s = svd(M).s
+    s = _svdvals(as_matrix(M))
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
-def check_gram(F: np.ndarray, eps: int, tol: float, name: str = "frame") -> None:
-    """Raise unless every frame in the stack F (..., N, n) has F^dagger J F = I_n
-    to within tol, with J = diag(I_n, eps I_{N-n}); a NaN deviation fails too."""
+def check_gram(F: np.ndarray, eps: int, tol: float, name: str = "frame") -> np.ndarray:
+    """Return the Gram stack F^dagger J F, with J = diag(I_n, eps I_{N-n}), of
+    the frame or stack F (..., N, n); raise unless each is I_n to within tol.
+
+    A NaN deviation fails too.  On a stack the error names the deviation of
+    the first failing entry along the leading axis, its maximum over the rest
+    of that entry; so a stack of per-point stacks fails as its points, taken
+    one at a time, would.
+    """
     N, n = F.shape[-2:]
     Fh = np.swapaxes(F, -1, -2).conj()
     if eps < 0:
         Fh = Fh * np.concatenate([np.ones(n), -np.ones(N - n)])  # F^dagger J
-    dev = np.abs(Fh @ F - np.eye(n)).max()
+    G = Fh @ F
+    devs = np.abs(G - np.eye(n))
+    dev = devs.max()
     if not dev <= tol:
+        if F.ndim > 2:
+            devs = devs.reshape(len(F), -1).max(axis=1)
+            dev = devs[np.argmin(devs <= tol)]
         kind = "orthonormality" if eps > 0 else "J-orthonormality"
         raise PreconditionError(f"{name} {kind} deviation {dev:.3e} exceeds {tol:g}")
+    return G
 
 
 def principal_angles(F1, F2) -> np.ndarray:
@@ -135,10 +153,10 @@ def principal_angles(F1, F2) -> np.ndarray:
 def _principal_angles(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """principal_angles of two frames already checked, such as two Frame.F of one space."""
     cross = F1.conj().T @ F2
-    theta = np.arccos(np.clip(_svd(cross)[1], -1.0, 1.0))
+    theta = np.arccos(np.clip(_svdvals(cross), -1.0, 1.0))
     small = theta < np.pi / 4
     if np.any(small):
         residual = F2 - F1 @ cross
-        sines = np.sort(np.clip(_svd(residual)[1], -1.0, 1.0))
+        sines = np.sort(np.clip(_svdvals(residual), -1.0, 1.0))
         theta = np.where(small, np.arcsin(sines), theta)
     return theta

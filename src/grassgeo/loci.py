@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -10,7 +11,7 @@ import numpy as np
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _exp0_frames, chart_of_frame
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
-from .linalg import _svd, check_positive_finite, rank_tol
+from .linalg import _svdvals, check_positive_finite, rank_tol
 from .spaces import FRAME_GRAM_TOL, ChartPoint, Frame, GrassmannSpace, TangentVector
 from .spaces import check_space, origin_frame
 
@@ -21,6 +22,8 @@ DEFAULT_CONJUGACY_TOL = 1e-3
 FD_STEP = 1e-5  # central-difference step of dexp_min_singular
 COALESCE_REL_TOL = 1e-12
 MAX_CONJUGATE_TIMES = 100_000
+# bound on the complex entries of P that one stacked dexp chunk holds, 16 MiB
+_DEXP_CHUNK_ENTRIES = 2**20
 _FAMILY_ORDER = {"T1": 0, "T2": 1, "T3": 2}
 
 
@@ -233,26 +236,84 @@ def dexp_min_singular(space: GrassmannSpace, B: TangentVector, t: float) -> floa
     singular value keeps high-multiplicity degeneracies visible: on the
     projective plane at parameter pi, three of the four real directions
     degenerate at once, so any mid-spectrum normalizer collapses with them.
+
+    One point is a stack of one, and a t-grid (conjugate-scan) runs the same
+    code on a stack of all its points, in chunks of bounded memory, with the
+    same ratios bit for bit.  The 4nm perturbed frames of each point come
+    from one stacked SVD, with the offsets built once per (n, m); each
+    frame's Gram is formed once, by the (J-)Gram check, and the compact
+    projection F (F^dagger F)^{-1} F^dagger reuses it; the Jacobian gives
+    its singular values only.  Errors are per point: a grid raises the error
+    of its first failing point, as a loop of this call over it would.
     """
     check_space(space, B)
+    B0 = _scaled_direction(B, t)
+    return float(_dexp_ratios(space.epsilon, space.n, space.m, B0[None])[0])
+
+
+def _scaled_direction(B: TangentVector, t: float) -> np.ndarray:
+    """t B, checked as dexp_min_singular checks each point."""
     if not abs(t) <= ENTRY_LIMIT:
         raise PreconditionError(f"t must be finite and at most {ENTRY_LIMIT:g} in modulus")
-    n, m = space.n, space.m
-    B0 = TangentVector(space, t * B.B).B
-    # all 4nm points in one stack; column 2 idx + {0, 1} moves entry
-    # divmod(idx, m) by FD_STEP, 1j FD_STEP
+    return as_matrix(t * B.B, "B")
+
+
+def _dexp_scan(space: GrassmannSpace, B: TangentVector, ts: np.ndarray) -> np.ndarray:
+    """dexp_min_singular(space, B, t) for each t of the grid ts, stacked.
+
+    The points are checked at once; the grid runs up to the first point that
+    fails its check, and that point then raises its own error, so an earlier
+    point that fails later in the core raises first, as in a loop.
+    """
+    check_space(space, B)
+    with np.errstate(all="ignore"):  # t B may overflow; the check fails then
+        B0 = ts[:, None, None] * B.B
+        ok = (np.abs(ts) <= ENTRY_LIMIT) & (np.abs(B0).max(axis=(1, 2)) <= ENTRY_LIMIT)
+    k = len(ts) if ok.all() else int(np.argmin(ok))
+    ratios = _dexp_ratios(space.epsilon, space.n, space.m, B0[:k])
+    if k < len(ts):
+        _scaled_direction(B, float(ts[k]))
+    return ratios
+
+
+@functools.lru_cache(maxsize=None)
+def _perturbations(n: int, m: int) -> np.ndarray:
+    """The 4nm central-difference offsets (+dB, then -dB), read-only since
+    shared: entry 2 idx + {0, 1} of dB moves entry divmod(idx, m) by FD_STEP,
+    1j FD_STEP."""
     E = np.eye(n * m).reshape(n * m, n, m)
     dB = np.stack([E * FD_STEP, E * (1j * FD_STEP)], axis=1).reshape(-1, n, m)
+    both = np.concatenate([dB, -dB])
+    both.flags.writeable = False
+    return both
+
+
+def _dexp_ratios(eps: int, n: int, m: int, B0: np.ndarray) -> np.ndarray:
+    """dexp_min_singular's ratio at each point of a checked stack B0 (p, n, m),
+    in chunks of at most _DEXP_CHUNK_ENTRIES entries of P."""
+    dB = _perturbations(n, m)
+    step = max(1, _DEXP_CHUNK_ENTRIES // (len(dB) * (n + m) ** 2))
+    ratios = np.empty(len(B0))
+    for i in range(0, len(B0), step):
+        ratios[i : i + step] = _dexp_chunk(eps, n, m, B0[i : i + step, None] + dB)
+    return ratios
+
+
+def _dexp_chunk(eps: int, n: int, m: int, Bp: np.ndarray) -> np.ndarray:
+    """The ratios of a stack Bp (p, 4nm, n, m) of perturbed points."""
     with np.errstate(all="ignore"):  # cosh overflows from about 710 on; the check fails then
-        F = _exp0_frames(space.epsilon, np.concatenate([B0 + dB, B0 - dB]))
-        check_gram(F, space.epsilon, FRAME_GRAM_TOL)
+        F = _exp0_frames(eps, Bp)
+        G = check_gram(F, eps, FRAME_GRAM_TOL)
     Fh = np.swapaxes(F, -1, -2).conj()
-    P = F @ np.linalg.inv(Fh @ F) @ Fh  # orthogonal projection onto each span
-    diff = (P[: 2 * n * m] - P[2 * n * m :]).reshape(2 * n * m, -1) / (2.0 * FD_STEP)
-    s = _svd(np.concatenate([diff.real, diff.imag], axis=1).T)[1]
-    if s[0] == 0.0:
+    if eps < 0:  # G is the J-Gram; the projection needs F^dagger F
+        G = Fh @ F
+    P = F @ np.linalg.inv(G) @ Fh  # orthogonal projection onto each span
+    half = 2 * n * m
+    diff = (P[:, :half] - P[:, half:]).reshape(len(P), half, -1) / (2.0 * FD_STEP)
+    s = _svdvals(np.swapaxes(np.concatenate([diff.real, diff.imag], axis=2), 1, 2))
+    if not s[:, 0].all():
         raise PreconditionError("degenerate Jacobian: all singular values vanish")
-    return float(s[-1] / s[0])
+    return s[:, -1] / s[:, 0]
 
 
 def is_conjugate(space: GrassmannSpace, B: TangentVector, t: float) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _svdvals
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
 
@@ -53,6 +54,6 @@ def random_chart_point_rng(
     space: GrassmannSpace, rng: np.random.Generator, radius: float = 0.9
 ) -> ChartPoint:
     Z = _complex_gaussian(rng, (space.n, space.m))
-    top = np.linalg.svd(Z, compute_uv=False)[0]
+    top = _svdvals(Z)[0]
     Z *= radius * rng.uniform(0.1, 1.0) / top
     return ChartPoint(space, Z)

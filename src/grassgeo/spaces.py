@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EnumerationSizeError, PreconditionError
-from .linalg import _svd, as_matrix, check_gram
+from .linalg import _svdvals, as_matrix, check_gram
 
 FRAME_GRAM_TOL = 1e-10
 MAX_CELLS = 10**6
@@ -27,6 +28,12 @@ class GrassmannSpace:
     epsilon: int = 1
 
     def __post_init__(self):
+        # Python ints, so that no numpy scalar reaches the Python-float loops
+        try:
+            for attr in ("n", "m", "epsilon"):
+                object.__setattr__(self, attr, operator.index(getattr(self, attr)))
+        except TypeError:
+            raise PreconditionError("n, m and epsilon must be integers") from None
         if self.n < 1 or self.m < 1:
             raise PreconditionError("n and m must be >= 1")
         if self.epsilon not in (1, -1):
@@ -69,7 +76,7 @@ class ChartPoint:
     def __post_init__(self):
         Z = _store_matrix(self, "Z", "Z", (self.space.n, self.space.m))
         if not self.space.compact:
-            top = _svd(Z)[1][0]
+            top = _svdvals(Z)[0]
             if top >= 1.0:
                 raise DomainError(
                     f"noncompact chart point needs all singular values < 1, "

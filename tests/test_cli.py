@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from grassgeo import jsonio
+from conftest import run_main
 
 
 def run_cli(args, stdin=None, env=None):
@@ -524,15 +525,15 @@ class TestInputHoles:
             ),
         ],
     )
-    def test_outcome(self, args, env, stdin, code, error):
-        out = run_cli(args, stdin=stdin, env=dict(os.environ, **env))
-        assert out.returncode == code
-        assert "Traceback" not in out.stderr
+    def test_outcome(self, args, env, stdin, code, error, monkeypatch):
+        got, out, err = run_main(args, monkeypatch, stdin=stdin, env=env)
+        assert got == code
+        assert "Traceback" not in err
         if code == 1:
-            assert json.loads(out.stdout)["error"]["type"] == error
-            assert out.stderr == ""
+            assert json.loads(out)["error"]["type"] == error
+            assert err == ""
         elif code == 2:
-            assert "usage" in out.stderr
+            assert "usage" in err
 
     @pytest.mark.parametrize(
         "command, space, z1, z2, error",
@@ -563,9 +564,44 @@ class TestInputHoles:
     )
     def test_pair_outcome(self, tmp_path, command, space, z1, z2, error):
         docs = [write_doc(tmp_path / f"{name}.json", z) for name, z in (("z1", z1), ("z2", z2))]
-        out = run_cli(
+        code, out, err = run_main(
             [command, "--space", *space, "compact", "--z1", docs[0], "--z2", docs[1]]
         )
-        assert out.returncode == 1
-        assert json.loads(out.stdout)["error"]["type"] == error
-        assert out.stderr == ""
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == error
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "tmax, points, stdout",
+        [
+            # the third point (t = 9) is the first to fail its J-Gram check
+            pytest.param(
+                "12", "4",
+                '{"error":{"message":"frame J-orthonormality deviation 4.630e-09 '
+                'exceeds 1e-10","type":"PreconditionError"}}\n',
+                id="third-point-fails",
+            ),
+            pytest.param(
+                "1e77", "1",
+                '{"error":{"message":"frame J-orthonormality deviation nan '
+                'exceeds 1e-10","type":"PreconditionError"}}\n',
+                id="cosh-overflows",
+            ),
+        ],
+    )
+    def test_failed_scan_bytes(self, tmax, points, stdout):
+        argv = ["conjugate-scan", "--space", "1", "1", "noncompact", "--h", "1",
+                "--tmax", tmax, "--points", points]
+        assert run_main(argv) == (1, stdout, "")
+
+
+def test_scan_flags_every_point_near_a_predicted_time():
+    # the reference tests each point against every predicted time
+    space = ["--space", "2", "2", "compact", "--h", "0.8", "0.6", "--tmax", "60"]
+    times = [c["t"] for c in json.loads(run_main(["conjugate-times", *space])[1])["times"]]
+    code, out, err = run_main(["conjugate-scan", *space, "--points", "700"])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    want = [int(any(abs(float(t) - p) < 1e-2 for p in times)) for t, _, _ in rows]
+    assert (code, err, len(rows)) == (0, "", 700)
+    assert [int(flag) for _, _, flag in rows] == want
+    assert 10 < sum(want) < 690

@@ -7,18 +7,16 @@ floating-point warning fails the test.  A second strategy drives the RK4
 oracle at k = min(n, m) >= 3, and fixed regressions check its tan-pole exit.
 """
 
-import contextlib
-import io
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grassgeo import cli, jsonio
+from grassgeo import jsonio
+from conftest import run_main
 
 HUGE = [1e-300, 1e77, 1e150, 1.3e154, 1e200, 1e300, 1e308, 1.7976931348623157e308]
 
@@ -99,18 +97,6 @@ def oracle_invocations(draw):
     argv += [f"--t={_arg(t)}", "--steps", str(draw(st.integers(100, 400)))]
     data = [[draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))] for _ in range(n * m)]
     return argv, {"input": {"rows": n, "cols": m, "data": data}}
-
-
-def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")

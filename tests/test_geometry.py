@@ -197,6 +197,27 @@ class TestGeodesicOde:
                 closed = exp0(space, B)
                 assert np.max(np.abs(ode.Z - closed.Z)) < 1e-6
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_numpy_scalars_reach_the_integrator_as_python_numbers(self, k, eps, monkeypatch):
+        # a numpy t or numpy dimensions must not turn every RK4 step into
+        # numpy-scalar arithmetic; the endpoint is the same bits
+        name = ("_rk4_row", "_rk4_pair", "_rk4_triple")[k - 1]
+        original, seen = getattr(geometry, name), []
+
+        def spy(V, eps_, h, steps):
+            seen.append((type(eps_), type(h)))
+            return original(V, eps_, h, steps)
+
+        monkeypatch.setattr(geometry, name, spy)
+        space = GrassmannSpace(k, 3, eps)
+        B = random_tangent_rng(space, generator(k), max_norm=1.0)
+        want = geodesic_ode(space, B, 1.0, 200).Z
+        numpy_space = GrassmannSpace(np.int64(k), np.int64(3), np.int64(eps))
+        for sp, t in ((space, np.float64(1.0)), (numpy_space, 1.0)):
+            assert np.array_equal(geodesic_ode(sp, TangentVector(sp, B.B), t, 200).Z, want)
+        assert seen == [(int, float)] * 3
+
     def test_step_floor(self, cp1):
         with pytest.raises(PreconditionError):
             geodesic_ode(cp1, TangentVector(cp1, [[1.0]]), 1.0, 50)

@@ -3,7 +3,10 @@ import pytest
 
 from grassgeo.errors import PreconditionError, SingularityError
 from grassgeo.linalg import (
+    _svd,
+    _svdvals,
     apply_spectral,
+    check_gram,
     principal_angles,
     rank_tol,
     svd,
@@ -125,3 +128,28 @@ class TestPrincipalAngles:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(PreconditionError):
             principal_angles(np.ones((3, 1)), np.array([[1.0], [0.0], [0.0]]))
+
+
+class TestCheckGram:
+    def test_returns_the_gram_it_checked(self, rng):
+        F = random_unitary(rng, 4)[:, :2]
+        assert np.array_equal(check_gram(F, 1, 1e-10), F.conj().T @ F)
+        # on the dual it is the J-Gram F^dagger J F
+        F = np.array([[np.cosh(0.5)], [np.sinh(0.5)]], dtype=complex)
+        assert np.allclose(check_gram(F, -1, 1e-10), [[1.0]], rtol=0, atol=1e-15)
+
+    def test_stack_names_its_first_failing_entry(self):
+        # entries 1 and 2 fail, entry 2 by more; the error names entry 1's
+        # deviation, the maximum over that entry's two frames
+        F = np.zeros((3, 2, 3, 1), dtype=complex)
+        F[..., 0, 0] = 1.0
+        F[1, 0, 0, 0], F[1, 1, 0, 0] = 1.0 + 1e-6, 1.0 + 2e-6
+        F[2, 1, 0, 0] = 1.1
+        with pytest.raises(PreconditionError, match="deviation 4.000e-06 exceeds"):
+            check_gram(F, 1, 1e-10)
+        with pytest.raises(PreconditionError, match="deviation 2.100e-01 exceeds"):
+            check_gram(F[2], 1, 1e-10)
+
+    def test_svdvals_match_the_svd(self, rng):
+        M = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
+        assert np.allclose(_svdvals(M), _svd(M)[1], rtol=1e-14, atol=0)

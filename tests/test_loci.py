@@ -219,6 +219,45 @@ class TestDexp:
             dexp_min_singular(sp, B, t)
 
 
+class TestDexpScan:
+    """The stacked scan is the per-point call, run on a whole t-grid."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_grid_equals_per_point_bit_for_bit(self, n, m, eps, monkeypatch):
+        space = GrassmannSpace(n, m, eps)
+        rng = np.random.default_rng(10 * n + m)
+        B = TangentVector(space, rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+        ts = np.linspace(0.05, 1.6, 13)
+        # 3 points per chunk, so that the grid crosses four chunk boundaries
+        monkeypatch.setattr(loci, "_DEXP_CHUNK_ENTRIES", 3 * 4 * n * m * (n + m) ** 2)
+        got = loci._dexp_scan(space, B, ts)
+        want = [dexp_min_singular(space, B, float(t)) for t in ts]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "eps, ts, message",
+        [
+            # cosh overflows at t = 1e150, so its J-Gram check fails before
+            # the bound on t fails at the second point
+            (-1, [1e150, 2e150], "J-orthonormality deviation nan exceeds"),
+            (1, [1.0, 2e150], "t must be finite and at most"),
+        ],
+    )
+    def test_grid_fails_as_its_first_failing_point(self, eps, ts, message):
+        space = GrassmannSpace(1, 1, eps)
+        B = TangentVector(space, [[1.0]])
+        with pytest.raises(PreconditionError, match=message):
+            loci._dexp_scan(space, B, np.array(ts))
+
+    def test_perturbations_are_read_only(self):
+        dB = loci._perturbations(2, 2)
+        assert dB.shape == (16, 2, 2)
+        assert loci._perturbations(2, 2) is dB
+        with pytest.raises(ValueError):
+            dB[0, 0, 0] = 1.0
+
+
 class TestCutLocus:
     def test_hyperplane_at_infinity(self):
         F = Frame(CP2, np.array([[0.0], [1.0], [0.0]], dtype=complex))

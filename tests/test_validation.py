@@ -129,6 +129,15 @@ def test_float64_range_ends_in_a_typed_error(call):
         call()
 
 
+def test_space_stores_python_ints():
+    space = GrassmannSpace(np.int64(2), np.int32(3), np.int8(-1))
+    assert [type(x) for x in (space.n, space.m, space.epsilon)] == [int, int, int]
+    assert space == GrassmannSpace(2, 3, -1)
+    for bad in ((2.0, 2, 1), (2, "3", 1), (2, 2, 1.0)):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            GrassmannSpace(*bad)
+
+
 def test_isoclinic_takes_angles_once(monkeypatch, capsys):
     angles = _record_calls(monkeypatch, "_principal_angles")
     cli.main(["isoclinic", "--space", "2", "2", "compact", "--seed1", "1", "--seed2", "2"])
@@ -149,6 +158,8 @@ def test_lapack_svd_failure_is_numerical_failure(monkeypatch):
         "chart_of_frame": lambda: chart_of_frame(F),
         "principal_angles": lambda: linalg.principal_angles(Q1, Q2),
         "ChartPoint-dual": lambda: ChartPoint(G24_DUAL, P24_DUAL.Z),
+        "sampling": lambda: random_chart_point_rng(G24, generator(3)),
+        "rank_tol": lambda: linalg.rank_tol(Q1),
     }
 
     def failing_svd(*args, **kwargs):

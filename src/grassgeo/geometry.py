@@ -499,10 +499,6 @@ def transport_to_origin(space: GrassmannSpace, p: ChartPoint) -> np.ndarray:
     return np.block([[A, eps * (Z @ D)], [-(Zh @ A), D]])
 
 
-def apply_isometry(g: np.ndarray, F: Frame) -> Frame:
-    return Frame(F.space, g @ F.F)
-
-
 def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
     """Geodesic distance: the 2-norm of the principal angles (compact) or of
     the hyperbolic angles tau_i (noncompact) between the two planes.

@@ -153,10 +153,17 @@ def principal_angles(F1, F2) -> np.ndarray:
 def _principal_angles(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """principal_angles of two frames already checked, such as two Frame.F of one space."""
     cross = F1.conj().T @ F2
+    return _split_angles(cross, lambda: F2 - F1 @ cross)
+
+
+def _split_angles(cross: np.ndarray, residual: Callable[[], np.ndarray]) -> np.ndarray:
+    """Principal angles, nondecreasing, from the cross matrix F1^dagger F2 and
+    a thunk for the residual F2 - F1 F1^dagger F2: arccos of the singular
+    values of cross, with the angles below pi/4 recomputed as arcsin of those
+    of the residual, which is formed only if some angle needs it."""
     theta = np.arccos(np.clip(_svdvals(cross), -1.0, 1.0))
     small = theta < np.pi / 4
     if np.any(small):
-        residual = F2 - F1 @ cross
-        sines = np.sort(np.clip(_svdvals(residual), -1.0, 1.0))
+        sines = np.sort(np.clip(_svdvals(residual()), -1.0, 1.0))
         theta = np.where(small, np.arcsin(sines), theta)
     return theta

@@ -11,9 +11,9 @@ import numpy as np
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _exp0_frames, chart_of_frame
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
-from .linalg import _svdvals, check_positive_finite, rank_tol
+from .linalg import _split_angles, _svdvals, check_positive_finite, rank_tol
 from .spaces import FRAME_GRAM_TOL, ChartPoint, Frame, GrassmannSpace, TangentVector
-from .spaces import check_space, origin_frame
+from .spaces import check_space
 
 DEFAULT_DET_TOL = 1e-9
 DEFAULT_ANGLE_TOL = 1e-5
@@ -378,8 +378,11 @@ def wong_cut_symbol(space: GrassmannSpace) -> SchubertSymbol:
 
 
 def _angles_with_origin(space: GrassmannSpace, F: Frame) -> np.ndarray:
+    """Principal angles of F with O = span(e_1, ..., e_n), read off F's own
+    blocks: the cross matrix is F.top and the residual [0 ; F.bottom]."""
     check_space(space, F)
-    return _principal_angles(origin_frame(space).F, F.F)
+    top = F.top
+    return _split_angles(top, lambda: np.concatenate([np.zeros_like(top), F.bottom]))
 
 
 def conjugate_stratum_W(space: GrassmannSpace, F: Frame) -> bool:

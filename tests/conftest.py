@@ -1,8 +1,11 @@
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +50,30 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r))).conj()
 
 
+def mp_matrix(A):
+    return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in A])
+
+
+def _mp_inv_sqrt(G):
+    w, Q = mpmath.eighe(G)
+    return Q * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * Q.transpose_conj()
+
+
+def mp_chart_cosines(eps, Z1, Z2):
+    """Singular values, at mpmath's working precision, of the chart cosine
+    matrix (I + eps Z1 Z1^dagger)^{-1/2} (I + eps Z1 Z2^dagger)
+    (I + eps Z2 Z2^dagger)^{-1/2} of the exact float inputs: cos theta_i
+    (compact) or cosh tau_i (noncompact) of the angles between the planes."""
+    A, B = mp_matrix(Z1), mp_matrix(Z2)
+    eye = mpmath.eye(A.rows)
+    M = (
+        _mp_inv_sqrt(eye + eps * A * A.transpose_conj())
+        * (eye + eps * A * B.transpose_conj())
+        * _mp_inv_sqrt(eye + eps * B * B.transpose_conj())
+    )
+    return mpmath.svd_c(M, compute_uv=False)
+
+
 def run_main(argv, monkeypatch=None, stdin=None, env=None):
     """(exit code, stdout, stderr) of cli.main(argv) run in-process, with any
     warning raised as an error.  stdin and the environment variables in env
@@ -66,8 +93,31 @@ def run_main(argv, monkeypatch=None, stdin=None, env=None):
     return code, out.getvalue(), err.getvalue()
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CLI = ["-m", "grassgeo.cli"]
+
+
+def run_process(args, stdin=None, env=None):
+    """CompletedProcess, with stdout and stderr as bytes, of a child
+    `python *args` that imports grassgeo from this checkout's src.  stdin is
+    a str; env adds variables to the parent's environment.  Only what a real
+    process shows needs one: byte-identical reruns, the `python -m` entry
+    point and its exit codes, a real environment variable, a clean import."""
+    child_env = {**os.environ, **(env or {}), "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, *args],
+        input=None if stdin is None else stdin.encode(),
+        capture_output=True,
+        env=child_env,
+    )
+
+
 __all__ = [
+    "CLI",
+    "mp_chart_cosines",
+    "mp_matrix",
     "run_main",
+    "run_process",
     "random_chart_point_rng",
     "random_plane_rng",
     "random_tangent_rng",

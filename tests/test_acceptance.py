@@ -7,14 +7,13 @@ inline next to its check.
 
 import functools
 import json
-import subprocess
-import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
-from grassgeo import jsonio
+from grassgeo import jsonio, kernels
 from grassgeo.geometry import (
     distance,
     exp0,
@@ -43,6 +42,7 @@ from grassgeo.loci import (
 from grassgeo.sampling import generator, random_chart_point_rng, random_tangent_rng
 from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, origin_frame
 from grassgeo.topology import characteristic_report
+from conftest import CLI, mp_chart_cosines, run_process
 
 SEED = 987654321
 
@@ -198,17 +198,40 @@ def test_criterion_04_conjugate_times():
     assert dexp_min_singular(cp2, B2, np.pi) < 1e-6
 
 
-@report(5, "diastasis identities")
-def test_criterion_05_diastasis():
-    rng = generator(SEED + 5)
+def cosine_oracle(Z1, Z2):
+    """(diastasis, Cayley distance) at 50 digits from the chart cosines c_i:
+    D = -2 sum log c_i and Cayley = arccos prod c_i.  No kernel determinant
+    enters, so the oracle shares nothing with normalized_overlap."""
+    with mpmath.workdps(50):
+        c = mp_chart_cosines(1, Z1, Z2)
+        D = -2 * mpmath.fsum(mpmath.log(x) for x in c)
+        return float(D), float(mpmath.acos(min(mpmath.fprod(c), 1)))
+
+
+def criterion_05_compact(rng):
+    """Deviations over criterion 5's 100 compact pairs: of the identity
+    D = -2 log cos(Cayley), and of D and the Cayley distance from
+    cosine_oracle."""
     compact = [GrassmannSpace(1, 1, 1), GrassmannSpace(2, 2, 1), GrassmannSpace(2, 3, 1)]
+    identity, oracle = [], []
     for k in range(100):
         space = compact[k % len(compact)]
         z1 = random_chart_point_rng(space, rng)
         z2 = random_chart_point_rng(space, rng)
         D = diastasis(space, z1, z2)
         dc = cayley_distance(space, z1, z2)
-        assert abs(D + 2 * np.log(np.cos(dc))) < 1e-9
+        D_ref, dc_ref = cosine_oracle(z1.Z, z2.Z)
+        identity.append(abs(D + 2 * np.log(np.cos(dc))))
+        oracle.append(max(abs(D - D_ref), abs(dc - dc_ref)))
+    return np.array(identity), np.array(oracle)
+
+
+@report(5, "diastasis identities")
+def test_criterion_05_diastasis():
+    rng = generator(SEED + 5)
+    identity, oracle = criterion_05_compact(rng)
+    assert identity.max() < 1e-9
+    assert oracle.max() < 1e-9
 
     # hyperbolic identity along rank-one geodesics from the origin
     duals = [GrassmannSpace(1, 1, -1), GrassmannSpace(1, 2, -1),
@@ -223,6 +246,20 @@ def test_criterion_05_diastasis():
         delta = log0(space, Z).norm
         cos_theta = normalized_overlap(space, zero_point(space), Z).modulus
         assert abs(cos_theta * np.cosh(delta) - 1.0) < 1e-9
+
+
+def test_criterion_05_fails_on_a_wrong_overlap(monkeypatch):
+    """A normalized overlap off by a factor 1 + 1e-6 keeps the identity, which
+    reads both sides from it, but not the oracle."""
+    original = kernels.normalized_overlap
+
+    def scaled(space, z1, z2):
+        ov = original(space, z1, z2)
+        return kernels.OverlapValue(ov.raw, ov.normalized * (1 + 1e-6))
+
+    monkeypatch.setattr(kernels, "normalized_overlap", scaled)
+    identity, oracle = criterion_05_compact(generator(SEED + 5))
+    assert identity.max() < 1e-9 < oracle.max()
 
 
 @report(6, "critical point structure")
@@ -322,17 +359,11 @@ def test_criterion_10_determinism(tmp_path):
         json.dumps(jsonio.matrix_to_doc(np.array([[0.2, 0.5], [0.1, -0.3]])))
     )
 
-    def run(args):
-        return subprocess.run(
-            [sys.executable, "-m", "grassgeo.cli", *args],
-            capture_output=True,
-        ).stdout
-
     json_args = ["exp", "--space", "2", "2", "compact",
                  "--input", str(doc), "--verify"]
     seeded_args = ["plucker", "--space", "2", "2", "compact", "--seed", "42"]
     csv_args = ["conjugate-scan", "--space", "1", "1", "compact",
                 "--h", "1.0", "--tmax", "3.0", "--points", "25"]
     for args in (json_args, seeded_args, csv_args):
-        first, second = run(args), run(args)
+        first, second = (run_process([*CLI, *args]).stdout for _ in range(2))
         assert first and first == second

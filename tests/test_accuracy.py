@@ -17,33 +17,17 @@ from grassgeo.errors import PreconditionError
 from grassgeo.geometry import distance, geodesic_ode
 from grassgeo.sampling import generator, random_tangent_rng
 from grassgeo.spaces import ChartPoint, GrassmannSpace, TangentVector
+from conftest import mp_chart_cosines, mp_matrix
 
 SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 PAIRS_PER_SIZE = 5
 
 
-def _mp_matrix(A):
-    return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in A])
-
-
-def _mp_inv_sqrt(G):
-    w, Q = mpmath.eighe(G)
-    return Q * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * Q.transpose_conj()
-
-
 def distance_oracle(eps, Z1, Z2):
-    """2-norm of the angles from the singular values of
-    (I + eps Z1 Z1^dagger)^{-1/2} (I + eps Z1 Z2^dagger) (I + eps Z2 Z2^dagger)^{-1/2},
-    evaluated at 50 digits from the exact float inputs."""
+    """2-norm of the angles from the chart cosines, evaluated at 50 digits
+    from the exact float inputs."""
     with mpmath.workdps(50):
-        A, B = _mp_matrix(Z1), _mp_matrix(Z2)
-        eye = mpmath.eye(A.rows)
-        M = (
-            _mp_inv_sqrt(eye + eps * A * A.transpose_conj())
-            * (eye + eps * A * B.transpose_conj())
-            * _mp_inv_sqrt(eye + eps * B * B.transpose_conj())
-        )
-        s = mpmath.svd_c(M, compute_uv=False)
+        s = mp_chart_cosines(eps, Z1, Z2)
         if eps > 0:
             angles = [mpmath.acos(min(x, 1)) for x in s]
         else:
@@ -99,7 +83,7 @@ def exp_oracle(eps, B):
     """U ta(S) V^dagger from the SVD B = U S V^dagger at 50 digits, with
     ta = tan (compact) or tanh (noncompact): the exact geodesic endpoint."""
     with mpmath.workdps(50):
-        U, S, V = mpmath.svd_c(_mp_matrix(B))
+        U, S, V = mpmath.svd_c(mp_matrix(B))
         k = min(B.shape)
         ta = mpmath.tan if eps > 0 else mpmath.tanh
         Z = U[:, :k] * mpmath.diag([ta(S[i]) for i in range(k)]) * V[:k, :]

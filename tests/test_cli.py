@@ -1,20 +1,10 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from grassgeo import jsonio
-from conftest import run_main
-
-
-def run_cli(args, stdin=None, env=None):
-    cmd = [sys.executable, "-m", "grassgeo.cli", *args]
-    return subprocess.run(
-        cmd, input=stdin, capture_output=True, text=True, env=env
-    )
+from conftest import CLI, run_main, run_process
 
 
 def write_doc(path, M):
@@ -50,141 +40,158 @@ class TestJsonIo:
             jsonio.dumps(float("nan"))
 
 
+class TestEntryPoint:
+    def test_exit_codes(self):
+        # python -m grassgeo.cli: 0 and 1 print JSON on stdout and nothing on
+        # stderr; a usage error exits 2 with a message on stderr
+        space = ["exp", "--space", "1", "1", "compact"]
+        ok = run_process([*CLI, *space], stdin='{"rows": 1, "cols": 1, "data": [[0.7, 0.0]]}')
+        assert (ok.returncode, ok.stderr) == (0, b"")
+        assert abs(json.loads(ok.stdout)["arc_length"] - 0.7) < 1e-15
+        pole = json.dumps(jsonio.matrix_to_doc(np.array([[np.pi / 2]], dtype=complex)))
+        failed = run_process([*CLI, *space], stdin=pole)
+        assert (failed.returncode, failed.stderr) == (1, b"")
+        assert json.loads(failed.stdout)["error"]["type"] == "ConjugateToChartError"
+        usage = run_process([*CLI, "exp", "--space", "1", "1", "compcat"])
+        assert usage.returncode == 2
+        assert b"usage" in usage.stderr
+
+
 class TestExpCommand:
     SPACE = ["--space", "1", "1", "compact"]
 
     def test_scalar_tan(self, tmp_path):
         doc = write_doc(tmp_path / "b.json", [[0.7]])
-        out = run_cli(["exp", *self.SPACE, "--input", doc])
-        assert out.returncode == 0
-        payload = json.loads(out.stdout)
+        code, out, _ = run_main(["exp", *self.SPACE, "--input", doc])
+        assert code == 0
+        payload = json.loads(out)
         z = payload["Z"]["data"][0]
         assert abs(z[0] - np.tan(0.7)) < 1e-14
         assert abs(payload["arc_length"] - 0.7) < 1e-15
 
-    def test_stdin_default(self):
+    def test_stdin_default(self, monkeypatch):
         doc = json.dumps(jsonio.matrix_to_doc(np.array([[0.3]], dtype=complex)))
-        out = run_cli(["exp", *self.SPACE], stdin=doc)
-        assert out.returncode == 0
+        code, _, _ = run_main(["exp", *self.SPACE], monkeypatch, stdin=doc)
+        assert code == 0
 
     def test_verify_against_ode(self, tmp_path):
         doc = write_doc(tmp_path / "b.json", [[0.2, 0.5], [0.1, -0.3]])
-        out = run_cli(
+        code, out, _ = run_main(
             ["exp", "--space", "2", "2", "compact", "--input", doc, "--verify"]
         )
-        assert out.returncode == 0
-        payload = json.loads(out.stdout)
+        assert code == 0
+        payload = json.loads(out)
         assert payload["verify"]["max_abs_diff"] < 1e-8
 
     def test_pole_gives_error_object(self, tmp_path):
         doc = write_doc(tmp_path / "b.json", [[np.pi / 2]])
-        out = run_cli(["exp", *self.SPACE, "--input", doc])
-        assert out.returncode == 1
-        err = json.loads(out.stdout)["error"]
+        code, out, _ = run_main(["exp", *self.SPACE, "--input", doc])
+        assert code == 1
+        err = json.loads(out)["error"]
         assert err["type"] == "ConjugateToChartError"
 
     def test_malformed_json_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"rows": 1, "cols": 1, "data": [[0.1,')
-        out = run_cli(["exp", *self.SPACE, "--input", str(p)])
-        assert out.returncode == 2
-        assert "line" in out.stderr and "column" in out.stderr
+        code, _, err = run_main(["exp", *self.SPACE, "--input", str(p)])
+        assert code == 2
+        assert "line" in err and "column" in err
 
     def test_missing_file_exits_2(self):
-        out = run_cli(["exp", *self.SPACE, "--input", "/no/such/file.json"])
-        assert out.returncode == 2
+        code, _, _ = run_main(["exp", *self.SPACE, "--input", "/no/such/file.json"])
+        assert code == 2
 
 
 class TestRoundTripCommands:
     def test_log_inverts_exp(self, tmp_path):
         z = np.tanh(1.3)
         doc = write_doc(tmp_path / "z.json", [[z]])
-        out = run_cli(["log", "--space", "1", "1", "noncompact", "--input", doc])
-        payload = json.loads(out.stdout)
+        _, out, _ = run_main(["log", "--space", "1", "1", "noncompact", "--input", doc])
+        payload = json.loads(out)
         assert abs(payload["B"]["data"][0][0] - 1.3) < 1e-12
 
     def test_geodesic_check(self, tmp_path):
         doc = write_doc(tmp_path / "b.json", [[0.4, -0.1], [0.2, 0.6]])
-        out = run_cli(
+        _, out, _ = run_main(
             ["geodesic-check", "--space", "2", "2", "compact", "--input", doc,
              "--t", "1.0", "--steps", "2000"]
         )
-        assert json.loads(out.stdout)["max_abs_diff"] < 1e-7
+        assert json.loads(out)["max_abs_diff"] < 1e-7
 
     @pytest.mark.parametrize("kind", ["compact", "noncompact"])
     @pytest.mark.parametrize("cmd", [["geodesic-check"], ["exp", "--verify"]])
     def test_zero_time_reaches_origin(self, tmp_path, cmd, kind):
         doc = write_doc(tmp_path / "b.json", [[0.4, -0.1], [0.2, 0.6]])
-        out = run_cli([*cmd, "--space", "2", "2", kind, "--input", doc, "--t", "0"])
-        assert out.returncode == 0
-        payload = json.loads(out.stdout)
+        code, out, _ = run_main([*cmd, "--space", "2", "2", kind, "--input", doc, "--t", "0"])
+        assert code == 0
+        payload = json.loads(out)
         assert payload.get("verify", payload)["max_abs_diff"] == 0
 
     def test_geodesic_check_through_tan_pole(self, tmp_path):
         doc = write_doc(tmp_path / "b.json", [[2.0]])
-        out = run_cli(
+        code, out, err = run_main(
             ["geodesic-check", "--space", "1", "1", "compact", "--input", doc,
              "--t", "1.0", "--steps", "4000"]
         )
-        assert out.returncode == 1
-        assert json.loads(out.stdout)["error"]["type"] == "LeftChartError"
-        assert out.stderr == ""
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "LeftChartError"
+        assert err == ""
 
     def test_distance_scalar(self, tmp_path):
         z1 = write_doc(tmp_path / "z1.json", [[0.0]])
         z2 = write_doc(tmp_path / "z2.json", [[np.tan(0.9)]])
-        out = run_cli(
+        _, out, _ = run_main(
             ["distance", "--space", "1", "1", "compact", "--z1", z1, "--z2", z2]
         )
-        assert abs(json.loads(out.stdout)["distance"] - 0.9) < 1e-12
+        assert abs(json.loads(out)["distance"] - 0.9) < 1e-12
 
     def test_distance_near_disk_boundary(self, tmp_path):
         # unit-disk distance arcsinh(|z2 - z1| / sqrt((1 - |z1|^2)(1 - |z2|^2)))
         a, b = 0.999999, -0.5
         z1 = write_doc(tmp_path / "z1.json", [[a]])
         z2 = write_doc(tmp_path / "z2.json", [[b]])
-        out = run_cli(
+        code, out, _ = run_main(
             ["distance", "--space", "1", "1", "noncompact", "--z1", z1, "--z2", z2]
         )
-        assert out.returncode == 0
+        assert code == 0
         expected = np.arcsinh(abs(b - a) / np.sqrt((1 - a) * (1 + a) * (1 - b) * (1 + b)))
-        assert json.loads(out.stdout)["distance"] == pytest.approx(expected, rel=1e-11)
+        assert json.loads(out)["distance"] == pytest.approx(expected, rel=1e-11)
 
     def test_overlap_with_oracle(self, tmp_path):
         z1 = write_doc(tmp_path / "z1.json", [[0.2, 0.1], [0.0, -0.4]])
         z2 = write_doc(tmp_path / "z2.json", [[0.5, -0.2], [0.3, 0.1]])
-        out = run_cli(
+        _, out, _ = run_main(
             ["overlap", "--space", "2", "2", "compact",
              "--z1", z1, "--z2", z2, "--verify"]
         )
-        payload = json.loads(out.stdout)
+        payload = json.loads(out)
         assert payload["verify"]["modulus_diff"] < 1e-12
 
     def test_diastasis_cayley_identity(self, tmp_path):
         z1 = write_doc(tmp_path / "z1.json", [[0.3]])
         z2 = write_doc(tmp_path / "z2.json", [[1.1]])
         args = ["--space", "1", "1", "compact", "--z1", z1, "--z2", z2]
-        D = json.loads(run_cli(["diastasis", *args]).stdout)["diastasis"]
-        dc = json.loads(run_cli(["cayley", *args]).stdout)["cayley_distance"]
+        D = json.loads(run_main(["diastasis", *args])[1])["diastasis"]
+        dc = json.loads(run_main(["cayley", *args])[1])["cayley_distance"]
         assert abs(D + 2 * np.log(np.cos(dc))) < 1e-12
 
     def test_cayley_noncompact_is_error(self, tmp_path):
         z = write_doc(tmp_path / "z.json", [[0.0]])
-        out = run_cli(
+        code, out, _ = run_main(
             ["cayley", "--space", "1", "1", "noncompact", "--z1", z, "--z2", z]
         )
-        assert out.returncode == 1
-        assert json.loads(out.stdout)["error"]["type"] == "UnsupportedSpaceError"
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "UnsupportedSpaceError"
 
 
 class TestLociCommands:
     def test_conjugate_times_dual_empty(self):
-        out = run_cli(
+        code, out, _ = run_main(
             ["conjugate-times", "--space", "2", "2", "noncompact", "--h", "1", "0",
              "--tmax", "3"]
         )
-        assert out.returncode == 0
-        assert json.loads(out.stdout) == {"times": []}
+        assert code == 0
+        assert json.loads(out) == {"times": []}
 
     @pytest.mark.parametrize(
         "args",
@@ -197,44 +204,44 @@ class TestLociCommands:
     )
     def test_compact_only_on_dual(self, args):
         # the space is checked before any principal angle is taken
-        out = run_cli(args)
-        assert out.returncode == 1
-        error = json.loads(out.stdout)["error"]
+        code, out, _ = run_main(args)
+        assert code == 1
+        error = json.loads(out)["error"]
         assert error["type"] == "PreconditionError"
         assert "compact space" in error["message"]
 
     def test_conjugate_times_projective_plane(self):
-        out = run_cli(
+        _, out, _ = run_main(
             ["conjugate-times", "--space", "1", "2", "compact",
              "--h", "1.0", "--tmax", "3.2"]
         )
-        times = json.loads(out.stdout)["times"]
+        times = json.loads(out)["times"]
         assert [(t["family"], t["multiplicity"]) for t in times] == [
             ("T2", 1), ("T3", 3),
         ]
 
     def test_h_autonormalized(self):
-        out = run_cli(
+        _, out, _ = run_main(
             ["conjugate-times", "--space", "2", "2", "compact",
              "--h", "8", "6", "--tmax", "3.0"]
         )
-        times = json.loads(out.stdout)["times"]
+        times = json.loads(out)["times"]
         assert abs(times[0]["t"] - np.pi / 1.6) < 1e-12
 
     def test_no_normalize_rejects_bad_h(self):
-        out = run_cli(
+        code, _, _ = run_main(
             ["conjugate-times", "--space", "2", "2", "compact",
              "--h", "8", "6", "--tmax", "3.0", "--no-normalize"]
         )
-        assert out.returncode == 1
+        assert code == 1
 
     def test_conjugate_scan_csv(self):
         # a 16-point grid up to pi lands exactly on both predicted times
-        out = run_cli(
+        _, out, _ = run_main(
             ["conjugate-scan", "--space", "1", "1", "compact",
              "--h", "1.0", "--tmax", repr(np.pi), "--points", "16"]
         )
-        lines = out.stdout.strip().splitlines()
+        lines = out.strip().splitlines()
         assert lines[0] == "t,min_singular_normalized,predicted_flag"
         assert len(lines) == 17
         rows = [line.split(",") for line in lines[1:]]
@@ -245,21 +252,21 @@ class TestLociCommands:
         assert min(unflagged) > 1e-2
 
     def test_cut_test_seeded(self):
-        out = run_cli(
+        _, out, _ = run_main(
             ["cut-test", "--space", "2", "2", "compact", "--seed", "7"]
         )
-        payload = json.loads(out.stdout)
+        payload = json.loads(out)
         assert payload["branch"] in ("chart", "polar-divisor", "near-divisor")
 
     def test_schubert_membership(self, tmp_path):
         F = np.zeros((4, 2), dtype=complex)
         F[2, 0] = F[0, 1] = 1.0
         doc = write_doc(tmp_path / "f.json", F)
-        out = run_cli(
+        _, out, _ = run_main(
             ["schubert", "--space", "2", "2", "compact", "--frame", doc,
              "--omega", "1", "2", "--flag", "dual"]
         )
-        payload = json.loads(out.stdout)
+        payload = json.loads(out)
         assert payload["in_variety"] is True
         assert payload["sigma"] == [2, 4]
 
@@ -267,17 +274,17 @@ class TestLociCommands:
         F = np.zeros((4, 2), dtype=complex)
         F[0, 0] = F[2, 1] = 1.0
         doc = write_doc(tmp_path / "f.json", F)
-        out = run_cli(["strata", "--space", "2", "2", "compact", "--frame", doc])
-        payload = json.loads(out.stdout)
+        _, out, _ = run_main(["strata", "--space", "2", "2", "compact", "--frame", doc])
+        payload = json.loads(out)
         assert payload["stratum_W"] is True
         assert abs(payload["angles_with_origin"][1] - np.pi / 2) < 1e-12
 
     def test_isoclinic_seeded_lines(self):
-        out = run_cli(
+        _, out, _ = run_main(
             ["isoclinic", "--space", "1", "2", "compact",
              "--seed1", "3", "--seed2", "4"]
         )
-        assert json.loads(out.stdout)["isoclinic"] is True
+        assert json.loads(out)["isoclinic"] is True
 
 
 class TestAlgebraCommands:
@@ -285,8 +292,8 @@ class TestAlgebraCommands:
         F = np.zeros((4, 2), dtype=complex)
         F[0, 0] = F[1, 1] = 1.0
         doc = write_doc(tmp_path / "f.json", F)
-        out = run_cli(["plucker", "--space", "2", "2", "compact", "--frame", doc])
-        payload = json.loads(out.stdout)
+        _, out, _ = run_main(["plucker", "--space", "2", "2", "compact", "--frame", doc])
+        payload = json.loads(out)
         assert payload["subsets"][0] == [0, 1]
         assert payload["components"][0] == [1.0, 0.0]
 
@@ -294,29 +301,29 @@ class TestAlgebraCommands:
         F = np.zeros((4, 2), dtype=complex)
         F[0, 0] = F[3, 1] = 1.0
         doc = write_doc(tmp_path / "f.json", F)
-        out = run_cli(
+        _, out, _ = run_main(
             ["energy", "--space", "2", "2", "compact", "--frame", doc,
              "--eps", "4", "3", "2", "1"]
         )
-        assert json.loads(out.stdout)["energy"] == 5.0
+        assert json.loads(out)["energy"] == 5.0
 
     def test_critical_points_default_eps(self):
-        out = run_cli(["critical-points", "--space", "2", "2", "compact"])
-        payload = json.loads(out.stdout)
+        _, out, _ = run_main(["critical-points", "--space", "2", "2", "compact"])
+        payload = json.loads(out)
         assert payload["count"] == 6
         assert max(p["value"] for p in payload["points"]) == 7.0
 
     def test_degenerate_eps_is_error(self):
-        out = run_cli(
+        code, out, _ = run_main(
             ["critical-points", "--space", "2", "2", "compact",
              "--eps", "1", "1", "2", "3"]
         )
-        assert out.returncode == 1
-        assert json.loads(out.stdout)["error"]["type"] == "DegenerateSpectrumError"
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DegenerateSpectrumError"
 
     def test_char_numbers(self):
-        out = run_cli(["char-numbers", "--space", "2", "3", "compact"])
-        payload = json.loads(out.stdout)
+        _, out, _ = run_main(["char-numbers", "--space", "2", "3", "compact"])
+        payload = json.loads(out)
         assert payload["all_equal"] is True
         assert payload["euler"] == 10
 
@@ -324,31 +331,26 @@ class TestAlgebraCommands:
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         doc = write_doc(tmp_path / "b.json", [[0.2, 0.5], [0.1, -0.3]])
-        args = ["exp", "--space", "2", "2", "compact", "--input", doc, "--verify"]
-        first = run_cli(args)
-        second = run_cli(args)
+        args = [*CLI, "exp", "--space", "2", "2", "compact", "--input", doc, "--verify"]
+        first = run_process(args)
+        second = run_process(args)
         assert first.stdout == second.stdout
-        assert first.stdout.endswith("\n")
+        assert first.stdout.endswith(b"\n")
 
     def test_seeded_frames_reproducible(self):
         args = ["plucker", "--space", "2", "2", "compact", "--seed", "11"]
-        assert run_cli(args).stdout == run_cli(args).stdout
+        assert run_main(args)[1] == run_main(args)[1]
 
     def test_tol_env_override(self, tmp_path):
         F = np.zeros((4, 2), dtype=complex)
         F[2, 0] = F[3, 1] = 1.0
         doc = write_doc(tmp_path / "f.json", F)
-        env = dict(os.environ, GRASSGEO_TOL="bogus")
-        out = run_cli(
-            ["cut-test", "--space", "2", "2", "compact", "--frame", doc], env=env
-        )
+        args = [*CLI, "cut-test", "--space", "2", "2", "compact", "--frame", doc]
+        out = run_process(args, env={"GRASSGEO_TOL": "bogus"})
         assert out.returncode == 1
         assert json.loads(out.stdout)["error"]["type"] == "PreconditionError"
-        assert out.stderr == ""
-        env["GRASSGEO_TOL"] = "1e-6"
-        out = run_cli(
-            ["cut-test", "--space", "2", "2", "compact", "--frame", doc], env=env
-        )
+        assert out.stderr == b""
+        out = run_process(args, env={"GRASSGEO_TOL": "1e-6"})
         assert out.returncode == 0
         assert json.loads(out.stdout)["on_cut_locus"] is True
 

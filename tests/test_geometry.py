@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -16,7 +13,6 @@ from grassgeo.errors import (
     WrongChartError,
 )
 from grassgeo.geometry import (
-    apply_isometry,
     chart_of_frame,
     chart_transition,
     distance,
@@ -37,7 +33,7 @@ from grassgeo.spaces import (
     TangentVector,
     origin_frame,
 )
-from conftest import random_chart_point_rng, random_plane_rng, random_tangent_rng
+from conftest import random_chart_point_rng, random_plane_rng, random_tangent_rng, run_process
 
 
 def zero_point(space):
@@ -391,9 +387,7 @@ class TestGeodesicOracleIndependence:
 
     def test_geometry_does_not_import_scipy(self):
         code = "import sys, grassgeo.geometry; sys.exit('scipy' in sys.modules)"
-        src = os.path.dirname(os.path.dirname(geometry.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert run_process(["-c", code]).returncode == 0
 
 
 SIZES = [(n, m) for n in range(1, 5) for m in range(1, 5)]
@@ -432,15 +426,28 @@ class TestTransport:
             moved = g @ cholesky_frame(space, p.Z)
             assert np.max(np.abs(moved[n:])) < 1e-13
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_distance_is_homogeneous(self, n, m, eps):
+        # distance(p1, p2) = distance(O, g p2) for the g that sends p1 to O
+        space = GrassmannSpace(n, m, eps)
+        rng = np.random.default_rng(1000 + 100 * n + 10 * m + (eps > 0))
+        for _ in range(5):
+            p1, p2 = random_chart_point_rng(space, rng), random_chart_point_rng(space, rng)
+            g = transport_to_origin(space, p1)
+            moved = chart_of_frame(Frame(space, g @ frame_of_chart(p2).F))
+            d = distance(space, p1, p2)
+            assert distance(space, zero_point(space), moved) == pytest.approx(d, rel=1e-13)
+
     def test_origin_fixed(self, g24):
         g = transport_to_origin(g24, zero_point(g24))
-        moved = apply_isometry(g, origin_frame(g24))
+        moved = Frame(g24, g @ origin_frame(g24).F)
         assert np.max(principal_angles(moved.F, origin_frame(g24).F)) < 1e-10
 
     def test_maps_point_to_origin(self, g24, rng):
         p = random_chart_point_rng(g24, rng)
         g = transport_to_origin(g24, p)
-        moved = apply_isometry(g, frame_of_chart(p))
+        moved = Frame(g24, g @ frame_of_chart(p).F)
         assert np.max(principal_angles(moved.F, origin_frame(g24).F)) < 1e-10
 
     def test_preserves_principal_angles(self, g24, rng):
@@ -457,7 +464,7 @@ class TestTransport:
         g = transport_to_origin(g24_dual, p)
         J = g24_dual.j_matrix()
         assert np.max(np.abs(g.conj().T @ J @ g - J)) < 1e-9
-        moved = apply_isometry(g, frame_of_chart(p))
+        moved = Frame(g24_dual, g @ frame_of_chart(p).F)
         assert np.max(np.abs(moved.F[2:] @ np.linalg.inv(moved.F[:2]))) < 1e-9
 
 

@@ -11,7 +11,7 @@ from grassgeo.errors import (
     PreconditionError,
     UnsupportedSpaceError,
 )
-from grassgeo.geometry import apply_isometry, frame_of_chart, transport_to_origin
+from grassgeo.geometry import frame_of_chart, transport_to_origin
 from grassgeo.kernels import (
     EnergySpec,
     cayley_distance,
@@ -98,8 +98,8 @@ class TestNormalizedOverlap:
         before = normalized_overlap(g24, z1, z2).modulus
         from grassgeo.geometry import chart_of_frame
 
-        w1 = chart_of_frame(apply_isometry(g, frame_of_chart(z1)))
-        w2 = chart_of_frame(apply_isometry(g, frame_of_chart(z2)))
+        w1 = chart_of_frame(Frame(g24, g @ frame_of_chart(z1).F))
+        w2 = chart_of_frame(Frame(g24, g @ frame_of_chart(z2).F))
         after = normalized_overlap(g24, w1, w2).modulus
         assert abs(before - after) < 1e-10
 

@@ -59,18 +59,19 @@ def test_gram_checks_per_call(gram_checks, monkeypatch):
     p1, p2 = random_chart_point_rng(G24, rng), random_chart_point_rng(G24, rng)
     F = random_plane_rng(G24, rng)
     Q1, Q2 = random_plane_rng(G24, rng).F, F.F
-    # the two frames distance builds; the origin frame of each loci call
+    # the two frames distance builds; the loci calls read the angles with
+    # the origin off F's own blocks, so they build and check no frame
     assert _count(gram_checks, lambda: distance(G24, p1, p2)) == 2
-    assert _count(gram_checks, lambda: loci.cut_locus_test(G24, F)) == 1
-    assert _count(gram_checks, lambda: loci.conjugate_stratum_W(G24, F)) == 1
-    assert _count(gram_checks, lambda: loci.conjugate_stratum_I(G24, F)) == 1
+    assert _count(gram_checks, lambda: loci.cut_locus_test(G24, F)) == 0
+    assert _count(gram_checks, lambda: loci.conjugate_stratum_W(G24, F)) == 0
+    assert _count(gram_checks, lambda: loci.conjugate_stratum_I(G24, F)) == 0
     # raw arrays are still checked, both of them
     assert _count(gram_checks, lambda: linalg.principal_angles(Q1, Q2)) == 2
     assert _count(gram_checks, lambda: loci.isoclinic_test(F, F)) == 0
-    # strata: its own frame and the origin frame, and the angles taken once
-    angles = _record_calls(monkeypatch, "_principal_angles")
+    # strata: its own frame only, and the angles taken once
+    angles = _record_calls(monkeypatch, "_split_angles")
     strata = ["strata", "--space", "2", "2", "compact", "--seed", "5"]
-    assert _count(gram_checks, lambda: cli.main(strata)) == 2
+    assert _count(gram_checks, lambda: cli.main(strata)) == 1
     assert len(angles) == 1
 
 
@@ -179,11 +180,12 @@ def test_as_matrix_passes_per_call(monkeypatch):
     F = random_plane_rng(G24, rng)
     Q1, Q2 = random_plane_rng(G24, rng).F, F.F
     checks = _record_calls(monkeypatch, "as_matrix")
-    # the two frames distance builds; the origin frame of cut_locus_test; the
-    # chart point or tangent vector each call builds; the two raw frames
+    # the two frames distance builds; none for cut_locus_test, which reads
+    # F's blocks; the chart point or tangent vector each call builds; the two
+    # raw frames
     assert _count(checks, lambda: distance(G24, p1, p2)) == 2
     assert _count(checks, lambda: distance(G24_DUAL, P24_DUAL, P24_DUAL)) == 0
-    assert _count(checks, lambda: loci.cut_locus_test(G24, F)) == 1
+    assert _count(checks, lambda: loci.cut_locus_test(G24, F)) == 0
     assert _count(checks, lambda: ChartPoint(G24_DUAL, P24_DUAL.Z)) == 1
     assert _count(checks, lambda: loci.dexp_min_singular(G24, B24, 1.0)) == 1
     assert _count(checks, lambda: chart_of_frame(F)) == 1

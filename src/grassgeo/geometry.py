@@ -8,6 +8,8 @@ kernel in the coherent-state module relies on this identity verbatim.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -187,14 +189,19 @@ def geodesic_ode(
     again in R[C].  Psi(0) and Phi(0) lie in R[C], and an RK4 stage takes
     only sums, products and one inverse, so every iterate stays there
     (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. IV).
-    R[C] has dimension k at most, with Cayley-Hamilton reducing C^k, so the
-    run is on k real numbers per coefficient in Python floats for k = 1
-    (_rk4_row), k = 2 (_rk4_pair) and k = 3 (_rk4_triple); k >= 4 steps
-    the full complex k x k block (_rk4_block).  Against a 50-digit oracle
-    the power basis I, C, C^2 lost nothing to the block at k = 3 (4000
-    steps, both signs): rank-one C 1.5e-13 against 1.2e-13, rank-two C
-    1.9e-13 against 1.6e-13, singular values 1e-4 apart 8.8e-13 against
-    1.4e-12.
+    R[C] has dimension k at most, so the run is on k real numbers per
+    coefficient in Python floats for k <= 3.  For k = 1 (_rk4_row) and
+    k = 2 (_rk4_pair) they are the coordinates on the orthogonal
+    idempotents of C, taken from its entries without an eigensolver, where
+    R[C] multiplies componentwise: one or two runs of the scalar equation
+    (_rk4_scalar).  k = 3 (_rk4_triple) keeps the power basis I, C, C^2,
+    with Cayley-Hamilton reducing C^3; k >= 4 steps the full complex k x k
+    block (_rk4_block).  Against a 50-digit oracle (4000 steps, both signs)
+    the power basis lost nothing to the block at k = 3: rank-one C 1.5e-13
+    against 1.2e-13, rank-two C 1.9e-13 against 1.6e-13, singular values
+    1e-4 apart 8.8e-13 against 1.4e-12.  At k = 2 on the dual it lost the
+    answer once the singular values of B spread (1.3 at sigma = (15, 3),
+    1.3e-5 at (12, 0.5)); the idempotents give 1.7e-15 and 5.6e-16 there.
 
     Entries of Z that pass BLOWUP_LIMIT or stop being finite (a compact
     geodesic crossing a tan pole) raise LeftChartError, without
@@ -234,15 +241,17 @@ def _check_in_chart(Z: np.ndarray) -> None:
         raise LeftChartError("geodesic left the chart during integration")
 
 
-def _rk4_row(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
-    """RK4 for a 1 x l chart point Z = x V, in Python floats.
+def _rk4_scalar(beta: float, eps: int, h: float, steps: int, scale: float) -> float:
+    """x(steps h) for x' = y, y' = 2 eps beta x y^2 / (1 + eps beta x^2),
+    x(0) = 0, y(0) = 1, by RK4 in Python floats.
 
-    With k = 1, C = beta = |V|^2 and the coefficients Psi, Phi stay real
-    scalars x, y: x' = y, y' = 2 eps beta x y^2 / (1 + eps beta x^2),
-    x(0) = 0, y(0) = 1.  No numpy call is made per step.  A stage where
-    1 + eps beta x^2 vanishes (possible on the dual only) leaves the chart.
+    This is the coefficient equation where C acts as the scalar beta: the
+    k = 1 row (beta = |V|^2) and each idempotent of the k = 2 pair.  No
+    numpy call is made per step.  Every 64 steps |x| scale, with scale the
+    largest entry of the matrix that x multiplies, must stay within
+    BLOWUP_LIMIT (NaN fails too).  A stage where 1 + eps beta x^2 vanishes
+    (possible on the dual only) leaves the chart.
     """
-    beta = float(np.vdot(V, V).real)
     c, e = 2.0 * eps * beta, eps * beta
     p, sixth = 0.5 * h, h / 6.0
     x, y = 0.0, 1.0
@@ -257,66 +266,50 @@ def _rk4_row(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
             a4 = c * x4 * y4 * y4 / (1.0 + e * x4 * x4)
             x += sixth * (y + 2.0 * (y2 + y3) + y4)
             y += sixth * (a1 + 2.0 * (a2 + a3) + a4)
-            if step % 64 == 0:
-                _check_in_chart(x * V)
+            if step % 64 == 0 and not abs(x) * scale <= BLOWUP_LIMIT:
+                raise LeftChartError("geodesic left the chart during integration")
     except ZeroDivisionError:
         raise LeftChartError("integration left the chart: singular stage Gram factor") from None
-    Z = x * V
+    return x
+
+
+def _rk4_row(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
+    """RK4 for a 1 x l chart point Z = x V: _rk4_scalar at beta = |V|^2."""
+    beta = float(np.vdot(V, V).real)
+    Z = _rk4_scalar(beta, eps, h, steps, float(np.abs(V).max())) * V
     _check_in_chart(Z)
     return Z
 
 
 def _rk4_pair(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
-    """RK4 for a 2 x l chart point Z = Psi V on the algebra R[C], in Python floats.
+    """RK4 for a 2 x l chart point Z = Psi V on the algebra R[C], as two scalar runs.
 
-    Psi and Phi stay in R[C] = {a I + b C : a, b real} (see geodesic_ode), so
-    they are carried as x = x0 + x1 C and y = y0 + y1 C, with
-    x' = y, y' = 2 eps C x y^2 (1 + eps C x^2)^{-1}, x(0) = 0, y(0) = 1:
-    _rk4_row's equation with beta replaced by C.  By Cayley-Hamilton
-    C^2 = tau C - delta I (tau = tr C, delta = det C), so that
-    (a0 + a1 C)(b0 + b1 C) = (a0 b0 - delta a1 b1) + (a0 b1 + a1 b0 + tau a1 b1) C
-    and (g0 + g1 C)^{-1} = ((g0 + tau g1) - g1 C) / (g0^2 + tau g0 g1 + delta g1^2).
-    No numpy call is made per step.  A stage where that norm vanishes
-    (possible on the dual only) leaves the chart.
+    Psi and Phi stay in R[C] = {a I + b C : a, b real} (see geodesic_ode).
+    With K = C - (tr C / 2) I and r = hypot(K00, |K01|), K^2 = r^2 I, so
+    E+- = (I +- K / r) / 2 are orthogonal idempotents with E+ + E- = I and
+    C = beta+ E+ + beta- E-, beta+ = tr C / 2 + r.  In that basis R[C]
+    multiplies componentwise, so x = x+ E+ + x- E- takes two _rk4_scalar
+    runs, at beta+ and at beta- = det C / beta+ (Vieta: tr C / 2 - r
+    cancels when the singular values of V differ in scale).  Z is built as
+    x+ (E+ V) + x- (E- V), not as (x+ + x-) V / 2 + (x+ - x-) K V / (2 r),
+    whose two terms cancel once x+ and x- differ in scale; when r = 0, C is
+    a multiple of I and E+- V = V / 2.  C and r are taken from the entries
+    of V, with no numpy call per step.
     """
-    C = V @ V.conj().T
-    CV = C @ V
-    tau = float(C[0, 0].real + C[1, 1].real)
-    delta = float(C[0, 0].real * C[1, 1].real - abs(C[0, 1]) ** 2)
-    c = 2.0 * eps
-
-    def accel(x0, x1, y0, y1):
-        # 2 eps u g^{-1}, with u = C x y^2 and g = 1 + eps C x^2, in the basis (I, C)
-        q0, q1 = x0 * x0 - delta * x1 * x1, 2.0 * x0 * x1 + tau * x1 * x1
-        g0, g1 = 1.0 - eps * delta * q1, eps * (q0 + tau * q1)
-        r0, r1 = y0 * y0 - delta * y1 * y1, 2.0 * y0 * y1 + tau * y1 * y1
-        w0, w1 = x0 * r0 - delta * x1 * r1, x0 * r1 + x1 * r0 + tau * x1 * r1
-        u0, u1 = -delta * w1, w0 + tau * w1
-        d = c / (g0 * g0 + tau * g0 * g1 + delta * g1 * g1)
-        i0, i1 = (g0 + tau * g1) * d, -g1 * d
-        return u0 * i0 - delta * u1 * i1, u0 * i1 + u1 * i0 + tau * u1 * i1
-
-    p, sixth = 0.5 * h, h / 6.0
-    x0 = x1 = y1 = 0.0
-    y0 = 1.0
-    try:
-        for step in range(steps):
-            a10, a11 = accel(x0, x1, y0, y1)
-            y20, y21 = y0 + p * a10, y1 + p * a11
-            a20, a21 = accel(x0 + p * y0, x1 + p * y1, y20, y21)
-            y30, y31 = y0 + p * a20, y1 + p * a21
-            a30, a31 = accel(x0 + p * y20, x1 + p * y21, y30, y31)
-            y40, y41 = y0 + h * a30, y1 + h * a31
-            a40, a41 = accel(x0 + h * y30, x1 + h * y31, y40, y41)
-            x0 += sixth * (y0 + 2.0 * (y20 + y30) + y40)
-            x1 += sixth * (y1 + 2.0 * (y21 + y31) + y41)
-            y0 += sixth * (a10 + 2.0 * (a20 + a30) + a40)
-            y1 += sixth * (a11 + 2.0 * (a21 + a31) + a41)
-            if step % 64 == 0:
-                _check_in_chart(x0 * V + x1 * CV)
-    except ZeroDivisionError:
-        raise LeftChartError("integration left the chart: singular stage Gram factor") from None
-    Z = x0 * V + x1 * CV
+    c00, c11 = (float(np.vdot(row, row).real) for row in V)
+    c01 = complex(np.vdot(V[1], V[0]))
+    k00 = 0.5 * (c00 - c11)
+    r = math.hypot(k00, abs(c01))
+    beta_p = 0.5 * (c00 + c11) + r
+    if r == 0.0:
+        beta_m, EpV, EmV = beta_p, 0.5 * V, 0.5 * V
+    else:
+        beta_m = (c00 * c11 - abs(c01) ** 2) / beta_p
+        KV = (np.array([[k00, c01], [c01.conjugate(), -k00]]) / r) @ V
+        EpV, EmV = 0.5 * (V + KV), 0.5 * (V - KV)
+    x_p = _rk4_scalar(beta_p, eps, h, steps, float(np.abs(EpV).max()))
+    x_m = _rk4_scalar(beta_m, eps, h, steps, float(np.abs(EmV).max()))
+    Z = x_p * EpV + x_m * EmV
     _check_in_chart(Z)
     return Z
 
@@ -324,19 +317,23 @@ def _rk4_pair(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
 def _rk4_triple(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
     """RK4 for a 3 x l chart point Z = Psi V on the algebra R[C], in Python floats.
 
-    _rk4_pair one dimension up: x = x0 + x1 C + x2 C^2, y likewise, on the
-    same equation.  By Cayley-Hamilton C^3 = e1 C^2 - e2 C + e3 I, where
+    Psi and Phi are carried in the power basis as x = x0 + x1 C + x2 C^2, y
+    likewise, with x' = y, y' = 2 eps C x y^2 (1 + eps C x^2)^{-1},
+    x(0) = 0, y(0) = 1.  By Cayley-Hamilton C^3 = e1 C^2 - e2 C + e3 I, where
     e1 = tr C, e2 is the sum of the principal 2 x 2 minors and e3 = det C,
     all taken from the entries of the Hermitian C.  A product reduces its
     C^4 and C^3 terms with that identity; the inverse of g = 1 + eps C x^2
     is the first column of the inverse of its multiplication matrix
-    [g, g C, g C^2], by Cramer's rule.  No numpy call is made per step.  A
-    stage where that determinant, det(g), vanishes (possible on the dual
-    only) leaves the chart.
+    [g, g C, g C^2], by Cramer's rule.  No numpy call is made per step: the
+    64-step chart test forms Z only when the Python-float bound
+    sum |x_i| max |C^i V| on its entries passes BLOWUP_LIMIT.  A stage where
+    that determinant, det(g), vanishes (possible on the dual only) leaves
+    the chart.
     """
     C = V @ V.conj().T
     CV = C @ V
     CCV = C @ CV
+    m0, m1, m2 = (float(np.abs(W).max()) for W in (V, CV, CCV))
     d0, d1, d2 = (float(C[i, i].real) for i in range(3))
     s01, s02, s12 = (float(abs(C[i, j]) ** 2) for i, j in ((0, 1), (0, 2), (1, 2)))
     e1 = d0 + d1 + d2
@@ -396,7 +393,7 @@ def _rk4_triple(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
             y0 += sixth * (a10 + 2.0 * (a20 + a30) + a40)
             y1 += sixth * (a11 + 2.0 * (a21 + a31) + a41)
             y2 += sixth * (a12 + 2.0 * (a22 + a32) + a42)
-            if step % 64 == 0:
+            if step % 64 == 0 and not abs(x0) * m0 + abs(x1) * m1 + abs(x2) * m2 <= BLOWUP_LIMIT:
                 _check_in_chart(x0 * V + x1 * CV + x2 * CCV)
     except ZeroDivisionError:
         raise LeftChartError("integration left the chart: singular stage Gram factor") from None

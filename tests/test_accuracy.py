@@ -117,32 +117,50 @@ _U3 = np.array([[0.6, 0.8j, 0.0], [0.8j, 0.6, 0.0], [0.0, 0.0, 1.0]]) @ np.array
 _W34 = np.array([[0.6, 0.0, 0.8j, 0.0], [0.0, 0.8, 0.0, 0.6j], [0.8j, 0.0, 0.6, 0.0]])
 
 # (region, directions, observed worst entrywise deviation at t = 1 with
-# 4000 steps, bound).  The last seven rows are k = 2 and k = 3 inputs whose
-# C = B B^dagger is degenerate: rank one or two (det C cancels to rounding),
-# a multiple of I (a repeated eigenvalue), and nearly rank one (k = 2) or
-# with two eigenvalues 1e-4 apart (k = 3)
+# 4000 steps, bound).  From rank-one-C on, the rows are k = 2 and k = 3
+# inputs whose C = B B^dagger is degenerate or spread: rank one or two
+# (det C cancels to rounding), a multiple of I (a repeated eigenvalue),
+# nearly rank one, dual singular values that differ in scale (where the
+# k = 2 power basis I, C lost up to 1.3 or raised LeftChartError), two
+# eigenvalues 1e-9 apart (k = 2, which splits C into idempotents) and 1e-4
+# apart (k = 3)
 ODE_ACCURACY = [
-    ("criterion-1-configurations", _criterion_1_directions, 2.3e-15, 2e-14),
+    ("criterion-1-configurations", _criterion_1_directions, 6.3e-15, 2e-14),
     ("complex-1x3", _direction(1, 3, (1,), [[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]]), 4.0e-16, 4e-15),
     (
         "dual-norm-3",
         _direction(2, 3, (-1,), [[1.0 + 0.5j, 0.3, -0.2j], [0.1j, -0.6, 0.4 + 0.2j]], norm2=3.0),
-        5.2e-15,
+        2.6e-15,
         5e-14,
     ),
     (
         "rank-one-C",
         _direction(2, 3, BOTH, np.outer([1.0, 0.6 + 0.8j], [0.5 - 0.3j, 0.2j, -0.4 + 0.1j])),
-        6.6e-14,
+        1.4e-14,
         7e-13,
     ),
     (
         "C-multiple-of-I",
         _direction(2, 3, BOTH, 0.7 / np.sqrt(2) * np.array([[1.0, 1j, 0.0], [1j, 1.0, 0.0]])),
-        2.1e-15,
+        3.8e-15,
         2e-14,
     ),
-    ("sigma-1.3-1e-4", _direction(2, 3, BOTH, _U2 @ np.diag([1.3, 1e-4]) @ _W23), 8.8e-13, 9e-12),
+    ("sigma-1.3-1e-4", _direction(2, 3, BOTH, _U2 @ np.diag([1.3, 1e-4]) @ _W23), 8.7e-13, 9e-12),
+    ("dual-sigma-15-3", _direction(2, 3, (-1,), _U2 @ np.diag([15.0, 3.0]) @ _W23), 1.7e-15, 2e-14),
+    (
+        "dual-sigma-15-0.01",
+        _direction(2, 3, (-1,), _U2 @ np.diag([15.0, 0.01]) @ _W23),
+        2.2e-16,
+        2e-14,
+    ),
+    ("dual-sigma-12-0.5", _direction(2, 3, (-1,), _U2 @ np.diag([12, 0.5]) @ _W23), 5.6e-16, 2e-14),
+    ("dual-diag-300-0.2", _direction(2, 2, (-1,), np.diag([300.0, 0.2])), 3.3e-16, 2e-14),
+    (
+        "sigma-1.2-1e-9-apart",
+        _direction(2, 3, BOTH, _U2 @ np.diag([1.2, 1.2 - 1e-9]) @ _W23),
+        1.4e-13,
+        1.5e-12,
+    ),
     (
         "k3-rank-one-C",
         _direction(

@@ -118,6 +118,18 @@ class TestRoundTripCommands:
         )
         assert json.loads(out)["max_abs_diff"] < 1e-7
 
+    def test_geodesic_check_dual_spread_singular_values(self, tmp_path):
+        # sigma(B) = (15, 0.01): the k = 2 oracle runs one scalar equation
+        # per singular value of B, so their spread costs it no accuracy
+        U = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+        W = np.array([[0.6, 0.0, 0.8j], [0.0, 1.0, 0.0]])
+        doc = write_doc(tmp_path / "b.json", U @ np.diag([15.0, 0.01]) @ W)
+        code, out, _ = run_main(
+            ["geodesic-check", "--space", "2", "3", "noncompact", "--input", doc]
+        )
+        assert code == 0
+        assert json.loads(out)["max_abs_diff"] < 1e-13
+
     @pytest.mark.parametrize("kind", ["compact", "noncompact"])
     @pytest.mark.parametrize("cmd", [["geodesic-check"], ["exp", "--verify"]])
     def test_zero_time_reaches_origin(self, tmp_path, cmd, kind):

@@ -165,6 +165,19 @@ class TestLog:
             assert np.max(np.abs(again.Z - p.Z)) < 1e-10
 
 
+def assert_dual_pair_at_1000(Z):
+    # geodesic_ode on the dual at B = diag(1000, 0.2) (padded with zeros),
+    # t = 1, 4000 steps: the k = 1 row's value at 1000, bit for bit, and
+    # tanh(0.2), with every other entry exactly zero
+    line = GrassmannSpace(1, 1, -1)
+    row = geodesic_ode(line, TangentVector(line, [[1000.0]]), 1.0, 4000).Z[0, 0]
+    assert Z[0, 0] == row == 0.9999999999999998
+    assert abs(Z[1, 1] - np.tanh(0.2)) < 4e-16
+    Z = Z.copy()
+    Z[0, 0] = Z[1, 1] = 0.0
+    assert not Z.any()
+
+
 class TestGeodesicOde:
     def test_zero_stays_zero(self, g24):
         out = geodesic_ode(g24, TangentVector(g24, np.zeros((2, 2))), 1.0, 200)
@@ -247,10 +260,14 @@ class TestGeodesicOde:
     )
     def test_singular_stage_gram_leaves_chart(self, n, m):
         # a fast noncompact tangent drives a stage Gram matrix singular;
-        # that must be a typed error, not numpy's LinAlgError
+        # that must be a typed error, not numpy's LinAlgError.  k = 2 runs
+        # the scalar equation once per singular value and stays in the chart
         space = GrassmannSpace(n, m, epsilon=-1)
         B = np.zeros((n, m))
         np.fill_diagonal(B, (1000.0, 0.2, 0.1, 0.05)[:n])
+        if n == 2:
+            assert_dual_pair_at_1000(geodesic_ode(space, TangentVector(space, B), 1.0, 4000).Z)
+            return
         with pytest.raises(LeftChartError, match="integration"):
             geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
 
@@ -261,7 +278,8 @@ class TestGeodesicOde:
     @pytest.mark.parametrize(
         "tail, b, hB",
         [
-            pytest.param([0.2], 1000.0, "0.25", id="1000.0-0.25"),
+            pytest.param([0.2], 1000.0, None, id="1000.0-0.25"),
+            pytest.param([0.2], 2000.0, "0.5", id="2000.0-0.5"),
             pytest.param([0.2], 4000.0, "1", id="4000.0-1"),
             pytest.param([0.2, 0.1], 1000.0, "0.25", id="k3-1000.0-0.25"),
             pytest.param([0.2, 0.1], 4000.0, "1", id="k3-4000.0-1"),
@@ -272,10 +290,15 @@ class TestGeodesicOde:
     def test_noncompact_failure_names_the_step(self, tail, b, hB):
         # the exact noncompact geodesic stays in the bounded domain, so both
         # failures (singular stage Gram matrix at b = 1000, blow-up at
-        # b = 4000) must blame the step h |B|_2 and ask for more steps
+        # b = 4000) must blame the step h |B|_2 and ask for more steps; k = 2
+        # takes h |B|_2 = 0.25 without failing (hB None), and at 0.5 a stage
+        # of its scalar equation at beta = 2000^2 meets 1 + eps beta x^2 = 0
         n = 1 + len(tail)
         space = GrassmannSpace(n, n, epsilon=-1)
         B = TangentVector(space, np.diag([b, *tail]))
+        if hB is None:
+            assert_dual_pair_at_1000(geodesic_ode(space, B, 1.0, 4000).Z)
+            return
         with pytest.raises(LeftChartError, match=rf"integration.* = {hB};.*raise steps"):
             geodesic_ode(space, B, 1.0, 4000)
 
@@ -306,6 +329,31 @@ class TestGeodesicOracleIndependence:
         # the oracle does not move with the closed form, the comparison fails
         assert np.array_equal(geodesic_ode(space, B, 1.0, 4000).Z, ode)
         assert np.max(np.abs(ode - exp0(space, B).Z)) > 1e-4
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_reversed_singular_values_fail_the_comparison(self, eps, n, monkeypatch):
+        # exp0 pairing ta of the singular values with the wrong singular
+        # vectors; the oracle takes no singular value, so it does not move
+        space = GrassmannSpace(n, 3, epsilon=eps)  # k = min(n, m) = n
+        B = random_tangent_rng(space, generator(n), max_norm=1.0)
+        ode = geodesic_ode(space, B, 1.0, 4000).Z
+        assert np.max(np.abs(ode - exp0(space, B).Z)) < 1e-6
+        original = geometry.apply_spectral
+
+        def reversed_spectral(M, f):
+            return original(M, lambda s: f(s[::-1]))
+
+        monkeypatch.setattr(geometry, "apply_spectral", reversed_spectral)
+        assert np.array_equal(geodesic_ode(space, B, 1.0, 4000).Z, ode)
+        assert np.max(np.abs(ode - exp0(space, B).Z)) > 1e-4
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_pair_with_zero_row_is_the_row(self, eps):
+        v = np.array([[0.3 + 0.2j, -0.4, 0.1j]])
+        pair = geometry._rk4_pair(np.vstack([v, 0 * v]), eps, 1.0 / 4000, 4000)
+        assert np.array_equal(pair[:1], geometry._rk4_row(v, eps, 1.0 / 4000, 4000))
+        assert not pair[1].any()
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_row_and_block_integrators_agree(self, eps):

@@ -189,19 +189,19 @@ def geodesic_ode(
     again in R[C].  Psi(0) and Phi(0) lie in R[C], and an RK4 stage takes
     only sums, products and one inverse, so every iterate stays there
     (Hairer, Lubich & Wanner, Geometric Numerical Integration, ch. IV).
-    R[C] has dimension k at most, so the run is on k real numbers per
-    coefficient in Python floats for k <= 3.  For k = 1 (_rk4_row) and
-    k = 2 (_rk4_pair) they are the coordinates on the orthogonal
-    idempotents of C, taken from its entries without an eigensolver, where
-    R[C] multiplies componentwise: one or two runs of the scalar equation
-    (_rk4_scalar).  k = 3 (_rk4_triple) keeps the power basis I, C, C^2,
-    with Cayley-Hamilton reducing C^3; k >= 4 steps the full complex k x k
-    block (_rk4_block).  Against a 50-digit oracle (4000 steps, both signs)
-    the power basis lost nothing to the block at k = 3: rank-one C 1.5e-13
-    against 1.2e-13, rank-two C 1.9e-13 against 1.6e-13, singular values
-    1e-4 apart 8.8e-13 against 1.4e-12.  At k = 2 on the dual it lost the
-    answer once the singular values of B spread (1.3 at sigma = (15, 3),
-    1.3e-5 at (12, 0.5)); the idempotents give 1.7e-15 and 5.6e-16 there.
+    R[C] has dimension k at most, so for k <= 3 the run is in Python floats
+    on the coordinates of Psi and Phi along the orthogonal idempotents of
+    C, taken from its entries without an eigensolver, where R[C]
+    multiplies componentwise: one to three runs of the scalar equation
+    (_rk4_scalar), for k = 1 (_rk4_row), k = 2 (_rk4_pair) and k = 3
+    (_rk4_triple).  k >= 4 steps the full complex k x k block (_rk4_block).
+    Against a 50-digit oracle (4000 steps, both signs) the k = 3 runs lose
+    nothing to the block: rank-one C 9.4e-14 against 1.2e-13, rank-two C
+    1.2e-13 against 1.6e-13, singular values 1e-4 apart 9.0e-13 against
+    1.4e-12.  The power bases I, C and I, C, C^2 they replaced lost the
+    answer on the dual once the singular values of B spread (1.3 at
+    sigma = (15, 3), 1.2 at (12, 0.5, 0.1)); the idempotents give 1.7e-15
+    and 2.1e-15 there.
 
     Entries of Z that pass BLOWUP_LIMIT or stop being finite (a compact
     geodesic crossing a tan pole) raise LeftChartError, without
@@ -246,7 +246,7 @@ def _rk4_scalar(beta: float, eps: int, h: float, steps: int, scale: float) -> fl
     x(0) = 0, y(0) = 1, by RK4 in Python floats.
 
     This is the coefficient equation where C acts as the scalar beta: the
-    k = 1 row (beta = |V|^2) and each idempotent of the k = 2 pair.  No
+    k = 1 row (beta = |V|^2) and each idempotent of C for k = 2 and 3.  No
     numpy call is made per step.  Every 64 steps |x| scale, with scale the
     largest entry of the matrix that x multiplies, must stay within
     BLOWUP_LIMIT (NaN fails too).  A stage where 1 + eps beta x^2 vanishes
@@ -315,89 +315,66 @@ def _rk4_pair(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
 
 
 def _rk4_triple(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
-    """RK4 for a 3 x l chart point Z = Psi V on the algebra R[C], in Python floats.
+    """RK4 for a 3 x l chart point Z = Psi V on the algebra R[C], as one to three scalar runs.
 
-    Psi and Phi are carried in the power basis as x = x0 + x1 C + x2 C^2, y
-    likewise, with x' = y, y' = 2 eps C x y^2 (1 + eps C x^2)^{-1},
-    x(0) = 0, y(0) = 1.  By Cayley-Hamilton C^3 = e1 C^2 - e2 C + e3 I, where
-    e1 = tr C, e2 is the sum of the principal 2 x 2 minors and e3 = det C,
-    all taken from the entries of the Hermitian C.  A product reduces its
-    C^4 and C^3 terms with that identity; the inverse of g = 1 + eps C x^2
-    is the first column of the inverse of its multiplication matrix
-    [g, g C, g C^2], by Cramer's rule.  No numpy call is made per step: the
-    64-step chart test forms Z only when the Python-float bound
-    sum |x_i| max |C^i V| on its entries passes BLOWUP_LIMIT.  A stage where
-    that determinant, det(g), vanishes (possible on the dual only) leaves
-    the chart.
+    The roots of C come from its entries by the trigonometric formula for a
+    Hermitian 3 x 3 matrix (O. K. Smith, CACM 4(4), 1961): with m = tr C / 3,
+    p = |C - m I|_F^2 / 6 and cos(3 phi) = det(C - m I) / (2 p^1.5), the
+    extreme roots are m + 2 sqrt(p) cos(phi) and m + 2 sqrt(p) cos(phi + 2 pi/3).
+    The one with the larger gap to the middle root, beta_i, takes one
+    _rk4_scalar run on E_i V, with E_i = (C - beta_j)(C - beta_k) /
+    ((beta_i - beta_j)(beta_i - beta_k)).  The other two are split as in
+    _rk4_pair, on W = V - E_i V: K = (C - b I)(I - E_i) with
+    b = (tr C - beta_i) / 2 squares to r^2 there, r = |K|_F / sqrt(2), and
+    runs at b +- r act on (W +- K W / r) / 2.  As the parts sum to V and to W
+    exactly, an error in a projector costs only the gap between the x it
+    separates, so roots 1e-9 apart stay accurate.  The pair roots are not the
+    trigonometric ones, whose gap acos resolves only to about sqrt(eps) times
+    the spread of the roots near a double root.  When all three roots
+    coincide, Z = x(m) V; when r = 0, the pair is one run at b on W.  No numpy
+    call is made per step.
     """
     C = V @ V.conj().T
-    CV = C @ V
-    CCV = C @ CV
-    m0, m1, m2 = (float(np.abs(W).max()) for W in (V, CV, CCV))
     d0, d1, d2 = (float(C[i, i].real) for i in range(3))
-    s01, s02, s12 = (float(abs(C[i, j]) ** 2) for i, j in ((0, 1), (0, 2), (1, 2)))
-    e1 = d0 + d1 + d2
-    e2 = d0 * d1 - s01 + d0 * d2 - s02 + d1 * d2 - s12
-    e3 = float(
-        d0 * d1 * d2 + 2.0 * (C[0, 1] * C[1, 2] * C[2, 0]).real
-        - d0 * s12 - d1 * s02 - d2 * s01
-    )
-    c = 2.0 * eps
+    c01, c02, c12 = complex(C[0, 1]), complex(C[0, 2]), complex(C[1, 2])
+    # abs(c) * abs(c), not ** 2: past 1e308 a float product is inf, a float power raises
+    s01, s02, s12 = (abs(c) * abs(c) for c in (c01, c02, c12))
+    tr = d0 + d1 + d2
+    m = tr / 3.0
+    a0, a1, a2 = d0 - m, d1 - m, d2 - m
+    p = (0.5 * (a0 * a0 + a1 * a1 + a2 * a2) + s01 + s02 + s12) / 3.0
 
-    def accel(x0, x1, x2, y0, y1, y2):
-        # 2 eps u g^{-1}, with u = C x y^2 and g = 1 + eps C x^2, in the basis
-        # (I, C, C^2); each product a b first folds its C^4 term into C^3
-        # (t = a1 b2 + a2 b1 + e1 a2 b2), then C^3 into I, C and C^2
-        t = 2.0 * x1 * x2 + e1 * x2 * x2
-        q0 = x0 * x0 + e3 * t
-        q1 = 2.0 * x0 * x1 + e3 * x2 * x2 - e2 * t
-        q2 = 2.0 * x0 * x2 + x1 * x1 - e2 * x2 * x2 + e1 * t
-        g0, g1, g2 = 1.0 + eps * e3 * q2, eps * (q0 - e2 * q2), eps * (q1 + e1 * q2)
-        h0, h1, h2 = e3 * g2, g0 - e2 * g2, g1 + e1 * g2  # g C
-        k0, k1, k2 = e3 * h2, h0 - e2 * h2, h1 + e1 * h2  # g C^2
-        # cofactors of the first row of [g, g C, g C^2]: g^{-1} = (n0, n1, n2) / det
-        n0, n1, n2 = h1 * k2 - h2 * k1, g2 * k1 - g1 * k2, g1 * h2 - g2 * h1
-        d = c / (g0 * n0 + h0 * n1 + k0 * n2)
-        t = 2.0 * y1 * y2 + e1 * y2 * y2
-        r0 = y0 * y0 + e3 * t
-        r1 = 2.0 * y0 * y1 + e3 * y2 * y2 - e2 * t
-        r2 = 2.0 * y0 * y2 + y1 * y1 - e2 * y2 * y2 + e1 * t
-        t = x1 * r2 + x2 * r1 + e1 * x2 * r2
-        w0 = x0 * r0 + e3 * t
-        w1 = x0 * r1 + x1 * r0 + e3 * x2 * r2 - e2 * t
-        w2 = x0 * r2 + x1 * r1 + x2 * r0 - e2 * x2 * r2 + e1 * t
-        u0, u1, u2 = e3 * w2, w0 - e2 * w2, w1 + e1 * w2  # C w
-        i0, i1, i2 = n0 * d, n1 * d, n2 * d
-        t = u1 * i2 + u2 * i1 + e1 * u2 * i2
-        return (
-            u0 * i0 + e3 * t,
-            u0 * i1 + u1 * i0 + e3 * u2 * i2 - e2 * t,
-            u0 * i2 + u1 * i1 + u2 * i0 - e2 * u2 * i2 + e1 * t,
+    def run(beta, EV):
+        return _rk4_scalar(beta, eps, h, steps, float(np.abs(EV).max())) * EV
+
+    den = 0.0
+    if p > 0.0:
+        det = (
+            a0 * a1 * a2 + 2.0 * (c01 * c12 * c02.conjugate()).real
+            - a0 * s12 - a1 * s02 - a2 * s01
         )
-
-    p, sixth = 0.5 * h, h / 6.0
-    x0 = x1 = x2 = y1 = y2 = 0.0
-    y0 = 1.0
-    try:
-        for step in range(steps):
-            a10, a11, a12 = accel(x0, x1, x2, y0, y1, y2)
-            y20, y21, y22 = y0 + p * a10, y1 + p * a11, y2 + p * a12
-            a20, a21, a22 = accel(x0 + p * y0, x1 + p * y1, x2 + p * y2, y20, y21, y22)
-            y30, y31, y32 = y0 + p * a20, y1 + p * a21, y2 + p * a22
-            a30, a31, a32 = accel(x0 + p * y20, x1 + p * y21, x2 + p * y22, y30, y31, y32)
-            y40, y41, y42 = y0 + h * a30, y1 + h * a31, y2 + h * a32
-            a40, a41, a42 = accel(x0 + h * y30, x1 + h * y31, x2 + h * y32, y40, y41, y42)
-            x0 += sixth * (y0 + 2.0 * (y20 + y30) + y40)
-            x1 += sixth * (y1 + 2.0 * (y21 + y31) + y41)
-            x2 += sixth * (y2 + 2.0 * (y22 + y32) + y42)
-            y0 += sixth * (a10 + 2.0 * (a20 + a30) + a40)
-            y1 += sixth * (a11 + 2.0 * (a21 + a31) + a41)
-            y2 += sixth * (a12 + 2.0 * (a22 + a32) + a42)
-            if step % 64 == 0 and not abs(x0) * m0 + abs(x1) * m1 + abs(x2) * m2 <= BLOWUP_LIMIT:
-                _check_in_chart(x0 * V + x1 * CV + x2 * CCV)
-    except ZeroDivisionError:
-        raise LeftChartError("integration left the chart: singular stage Gram factor") from None
-    Z = x0 * V + x1 * CV + x2 * CCV
+        phi = math.acos(max(-1.0, min(1.0, 0.5 * det / (p * math.sqrt(p))))) / 3.0
+        b1 = m + 2.0 * math.sqrt(p) * math.cos(phi)
+        b3 = m + 2.0 * math.sqrt(p) * math.cos(phi + 2.0 * math.pi / 3.0)
+        b2 = tr - b1 - b3
+        bi, bj, bk = (b1, b2, b3) if b1 - b2 >= b2 - b3 else (b3, b1, b2)
+        den = (bi - bj) * (bi - bk)
+    if den == 0.0:
+        Z = run(m, V)
+    else:
+        eye = np.eye(3)
+        Ei = ((C - bj * eye) / (bi - bj)) @ ((C - bk * eye) / (bi - bk))
+        EiV = Ei @ V
+        W = V - EiV
+        b = 0.5 * (tr - bi)
+        K = (C - b * eye) @ (eye - Ei)
+        r = math.sqrt(0.5 * float(np.vdot(K, K).real))
+        Z = run(bi, EiV)
+        if r == 0.0:
+            Z += run(b, W)
+        else:
+            KW = (K / r) @ W
+            Z += run(b + r, 0.5 * (W + KW)) + run(b - r, 0.5 * (W - KW))
     _check_in_chart(Z)
     return Z
 

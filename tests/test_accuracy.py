@@ -121,9 +121,9 @@ _W34 = np.array([[0.6, 0.0, 0.8j, 0.0], [0.0, 0.8, 0.0, 0.6j], [0.8j, 0.0, 0.6, 
 # inputs whose C = B B^dagger is degenerate or spread: rank one or two
 # (det C cancels to rounding), a multiple of I (a repeated eigenvalue),
 # nearly rank one, dual singular values that differ in scale (where the
-# k = 2 power basis I, C lost up to 1.3 or raised LeftChartError), two
-# eigenvalues 1e-9 apart (k = 2, which splits C into idempotents) and 1e-4
-# apart (k = 3)
+# power bases I, C and I, C, C^2 lost up to 1.3 or raised LeftChartError),
+# and eigenvalues 1e-9 or 1e-4 apart or exactly repeated, where the split
+# of C into idempotents is ill-conditioned or degenerate
 ODE_ACCURACY = [
     ("criterion-1-configurations", _criterion_1_directions, 6.3e-15, 2e-14),
     ("complex-1x3", _direction(1, 3, (1,), [[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]]), 4.0e-16, 4e-15),
@@ -166,24 +166,66 @@ ODE_ACCURACY = [
         _direction(
             3, 4, BOTH, np.outer([1.0, 0.6 + 0.8j, -0.5j], [0.5 - 0.3j, 0.2j, -0.4 + 0.1j, 0.3])
         ),
-        1.5e-13,
+        9.4e-14,
         1.5e-12,
     ),
-    ("k3-rank-two-C", _direction(3, 4, BOTH, _U3 @ np.diag([1.2, 0.7, 0.0]) @ _W34), 1.9e-13, 2e-12),
+    ("k3-rank-two-C", _direction(3, 4, BOTH, _U3 @ np.diag([1.2, 0.7, 0.0]) @ _W34), 1.2e-13, 2e-12),
     (
         "k3-C-multiple-of-I",
         _direction(
             3, 4, BOTH,
             0.7 / np.sqrt(2) * np.array([[1.0, 1j, 0.0, 0.0], [1j, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1j]]),
         ),
-        3.4e-15,
+        3.8e-15,
         4e-14,
     ),
     (
         "k3-sigma-1.3-1e-4",
         _direction(3, 4, BOTH, _U3 @ np.diag([1.3, 1.3 - 1e-4, 0.5]) @ _W34),
-        8.8e-13,
+        9.0e-13,
         9e-12,
+    ),
+    (
+        "k3-dual-sigma-12-0.5-0.1",
+        _direction(3, 4, (-1,), _U3 @ np.diag([12.0, 0.5, 0.1]) @ _W34),
+        2.1e-15,
+        2e-14,
+    ),
+    (
+        "k3-dual-sigma-10-0.5-0.1",
+        _direction(3, 4, (-1,), _U3 @ np.diag([10.0, 0.5, 0.1]) @ _W34),
+        9.4e-16,
+        2e-14,
+    ),
+    (
+        "k3-dual-sigma-15-3-0.01",
+        _direction(3, 4, (-1,), _U3 @ np.diag([15.0, 3.0, 0.01]) @ _W34),
+        3.0e-15,
+        2e-14,
+    ),
+    (
+        "k3-top-pair-1e-9-apart",
+        _direction(3, 4, BOTH, _U3 @ np.diag([1.2, 1.2 - 1e-9, 0.5]) @ _W34),
+        1.3e-13,
+        1.5e-12,
+    ),
+    (
+        "k3-bottom-pair-1e-9-apart",
+        _direction(3, 4, BOTH, _U3 @ np.diag([1.2, 0.5, 0.5 - 1e-9]) @ _W34),
+        1.2e-13,
+        1.5e-12,
+    ),
+    (
+        "k3-all-within-1e-9",
+        _direction(3, 4, BOTH, _U3 @ np.diag([1.2, 1.2 - 5e-10, 1.2 - 1e-9]) @ _W34),
+        1.6e-13,
+        2e-12,
+    ),
+    (
+        "k3-diag-1.2-0.5-0.5",
+        _direction(3, 4, BOTH, np.eye(3, 4) * [1.2, 0.5, 0.5, 0.0]),
+        1.9e-13,
+        2e-12,
     ),
 ]
 

@@ -130,6 +130,20 @@ class TestRoundTripCommands:
         assert code == 0
         assert json.loads(out)["max_abs_diff"] < 1e-13
 
+    def test_geodesic_check_k3_dual_spread_singular_values(self, tmp_path):
+        # sigma(B) = (12, 0.5, 0.1): the k = 3 oracle runs one scalar equation
+        # per root of C = B B^dagger, so their spread costs it no accuracy
+        U = np.array([[0.6, 0.8j, 0.0], [0.8j, 0.6, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+            [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]]
+        )
+        W = np.array([[0.6, 0.0, 0.8j, 0.0], [0.0, 0.8, 0.0, 0.6j], [0.8j, 0.0, 0.6, 0.0]])
+        doc = write_doc(tmp_path / "b.json", U @ np.diag([12.0, 0.5, 0.1]) @ W)
+        code, out, _ = run_main(
+            ["geodesic-check", "--space", "3", "4", "noncompact", "--input", doc]
+        )
+        assert code == 0
+        assert json.loads(out)["max_abs_diff"] < 1e-13
+
     @pytest.mark.parametrize("kind", ["compact", "noncompact"])
     @pytest.mark.parametrize("cmd", [["geodesic-check"], ["exp", "--verify"]])
     def test_zero_time_reaches_origin(self, tmp_path, cmd, kind):

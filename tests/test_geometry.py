@@ -165,16 +165,23 @@ class TestLog:
             assert np.max(np.abs(again.Z - p.Z)) < 1e-10
 
 
-def assert_dual_pair_at_1000(Z):
-    # geodesic_ode on the dual at B = diag(1000, 0.2) (padded with zeros),
-    # t = 1, 4000 steps: the k = 1 row's value at 1000, bit for bit, and
-    # tanh(0.2), with every other entry exactly zero
+def assert_dual_diag_at_1000(Z):
+    # geodesic_ode on the dual at B = diag(1000, 0.2) or diag(1000, 0.2, 0.1)
+    # (padded with zeros), t = 1, 4000 steps: the k = 1 row's value at 1000,
+    # bit for bit, and tanh of the small singular values, with every other
+    # entry exactly zero.  k = 2 is within 4e-16 of tanh (seen 3.1e-16); k = 3
+    # takes the two small roots of C as b +- r with b = (tr C - 1e6) / 2, which
+    # carries the rounding of tr C, and is within 3e-14 (seen 1.7e-14 at 0.2
+    # and 9.3e-15 at 0.1)
     line = GrassmannSpace(1, 1, -1)
     row = geodesic_ode(line, TangentVector(line, [[1000.0]]), 1.0, 4000).Z[0, 0]
     assert Z[0, 0] == row == 0.9999999999999998
-    assert abs(Z[1, 1] - np.tanh(0.2)) < 4e-16
+    tail = (0.2, 0.1)[: min(Z.shape) - 1]
+    bound = 4e-16 if len(tail) == 1 else 3e-14
+    for i, s in enumerate(tail, start=1):
+        assert abs(Z[i, i] - np.tanh(s)) < bound
     Z = Z.copy()
-    Z[0, 0] = Z[1, 1] = 0.0
+    np.fill_diagonal(Z, 0.0)
     assert not Z.any()
 
 
@@ -260,16 +267,26 @@ class TestGeodesicOde:
     )
     def test_singular_stage_gram_leaves_chart(self, n, m):
         # a fast noncompact tangent drives a stage Gram matrix singular;
-        # that must be a typed error, not numpy's LinAlgError.  k = 2 runs
-        # the scalar equation once per singular value and stays in the chart
+        # that must be a typed error, not numpy's LinAlgError.  k = 2 and
+        # k = 3 run the scalar equation once per singular value and stay in
+        # the chart
         space = GrassmannSpace(n, m, epsilon=-1)
         B = np.zeros((n, m))
         np.fill_diagonal(B, (1000.0, 0.2, 0.1, 0.05)[:n])
-        if n == 2:
-            assert_dual_pair_at_1000(geodesic_ode(space, TangentVector(space, B), 1.0, 4000).Z)
+        if n <= 3:
+            assert_dual_diag_at_1000(geodesic_ode(space, TangentVector(space, B), 1.0, 4000).Z)
             return
         with pytest.raises(LeftChartError, match="integration"):
             geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_huge_entries_leave_the_chart(self, eps):
+        # C = V V^dagger has entries near 1e200, so the k = 3 root formulas
+        # overflow; that must end in LeftChartError, not OverflowError
+        space = GrassmannSpace(3, 4, epsilon=eps)
+        B = TangentVector(space, np.full((3, 4), 1e100) + 1e99 * np.eye(3, 4))
+        with pytest.raises(LeftChartError):
+            geodesic_ode(space, B, 1.0, 200)
 
     def test_step_cap(self, cp1):
         with pytest.raises(PreconditionError):
@@ -281,7 +298,8 @@ class TestGeodesicOde:
             pytest.param([0.2], 1000.0, None, id="1000.0-0.25"),
             pytest.param([0.2], 2000.0, "0.5", id="2000.0-0.5"),
             pytest.param([0.2], 4000.0, "1", id="4000.0-1"),
-            pytest.param([0.2, 0.1], 1000.0, "0.25", id="k3-1000.0-0.25"),
+            pytest.param([0.2, 0.1], 1000.0, None, id="k3-1000.0-0.25"),
+            pytest.param([0.2, 0.1], 2000.0, "0.5", id="k3-2000.0-0.5"),
             pytest.param([0.2, 0.1], 4000.0, "1", id="k3-4000.0-1"),
             pytest.param([0.2, 0.1, 0.05], 1000.0, "0.25", id="k4-1000.0-0.25"),
             pytest.param([0.2, 0.1, 0.05], 4000.0, "1", id="k4-4000.0-1"),
@@ -291,13 +309,14 @@ class TestGeodesicOde:
         # the exact noncompact geodesic stays in the bounded domain, so both
         # failures (singular stage Gram matrix at b = 1000, blow-up at
         # b = 4000) must blame the step h |B|_2 and ask for more steps; k = 2
-        # takes h |B|_2 = 0.25 without failing (hB None), and at 0.5 a stage
-        # of its scalar equation at beta = 2000^2 meets 1 + eps beta x^2 = 0
+        # and k = 3 take h |B|_2 = 0.25 without failing (hB None), and at 0.5
+        # a stage of their scalar equation at beta = 2000^2 meets
+        # 1 + eps beta x^2 = 0
         n = 1 + len(tail)
         space = GrassmannSpace(n, n, epsilon=-1)
         B = TangentVector(space, np.diag([b, *tail]))
         if hB is None:
-            assert_dual_pair_at_1000(geodesic_ode(space, B, 1.0, 4000).Z)
+            assert_dual_diag_at_1000(geodesic_ode(space, B, 1.0, 4000).Z)
             return
         with pytest.raises(LeftChartError, match=rf"integration.* = {hB};.*raise steps"):
             geodesic_ode(space, B, 1.0, 4000)
@@ -371,16 +390,23 @@ class TestGeodesicOracleIndependence:
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_triple_and_block_integrators_agree(self, eps):
-        V = np.array(
+        # the second V has singular values (0.9, 0.9 - 1e-9, 0.4): summing
+        # x E V over the three idempotents of C alone misses by 2.3e-9 there
+        U = np.array([[0.6, 0.8j, 0.0], [0.8j, 0.6, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+            [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]]
+        )
+        W = np.array([[0.6, 0.0, 0.8j, 0.0], [0.0, 0.8, 0.0, 0.6j], [0.8j, 0.0, 0.6, 0.0]])
+        generic = np.array(
             [
                 [0.3 + 0.2j, -0.4, 0.1j, 0.2],
                 [0.2j, 0.1 - 0.3j, 0.5, -0.1],
                 [-0.2, 0.3j, 0.1 + 0.1j, 0.4 - 0.2j],
             ]
         )
-        triple = geometry._rk4_triple(V, eps, 1.0 / 4000, 4000)
-        block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
-        assert np.max(np.abs(triple - block)) < 1e-12
+        for V in (generic, U @ np.diag([0.9, 0.9 - 1e-9, 0.4]) @ W):
+            triple = geometry._rk4_triple(V, eps, 1.0 / 4000, 4000)
+            block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
+            assert np.max(np.abs(triple - block)) < 1e-12
 
     def test_block_residual_notices_tan_pole(self, monkeypatch):
         # ||tB||_2 = 1.68 > pi/2: Z stays below BLOWUP_LIMIT at the sampled

@@ -17,7 +17,7 @@ from grassgeo.errors import PreconditionError
 from grassgeo.geometry import distance, geodesic_ode
 from grassgeo.sampling import generator, random_tangent_rng
 from grassgeo.spaces import ChartPoint, GrassmannSpace, TangentVector
-from conftest import mp_chart_cosines, mp_matrix
+from conftest import mp_chart_cosines, mp_matrix, random_unitary
 
 SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 PAIRS_PER_SIZE = 5
@@ -115,22 +115,28 @@ _U3 = np.array([[0.6, 0.8j, 0.0], [0.8j, 0.6, 0.0], [0.0, 0.0, 1.0]]) @ np.array
     [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]]
 )
 _W34 = np.array([[0.6, 0.0, 0.8j, 0.0], [0.0, 0.8, 0.0, 0.6j], [0.8j, 0.0, 0.6, 0.0]])
+# seeded unitary factors for 4 x 5 and 5 x 6 B
+_UNITARY_RNG = np.random.default_rng(20240817)
+_U4, _W45 = random_unitary(_UNITARY_RNG, 4), random_unitary(_UNITARY_RNG, 5)[:4]
+_U5, _W56 = random_unitary(_UNITARY_RNG, 5), random_unitary(_UNITARY_RNG, 6)[:5]
 
 # (region, directions, observed worst entrywise deviation at t = 1 with
-# 4000 steps, bound).  From rank-one-C on, the rows are k = 2 and k = 3
-# inputs whose C = B B^dagger is degenerate or spread: rank one or two
-# (det C cancels to rounding), a multiple of I (a repeated eigenvalue),
-# nearly rank one, dual singular values that differ in scale (where the
-# power bases I, C and I, C, C^2 lost up to 1.3 or raised LeftChartError),
-# and eigenvalues 1e-9 or 1e-4 apart or exactly repeated, where the split
-# of C into idempotents is ill-conditioned or degenerate
+# 4000 steps, bound).  From rank-one-C on, the rows are k = 2 to 5 inputs
+# whose C = B B^dagger is degenerate or spread: rank deficient (det C
+# cancels to rounding), a multiple of I (a repeated eigenvalue), nearly rank
+# one, dual singular values that differ in scale (where an integrator on
+# the power basis I, C, C^2 or on the k x k coefficients loses up to 1.3 or
+# raises LeftChartError), and eigenvalues 1e-9 or 1e-4 apart or exactly
+# repeated, where a split of C into idempotents is ill-conditioned or
+# degenerate.  row-1x3, pair-2x3 and k3-generic are generic complex inputs
+# at k = 1, 2 and 3
 ODE_ACCURACY = [
-    ("criterion-1-configurations", _criterion_1_directions, 6.3e-15, 2e-14),
+    ("criterion-1-configurations", _criterion_1_directions, 6.6e-15, 2e-14),
     ("complex-1x3", _direction(1, 3, (1,), [[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]]), 4.0e-16, 4e-15),
     (
         "dual-norm-3",
         _direction(2, 3, (-1,), [[1.0 + 0.5j, 0.3, -0.2j], [0.1j, -0.6, 0.4 + 0.2j]], norm2=3.0),
-        2.6e-15,
+        2.7e-15,
         5e-14,
     ),
     (
@@ -146,14 +152,14 @@ ODE_ACCURACY = [
         2e-14,
     ),
     ("sigma-1.3-1e-4", _direction(2, 3, BOTH, _U2 @ np.diag([1.3, 1e-4]) @ _W23), 8.7e-13, 9e-12),
-    ("dual-sigma-15-3", _direction(2, 3, (-1,), _U2 @ np.diag([15.0, 3.0]) @ _W23), 1.7e-15, 2e-14),
+    ("dual-sigma-15-3", _direction(2, 3, (-1,), _U2 @ np.diag([15.0, 3.0]) @ _W23), 2.0e-15, 2e-14),
     (
         "dual-sigma-15-0.01",
         _direction(2, 3, (-1,), _U2 @ np.diag([15.0, 0.01]) @ _W23),
-        2.2e-16,
+        2.8e-16,
         2e-14,
     ),
-    ("dual-sigma-12-0.5", _direction(2, 3, (-1,), _U2 @ np.diag([12, 0.5]) @ _W23), 5.6e-16, 2e-14),
+    ("dual-sigma-12-0.5", _direction(2, 3, (-1,), _U2 @ np.diag([12, 0.5]) @ _W23), 4.4e-16, 2e-14),
     ("dual-diag-300-0.2", _direction(2, 2, (-1,), np.diag([300.0, 0.2])), 3.3e-16, 2e-14),
     (
         "sigma-1.2-1e-9-apart",
@@ -188,7 +194,7 @@ ODE_ACCURACY = [
     (
         "k3-dual-sigma-12-0.5-0.1",
         _direction(3, 4, (-1,), _U3 @ np.diag([12.0, 0.5, 0.1]) @ _W34),
-        2.1e-15,
+        3.9e-16,
         2e-14,
     ),
     (
@@ -200,13 +206,13 @@ ODE_ACCURACY = [
     (
         "k3-dual-sigma-15-3-0.01",
         _direction(3, 4, (-1,), _U3 @ np.diag([15.0, 3.0, 0.01]) @ _W34),
-        3.0e-15,
+        2.2e-15,
         2e-14,
     ),
     (
         "k3-top-pair-1e-9-apart",
         _direction(3, 4, BOTH, _U3 @ np.diag([1.2, 1.2 - 1e-9, 0.5]) @ _W34),
-        1.3e-13,
+        1.2e-13,
         1.5e-12,
     ),
     (
@@ -226,6 +232,62 @@ ODE_ACCURACY = [
         _direction(3, 4, BOTH, np.eye(3, 4) * [1.2, 0.5, 0.5, 0.0]),
         1.9e-13,
         2e-12,
+    ),
+    ("row-1x3", _direction(1, 3, BOTH, [[0.3 + 0.2j, -0.4, 0.1j]]), 3.9e-15, 4e-14),
+    (
+        "pair-2x3",
+        _direction(2, 3, BOTH, [[0.3 + 0.2j, -0.4, 0.1j], [0.2j, 0.1 - 0.3j, 0.5]]),
+        1.5e-15,
+        2e-14,
+    ),
+    (
+        "k3-generic",
+        _direction(
+            3, 4, BOTH,
+            [
+                [0.3 + 0.2j, -0.4, 0.1j, 0.2],
+                [0.2j, 0.1 - 0.3j, 0.5, -0.1],
+                [-0.2, 0.3j, 0.1 + 0.1j, 0.4 - 0.2j],
+            ],
+        ),
+        1.9e-15,
+        2e-14,
+    ),
+    (
+        "k3-sigma-0.9-1e-9-apart",
+        _direction(3, 4, BOTH, _U3 @ np.diag([0.9, 0.9 - 1e-9, 0.4]) @ _W34),
+        4.3e-15,
+        5e-14,
+    ),
+    (
+        "k4-dual-sigma-12-0.5-0.1-0.05",
+        _direction(4, 5, (-1,), _U4 @ np.diag([12.0, 0.5, 0.1, 0.05]) @ _W45),
+        1.2e-15,
+        2e-14,
+    ),
+    (
+        "k4-dual-sigma-15-3-0.01-0.001",
+        _direction(4, 5, (-1,), _U4 @ np.diag([15.0, 3.0, 0.01, 0.001]) @ _W45),
+        2.2e-15,
+        2e-14,
+    ),
+    (
+        "k4-dual-sigma-11-10-1-0.5",
+        _direction(4, 5, (-1,), _U4 @ np.diag([11.0, 10.0, 1.0, 0.5]) @ _W45),
+        1.3e-15,
+        2e-14,
+    ),
+    (
+        "k4-sigma-0.9-1e-9-apart",
+        _direction(4, 5, BOTH, _U4 @ np.diag([0.9, 0.9 - 1e-9, 0.4, 0.2]) @ _W45),
+        3.7e-15,
+        4e-14,
+    ),
+    (
+        "k5-rank-three-C",
+        _direction(5, 6, BOTH, _U5 @ np.diag([1.2, 0.7, 0.3, 0.0, 0.0]) @ _W56),
+        1.0e-13,
+        1.5e-12,
     ),
 ]
 

@@ -4,7 +4,8 @@ Every argv and matrix document must end in one of three ways: exit 0 with an
 empty stderr; exit 1 with a JSON error object on stdout and an empty stderr;
 or exit 2 with a usage message.  A traceback, any other exception or a numpy
 floating-point warning fails the test.  A second strategy drives the RK4
-oracle at k = min(n, m) >= 3, and fixed regressions check its tan-pole exit.
+oracle at every k = min(n, m) <= 4 and at entry scales from 1e-150 to 1e150,
+and fixed regressions check its exits at a tan pole and at extreme scales.
 """
 
 import json
@@ -85,18 +86,31 @@ def invocations(draw):
 
 
 @st.composite
+def scaled_matrices(draw, n, m):
+    """An n x m complex matrix of the right shape: entries in [-1, 1] times
+    one scale drawn log-uniform over [1e-150, 1e150], and sometimes times a
+    factor up to 1e8 per row."""
+    scale = 10.0 ** draw(st.floats(-150.0, 150.0))
+    rows = draw(st.one_of(st.none(), st.lists(st.floats(0.0, 8.0), min_size=n, max_size=n)))
+    factors = [10.0**e for e in rows] if rows else [1.0] * n
+    parts = st.floats(-1.0, 1.0)
+    return np.array(
+        [[complex(draw(parts), draw(parts)) * scale * factors[i] for _ in range(m)] for i in range(n)]
+    )
+
+
+@st.composite
 def oracle_invocations(draw):
     """(argv, {file name: document}) for geodesic-check or exp --verify with
-    n, m in {3, 4}; the entries are moderate and the shape right, so that most
-    runs reach the triple (k = 3) or block (k = 4) integrator."""
-    n, m = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+    n, m in 1..4, so that every k = min(n, m) <= 4 is reached, and a B of the
+    right shape at a scale from scaled_matrices."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["compact", "noncompact"]))
     command = draw(st.sampled_from([["geodesic-check"], ["exp", "--verify"]]))
     argv = [*command, "--space", str(n), str(m), kind, "--input", "input"]
     t = draw(st.one_of(st.floats(-2.0, 2.0), SCALARS))
     argv += [f"--t={_arg(t)}", "--steps", str(draw(st.integers(100, 400)))]
-    data = [[draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))] for _ in range(n * m)]
-    return argv, {"input": {"rows": n, "cols": m, "data": data}}
+    return argv, {"input": jsonio.matrix_to_doc(draw(scaled_matrices(n, m)))}
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +160,7 @@ def _check_outcome(workdir, argv, docs):
 @pytest.mark.parametrize("n", [3, 4])
 def test_tan_pole_crossing_exits_1(tmp_path, n):
     # ||t B||_2 = 1.68 > pi/2: the compact geodesic crosses a tan pole, which
-    # the triple (k = 3) and block (k = 4) integrators must report
+    # the scalar run of the largest eigenvalue of C must report
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     path = tmp_path / "b.json"
@@ -155,3 +169,29 @@ def test_tan_pole_crossing_exits_1(tmp_path, n):
     code, out, err = run_main([*argv, "--t", "-1.2"])
     assert (code, err) == (1, "")
     assert json.loads(out)["error"]["type"] == "LeftChartError"
+
+
+@pytest.mark.parametrize("command", [["geodesic-check"], ["exp", "--verify"]])
+def test_huge_pair_exits_1(tmp_path, command):
+    # C = B B^dagger has entries near 1e200: squaring them must not raise
+    # OverflowError; the compact run leaves the chart
+    B = 1e100 * np.ones((2, 4)) + np.eye(2, 4) * [1e100 / 7, 2e100 / 7, 0.0, 0.0]
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(jsonio.matrix_to_doc(B)))
+    code, out, err = run_main([*command, "--space", "2", "4", "compact", "--input", str(path)])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"]["type"] == "LeftChartError"
+
+
+def test_tiny_triple_is_t_b(tmp_path):
+    # entries near 1e-60: C = B B^dagger near 1e-120 must not underflow into
+    # a division by zero; the geodesic is Z = t B (t = 1) to the rounding of
+    # the 4000 RK4 steps, which add up h = 1 / 4000 to 1 - 8.2e-14
+    rng = np.random.default_rng(3)
+    B = 1e-60 * (rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3)))
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(jsonio.matrix_to_doc(B)))
+    code, out, err = run_main(["geodesic-check", "--space", "3", "3", "compact", "--input", str(path)])
+    assert (code, err) == (0, "")
+    Z = jsonio.doc_to_matrix(json.loads(out)["Z_ode"])
+    assert np.abs(Z - B).max() <= 2e-13 * np.abs(B).max()

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from grassgeo.errors import (
     ConjugateToChartError,
     DomainError,
     LeftChartError,
+    NumericalFailure,
     OnPolarDivisorError,
     PreconditionError,
     WrongChartError,
@@ -33,7 +35,13 @@ from grassgeo.spaces import (
     TangentVector,
     origin_frame,
 )
-from conftest import random_chart_point_rng, random_plane_rng, random_tangent_rng, run_process
+from conftest import (
+    random_chart_point_rng,
+    random_plane_rng,
+    random_tangent_rng,
+    random_unitary,
+    run_process,
+)
 
 
 def zero_point(space):
@@ -166,20 +174,18 @@ class TestLog:
 
 
 def assert_dual_diag_at_1000(Z):
-    # geodesic_ode on the dual at B = diag(1000, 0.2) or diag(1000, 0.2, 0.1)
-    # (padded with zeros), t = 1, 4000 steps: the k = 1 row's value at 1000,
-    # bit for bit, and tanh of the small singular values, with every other
-    # entry exactly zero.  k = 2 is within 4e-16 of tanh (seen 3.1e-16); k = 3
-    # takes the two small roots of C as b +- r with b = (tr C - 1e6) / 2, which
-    # carries the rounding of tr C, and is within 3e-14 (seen 1.7e-14 at 0.2
-    # and 9.3e-15 at 0.1)
+    # geodesic_ode on the dual at B = diag(1000, 0.2), diag(1000, 0.2, 0.1) or
+    # diag(1000, 0.2, 0.1, 0.05) (padded with zeros), t = 1, 4000 steps: C is
+    # diagonal, so the Jacobi method rotates nothing and each diagonal entry
+    # is one scalar run: the k = 1 row's value at 1000, bit for bit, and tanh
+    # of the small singular values within 4e-16 (seen 3.1e-16), with every
+    # other entry exactly zero
     line = GrassmannSpace(1, 1, -1)
     row = geodesic_ode(line, TangentVector(line, [[1000.0]]), 1.0, 4000).Z[0, 0]
     assert Z[0, 0] == row == 0.9999999999999998
-    tail = (0.2, 0.1)[: min(Z.shape) - 1]
-    bound = 4e-16 if len(tail) == 1 else 3e-14
+    tail = (0.2, 0.1, 0.05)[: min(Z.shape) - 1]
     for i, s in enumerate(tail, start=1):
-        assert abs(Z[i, i] - np.tanh(s)) < bound
+        assert abs(Z[i, i] - np.tanh(s)) < 4e-16
     Z = Z.copy()
     np.fill_diagonal(Z, 0.0)
     assert not Z.any()
@@ -193,8 +199,8 @@ class TestGeodesicOde:
     @pytest.mark.parametrize("eps", [1, -1])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zero_time_is_origin(self, n, eps, rng):
-        # h = t / steps = 0 is a valid step: Z(0) = 0 exactly, for the row
-        # (k = 1), pair (k = 2), triple (k = 3) and block (k = 4) integrators
+        # h = t / steps = 0 is a valid step: Z(0) = 0 exactly, for every k
+        # (one scalar run per eigenvector of C = B B^dagger)
         m = max(n, 3)
         space = GrassmannSpace(n, m, epsilon=eps)
         B = random_tangent_rng(space, rng, max_norm=1.0)
@@ -218,14 +224,18 @@ class TestGeodesicOde:
     def test_numpy_scalars_reach_the_integrator_as_python_numbers(self, k, eps, monkeypatch):
         # a numpy t or numpy dimensions must not turn every RK4 step into
         # numpy-scalar arithmetic; the endpoint is the same bits
-        name = ("_rk4_row", "_rk4_pair", "_rk4_triple")[k - 1]
-        original, seen = getattr(geometry, name), []
+        jacobi, scalar, seen, runs = geometry._rk4_jacobi, geometry._rk4_scalar, [], []
 
-        def spy(V, eps_, h, steps):
+        def spy_jacobi(V, eps_, h, steps):
             seen.append((type(eps_), type(h)))
-            return original(V, eps_, h, steps)
+            return jacobi(V, eps_, h, steps)
 
-        monkeypatch.setattr(geometry, name, spy)
+        def spy_scalar(*args):
+            runs.append(tuple(map(type, args)))
+            return scalar(*args)
+
+        monkeypatch.setattr(geometry, "_rk4_jacobi", spy_jacobi)
+        monkeypatch.setattr(geometry, "_rk4_scalar", spy_scalar)
         space = GrassmannSpace(k, 3, eps)
         B = random_tangent_rng(space, generator(k), max_norm=1.0)
         want = geodesic_ode(space, B, 1.0, 200).Z
@@ -233,6 +243,7 @@ class TestGeodesicOde:
         for sp, t in ((space, np.float64(1.0)), (numpy_space, 1.0)):
             assert np.array_equal(geodesic_ode(sp, TangentVector(sp, B.B), t, 200).Z, want)
         assert seen == [(int, float)] * 3
+        assert runs == [(float, int, float, int, float)] * (3 * k)
 
     def test_step_floor(self, cp1):
         with pytest.raises(PreconditionError):
@@ -266,23 +277,18 @@ class TestGeodesicOde:
         ],
     )
     def test_singular_stage_gram_leaves_chart(self, n, m):
-        # a fast noncompact tangent drives a stage Gram matrix singular;
-        # that must be a typed error, not numpy's LinAlgError.  k = 2 and
-        # k = 3 run the scalar equation once per singular value and stay in
-        # the chart
+        # a fast noncompact tangent (h |B|_2 = 0.25) must not drive a stage
+        # Gram factor singular: one scalar run per eigenvector of C takes each
+        # singular value on its own and stays in the chart for every k
         space = GrassmannSpace(n, m, epsilon=-1)
         B = np.zeros((n, m))
         np.fill_diagonal(B, (1000.0, 0.2, 0.1, 0.05)[:n])
-        if n <= 3:
-            assert_dual_diag_at_1000(geodesic_ode(space, TangentVector(space, B), 1.0, 4000).Z)
-            return
-        with pytest.raises(LeftChartError, match="integration"):
-            geodesic_ode(space, TangentVector(space, B), 1.0, 4000)
+        assert_dual_diag_at_1000(geodesic_ode(space, TangentVector(space, B), 1.0, 4000).Z)
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_huge_entries_leave_the_chart(self, eps):
-        # C = V V^dagger has entries near 1e200, so the k = 3 root formulas
-        # overflow; that must end in LeftChartError, not OverflowError
+        # C = V V^dagger would have entries near 1e200; the run must end in
+        # LeftChartError, not OverflowError
         space = GrassmannSpace(3, 4, epsilon=eps)
         B = TangentVector(space, np.full((3, 4), 1e100) + 1e99 * np.eye(3, 4))
         with pytest.raises(LeftChartError):
@@ -301,16 +307,16 @@ class TestGeodesicOde:
             pytest.param([0.2, 0.1], 1000.0, None, id="k3-1000.0-0.25"),
             pytest.param([0.2, 0.1], 2000.0, "0.5", id="k3-2000.0-0.5"),
             pytest.param([0.2, 0.1], 4000.0, "1", id="k3-4000.0-1"),
-            pytest.param([0.2, 0.1, 0.05], 1000.0, "0.25", id="k4-1000.0-0.25"),
+            pytest.param([0.2, 0.1, 0.05], 1000.0, None, id="k4-1000.0-0.25"),
             pytest.param([0.2, 0.1, 0.05], 4000.0, "1", id="k4-4000.0-1"),
         ],
     )
     def test_noncompact_failure_names_the_step(self, tail, b, hB):
         # the exact noncompact geodesic stays in the bounded domain, so both
-        # failures (singular stage Gram matrix at b = 1000, blow-up at
-        # b = 4000) must blame the step h |B|_2 and ask for more steps; k = 2
-        # and k = 3 take h |B|_2 = 0.25 without failing (hB None), and at 0.5
-        # a stage of their scalar equation at beta = 2000^2 meets
+        # failures (a singular stage Gram factor at b = 2000, blow-up at
+        # b = 4000) must blame the step h |B|_2 and ask for more steps; every
+        # k takes h |B|_2 = 0.25 without failing (hB None), and at 0.5 a
+        # stage of the scalar equation at beta = 2000^2 meets
         # 1 + eps beta x^2 = 0
         n = 1 + len(tail)
         space = GrassmannSpace(n, n, epsilon=-1)
@@ -334,8 +340,8 @@ class TestGeodesicOde:
 
 class TestGeodesicOracleIndependence:
     """The RK4 oracle must be able to fail exp0 on its own: it shares no
-    formula with the closed form, its integrators check each other, and
-    it calls no dense linear algebra per step."""
+    formula with the closed form, a wrong eigensolve fails it, and it calls
+    no dense linear algebra."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eps, name", [(1, "_tan"), (-1, "_tanh")])
@@ -368,61 +374,48 @@ class TestGeodesicOracleIndependence:
         assert np.max(np.abs(ode - exp0(space, B).Z)) > 1e-4
 
     @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_wrong_jacobi_rotation_fails_the_comparison(self, k, eps, monkeypatch):
+        # a rotation that leaves the phase of a_pq unconjugated no longer
+        # diagonalizes C, so the oracle moves away from exp0
+        space = GrassmannSpace(k, 5, epsilon=eps)
+        B = random_tangent_rng(space, generator(k), max_norm=1.0)
+        ode = geodesic_ode(space, B, 1.0, 4000).Z
+        assert np.max(np.abs(ode - exp0(space, B).Z)) < 1e-6
+        source = inspect.getsource(geometry._jacobi_eigh)
+        assert source.count("u.conjugate()") == 1
+        namespace = dict(vars(geometry))
+        exec(source.replace("u.conjugate()", "u"), namespace)
+        monkeypatch.setattr(geometry, "_jacobi_eigh", namespace["_jacobi_eigh"])
+        assert np.max(np.abs(geodesic_ode(space, B, 1.0, 4000).Z - exp0(space, B).Z)) > 1e-2
+
+    @pytest.mark.parametrize("eps", [1, -1])
     def test_pair_with_zero_row_is_the_row(self, eps):
         v = np.array([[0.3 + 0.2j, -0.4, 0.1j]])
-        pair = geometry._rk4_pair(np.vstack([v, 0 * v]), eps, 1.0 / 4000, 4000)
-        assert np.array_equal(pair[:1], geometry._rk4_row(v, eps, 1.0 / 4000, 4000))
-        assert not pair[1].any()
+        pair_space, row_space = GrassmannSpace(2, 3, eps), GrassmannSpace(1, 3, eps)
+        pair = geodesic_ode(pair_space, TangentVector(pair_space, np.vstack([v, 0 * v])), 1.0, 4000)
+        row = geodesic_ode(row_space, TangentVector(row_space, v), 1.0, 4000)
+        assert np.array_equal(pair.Z[:1], row.Z)
+        assert not pair.Z[1].any()
 
-    @pytest.mark.parametrize("eps", [1, -1])
-    def test_row_and_block_integrators_agree(self, eps):
-        V = np.array([[0.3 + 0.2j, -0.4, 0.1j]])
-        row = geometry._rk4_row(V, eps, 1.0 / 4000, 4000)
-        block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
-        assert np.max(np.abs(row - block)) < 1e-12
-
-    @pytest.mark.parametrize("eps", [1, -1])
-    def test_pair_and_block_integrators_agree(self, eps):
-        V = np.array([[0.3 + 0.2j, -0.4, 0.1j], [0.2j, 0.1 - 0.3j, 0.5]])
-        pair = geometry._rk4_pair(V, eps, 1.0 / 4000, 4000)
-        block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
-        assert np.max(np.abs(pair - block)) < 1e-12
-
-    @pytest.mark.parametrize("eps", [1, -1])
-    def test_triple_and_block_integrators_agree(self, eps):
-        # the second V has singular values (0.9, 0.9 - 1e-9, 0.4): summing
-        # x E V over the three idempotents of C alone misses by 2.3e-9 there
-        U = np.array([[0.6, 0.8j, 0.0], [0.8j, 0.6, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
-            [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.8, 0.6]]
-        )
-        W = np.array([[0.6, 0.0, 0.8j, 0.0], [0.0, 0.8, 0.0, 0.6j], [0.8j, 0.0, 0.6, 0.0]])
-        generic = np.array(
-            [
-                [0.3 + 0.2j, -0.4, 0.1j, 0.2],
-                [0.2j, 0.1 - 0.3j, 0.5, -0.1],
-                [-0.2, 0.3j, 0.1 + 0.1j, 0.4 - 0.2j],
-            ]
-        )
-        for V in (generic, U @ np.diag([0.9, 0.9 - 1e-9, 0.4]) @ W):
-            triple = geometry._rk4_triple(V, eps, 1.0 / 4000, 4000)
-            block = geometry._rk4_block(V, eps, 1.0 / 4000, 4000)
-            assert np.max(np.abs(triple - block)) < 1e-12
-
-    def test_block_residual_notices_tan_pole(self, monkeypatch):
-        # ||tB||_2 = 1.68 > pi/2: Z stays below BLOWUP_LIMIT at the sampled
-        # steps, so only the carried-H residual sees the run leave the chart
+    def test_tan_pole_crossing_leaves_the_chart(self, monkeypatch):
+        # ||tB||_2 = 1.68 > pi/2: the scalar run of the largest eigenvalue of
+        # C crosses a tan pole, and its blow-up check sees it at 100, 400 and
+        # 4000 steps.  With that check off, the 100-step run returns a point
+        # far outside the chart
         space = GrassmannSpace(4, 4)
         B = random_tangent_rng(space, generator(4), max_norm=1.0).B
         B = TangentVector(space, B * (1.4 / np.linalg.norm(B, 2)))
-        with pytest.raises(LeftChartError, match="residual"):
-            geodesic_ode(space, B, -1.2, 4000)
-        monkeypatch.setattr(geometry, "H_RESIDUAL_LIMIT", np.inf)
-        geodesic_ode(space, B, -1.2, 4000)
+        for steps in (100, 400, 4000):
+            with pytest.raises(LeftChartError, match="left the chart"):
+                geodesic_ode(space, B, -1.2, steps)
+        monkeypatch.setattr(geometry, "BLOWUP_LIMIT", np.inf)
+        assert np.abs(geodesic_ode(space, B, -1.2, 100).Z).max() > 1e8
 
-    @pytest.mark.parametrize("rk4", ["_rk4_row", "_rk4_block"])
-    def test_complex_row_endpoint_is_parallel_to_b(self, rk4):
+    def test_complex_row_endpoint_is_parallel_to_b(self):
+        line = GrassmannSpace(1, 3)
         B = np.array([[0.5 - 0.3j, 0.2j, -0.4 + 0.1j]])
-        Z = getattr(geometry, rk4)(B, 1, 1.0 / 4000, 4000)
+        Z = geodesic_ode(line, TangentVector(line, B), 1.0, 4000).Z
         ratio = np.vdot(B, Z) / np.vdot(B, B)
         assert np.max(np.abs(Z - ratio * B)) < 1e-12 * np.abs(Z).max()
         # Z = tan(|B|) / |B| B
@@ -434,30 +427,59 @@ class TestGeodesicOracleIndependence:
         def refuse(*args, **kwargs):
             raise AssertionError("geodesic_ode called numpy.linalg")
 
-        for name in ("inv", "solve", "svd", "eigh"):
+        refused = (
+            "inv", "solve", "svd", "eigh", "eig", "eigvals", "eigvalsh", "qr", "cholesky",
+            "det", "lstsq", "pinv",
+        )
+        for name in refused:
             monkeypatch.setattr(np.linalg, name, refuse)
         called = []
 
-        def spy(rk4):
+        def spy(name):
+            original = getattr(geometry, name)
+
             def run(*args):
-                called.append(rk4)
-                return rk4(*args)
+                called.append(name)
+                return original(*args)
 
-            return run
+            monkeypatch.setattr(geometry, name, run)
+            return original
 
-        names = ("_rk4_row", "_rk4_pair", "_rk4_triple", "_rk4_block")
-        integrators = [getattr(geometry, name) for name in names]
-        for name, rk4 in zip(names, integrators):
-            monkeypatch.setattr(geometry, name, spy(rk4))
+        jacobi = spy("_rk4_jacobi")
+        spy("_rk4_scalar")
         space = GrassmannSpace(n, 4)  # k = min(n, m) = n
         B = TangentVector(space, np.full((n, 4), 0.3 + 0.1j))
         geodesic_ode(space, B, 1.0, 400)
-        assert called == [integrators[n - 1]]
+        assert called == ["_rk4_jacobi"] + ["_rk4_scalar"] * n
         # the dual returns a ChartPoint, whose domain check takes one SVD,
-        # so the integrator geodesic_ode chose is called on its own
-        rk4 = called[0]
+        # so the one path geodesic_ode takes is called on its own
         for eps in (1, -1):
-            rk4(B.B, eps, 1.0 / 400, 400)
+            jacobi(B.B, eps, 1.0 / 400, 400)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_jacobi_eigh_diagonalizes(self, k):
+        # generic, repeated, rank-one and spread over 11 decades:
+        # C = Q diag(lam) Q^dagger with Q unitary, to rounding of the largest
+        # eigenvalue
+        rng = np.random.default_rng(k)
+        spreads = (np.linspace(1.0, 0.3, k), [1.0] * k, [1.0] + [0.0] * (k - 1), np.logspace(0, -11, k))
+        for spread in spreads:
+            V = random_unitary(rng, k) @ np.diag(spread) @ random_unitary(rng, k)
+            C = V @ V.conj().T
+            lam, Q = geometry._jacobi_eigh(C.tolist())
+            Q = np.array(Q)
+            assert np.abs(Q.conj().T @ Q - np.eye(k)).max() < 1e-15 * k
+            assert np.abs((Q * lam) @ Q.conj().T - C).max() < 1e-15 * k
+            assert np.allclose(sorted(lam), sorted(np.square(spread)), rtol=1e-8, atol=1e-15)
+
+    def test_jacobi_sweep_cap_raises(self, monkeypatch):
+        # a Jacobi run that has not converged is never returned
+        C = np.array([[2.0, 1.0 + 1.0j, 0.5], [1.0 - 1.0j, 3.0, 0.2j], [0.5, -0.2j, 1.0]])
+        lam, _ = geometry._jacobi_eigh(C.tolist())
+        assert np.allclose(sorted(lam), np.linalg.eigvalsh(C), rtol=0, atol=1e-14)
+        monkeypatch.setattr(geometry, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalFailure, match="1 sweeps"):
+            geometry._jacobi_eigh(C.tolist())
 
     def test_geometry_does_not_import_scipy(self):
         code = "import sys, grassgeo.geometry; sys.exit('scipy' in sys.modules)"

@@ -22,8 +22,9 @@ from .linalg import ENTRY_LIMIT
 from .sampling import random_plane
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
-# the points run in stacked chunks of bounded memory; on one x86-64 core a
-# point costs about 0.4 ms on G_3(C^6), so 10000 points take about 4 s there
+# the points run in stacked chunks of bounded memory; on one core of a shared
+# two-core x86-64 Xeon a point costs 0.25 to 0.4 ms on G_3(C^6), so 10000
+# points take 2.5 to 4 s there
 MAX_SCAN_POINTS = 10_000
 
 

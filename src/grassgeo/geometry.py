@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     WrongChartError,
 )
-from .linalg import _principal_angles, _svd, _svdvals, apply_spectral
+from .linalg import _eye, _principal_angles, _svd, _svdvals, apply_spectral
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
 CHART_SINGULAR_TOL = 1e-12
@@ -35,8 +35,7 @@ JACOBI_MAX_SWEEPS = 30
 
 def raw_frame(p: ChartPoint) -> np.ndarray:
     """Unnormalized frame [I_n ; Z^dagger] of a chart point."""
-    n = p.space.n
-    return np.vstack([np.eye(n, dtype=complex), p.Z.conj().T])
+    return np.concatenate([_eye(p.space.n, complex), p.Z.conj().T])
 
 
 def frame_of_chart(p: ChartPoint) -> Frame:
@@ -47,7 +46,7 @@ def frame_of_chart(p: ChartPoint) -> Frame:
 def _inv_sqrt_gram(eps: int, X: np.ndarray) -> np.ndarray:
     """(I + eps X X^dagger)^{-1/2}; its positive definiteness is, for eps = -1,
     the bounded-domain condition."""
-    w, V = np.linalg.eigh(np.eye(X.shape[0]) + eps * (X @ X.conj().T))
+    w, V = np.linalg.eigh(_eye(X.shape[0]) + eps * (X @ X.conj().T))
     if w[0] <= 0:
         if eps > 0:  # the eigenvalues are >= 1 exactly
             raise NumericalFailure(
@@ -138,9 +137,9 @@ def _exp0_frames(eps: int, B: np.ndarray) -> np.ndarray:
     else:
         co, si = np.cosh(s), np.sinh(s)
     # top = I + u diag(co - 1) u^dagger, bottom = vh^dagger diag(si) u^dagger
-    uh = np.swapaxes(u, -1, -2).conj()
-    top = np.eye(B.shape[-2]) + (u * (co - 1.0)[..., None, :]) @ uh
-    bottom = (np.swapaxes(vh, -1, -2).conj() * si[..., None, :]) @ uh
+    uh = u.swapaxes(-1, -2).conj()
+    top = _eye(B.shape[-2]) + (u * (co - 1.0)[..., None, :]) @ uh
+    bottom = (vh.swapaxes(-1, -2).conj() * si[..., None, :]) @ uh
     return np.concatenate([top, bottom], axis=-2)
 
 
@@ -241,8 +240,8 @@ def _rk4_jacobi(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
     P = Q.conj().T @ Vs  # row i is q_i^dagger Vs
     qmax, pmax = np.abs(Q).max(axis=0), np.abs(P).max(axis=1)
     x = [
-        _rk4_scalar(float(np.ldexp(b, 2 * e)), eps, h, steps, float(np.ldexp(qm * pm, e)))
-        for b, qm, pm in zip(lam, qmax, pmax)
+        _rk4_scalar(math.ldexp(b, 2 * e), eps, h, steps, math.ldexp(qm * pm, e))
+        for b, qm, pm in zip(lam, qmax.tolist(), pmax.tolist())
     ]
     Zs = Q @ (np.array(x)[:, None] * P)
     Z = np.ldexp(Zs.real, e) + 1j * np.ldexp(Zs.imag, e)

@@ -8,6 +8,7 @@ weight one is used here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,7 +25,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .geometry import raw_frame
-from .linalg import _svd
+from .linalg import _eye, _svd
 from .spaces import ChartPoint, Frame, GrassmannSpace, check_space
 from .spaces import check_enumeration_size, coordinate_plane_frame
 
@@ -92,7 +93,7 @@ def kernel(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> complex:
 def _kernels(space: GrassmannSpace, *pairs) -> list[complex]:
     """kernel(space, Z1, Z2) for each pair (Z1, Z2), through one stacked det."""
     check_space(space, *(p for pair in pairs for p in pair))
-    G = np.stack([np.eye(space.n) + space.epsilon * (Z1.Z @ Z2.Z.conj().T) for Z1, Z2 in pairs])
+    G = np.stack([_eye(space.n) + space.epsilon * (Z1.Z @ Z2.Z.conj().T) for Z1, Z2 in pairs])
     with np.errstate(all="ignore"):
         dets = np.linalg.det(G)
     if not np.isfinite(dets).all():
@@ -123,7 +124,7 @@ def cayley_distance(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> fl
             "use the noncompact angle identity instead"
         )
     ov = normalized_overlap(space, Z1, Z2)
-    return float(np.arccos(np.clip(ov.modulus, -1.0, 1.0)))
+    return float(np.arccos(min(max(ov.modulus, -1.0), 1.0)))
 
 
 def diastasis(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> float:
@@ -152,8 +153,23 @@ def plucker_embed(F: Frame) -> PluckerVector:
             f"Plucker embedding: {count} minors of size {n} need {count * n * n} "
             f"entries, more than {MAX_PLUCKER_ENTRIES}"
         )
+    with np.errstate(all="ignore"):  # numpy's complex det turns a subnormal pivot into NaN
+        minors = np.linalg.det(F.F[_subset_rows(N, n)])
+    if not np.isfinite(minors).all():
+        raise NumericalFailure(
+            "Plucker minors are not finite: numpy's complex det fails on a subnormal pivot"
+        )
+    return PluckerVector(n, N, minors)
+
+
+@functools.lru_cache(maxsize=32)
+def _subset_rows(N: int, n: int) -> np.ndarray:
+    """The C(N, n) x n table of size-n row subsets in lexicographic order,
+    read-only since shared; 32 tables hold every (N, n) with N <= 8, and a
+    huge table goes once 32 others have been used after it."""
     rows = np.array(list(combinations(range(N), n)))
-    return PluckerVector(n, N, np.linalg.det(F.F[rows]))
+    rows.flags.writeable = False
+    return rows
 
 
 def plucker_overlap_oracle(F1: Frame, F2: Frame) -> complex:
@@ -194,7 +210,7 @@ def _energy_chart_pieces(Z: np.ndarray):
     u, s, vh = _svd(Z)
     s2 = s * s
     w = s2 / (1.0 + s2)
-    C = np.eye(Z.shape[0]) - (u * w) @ u.conj().T
+    C = _eye(Z.shape[0]) - (u * w) @ u.conj().T
     return C, (u * (s / (1.0 + s2))) @ vh, (vh.conj().T * w) @ vh
 
 
@@ -218,7 +234,7 @@ def energy_gradient(
     C, CZ, ZhCZ = _energy_chart_pieces(p.Z)
     a1, a2 = spec.eps[: space.n], spec.eps[space.n :]
     # 2 (C Z A2 - C M C Z) with M = A1 + Z A2 Z^dagger, regrouped on bounded factors
-    return 2.0 * ((CZ * a2) @ (np.eye(space.m) - ZhCZ) - (C * a1) @ CZ)
+    return 2.0 * ((CZ * a2) @ (_eye(space.m) - ZhCZ) - (C * a1) @ CZ)
 
 
 def critical_points(space: GrassmannSpace, spec: EnergySpec):

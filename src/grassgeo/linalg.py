@@ -2,10 +2,13 @@
 
 All matrix functions of a rectangular matrix B are evaluated through one SVD
 of B, never by forming B*B, which would square the condition number.
+Shared constants, such as the identities from _eye, are read-only, and public
+functions never return them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,6 +36,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
             raise PreconditionError(f"{name} contains non-finite entries")
         raise PreconditionError(f"{name} has an entry above {ENTRY_LIMIT:g} in modulus")
     return M
+
+
+@functools.lru_cache(maxsize=16)
+def _eye(n: int, dtype=float) -> np.ndarray:
+    """The n x n identity of the given dtype, built once and read-only since
+    shared, for an identity that only enters arithmetic; the 16 most recent
+    (n, dtype) are kept, so a large identity does not stay for good."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -115,11 +128,11 @@ def check_gram(F: np.ndarray, eps: int, tol: float, name: str = "frame") -> np.n
     one at a time, would.
     """
     N, n = F.shape[-2:]
-    Fh = np.swapaxes(F, -1, -2).conj()
+    Fh = F.swapaxes(-1, -2).conj()
     if eps < 0:
         Fh = Fh * np.concatenate([np.ones(n), -np.ones(N - n)])  # F^dagger J
     G = Fh @ F
-    devs = np.abs(G - np.eye(n))
+    devs = np.abs(G - _eye(n))
     dev = devs.max()
     if not dev <= tol:
         if F.ndim > 2:
@@ -161,9 +174,9 @@ def _split_angles(cross: np.ndarray, residual: Callable[[], np.ndarray]) -> np.n
     a thunk for the residual F2 - F1 F1^dagger F2: arccos of the singular
     values of cross, with the angles below pi/4 recomputed as arcsin of those
     of the residual, which is formed only if some angle needs it."""
-    theta = np.arccos(np.clip(_svdvals(cross), -1.0, 1.0))
+    theta = np.arccos(np.minimum(np.maximum(_svdvals(cross), -1.0), 1.0))
     small = theta < np.pi / 4
-    if np.any(small):
-        sines = np.sort(np.clip(_svdvals(residual()), -1.0, 1.0))
+    if small.any():
+        sines = np.sort(np.minimum(np.maximum(_svdvals(residual()), -1.0), 1.0))
         theta = np.where(small, np.arcsin(sines), theta)
     return theta

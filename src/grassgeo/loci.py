@@ -304,13 +304,13 @@ def _dexp_chunk(eps: int, n: int, m: int, Bp: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):  # cosh overflows from about 710 on; the check fails then
         F = _exp0_frames(eps, Bp)
         G = check_gram(F, eps, FRAME_GRAM_TOL)
-    Fh = np.swapaxes(F, -1, -2).conj()
+    Fh = F.swapaxes(-1, -2).conj()
     if eps < 0:  # G is the J-Gram; the projection needs F^dagger F
         G = Fh @ F
     P = F @ np.linalg.inv(G) @ Fh  # orthogonal projection onto each span
     half = 2 * n * m
     diff = (P[:, :half] - P[:, half:]).reshape(len(P), half, -1) / (2.0 * FD_STEP)
-    s = _svdvals(np.swapaxes(np.concatenate([diff.real, diff.imag], axis=2), 1, 2))
+    s = _svdvals(np.concatenate([diff.real, diff.imag], axis=2).swapaxes(1, 2))
     if not s[:, 0].all():
         raise PreconditionError("degenerate Jacobian: all singular values vanish")
     return s[:, -1] / s[:, 0]

@@ -127,7 +127,7 @@ class Frame:
 def check_space(space: GrassmannSpace, *items) -> None:
     """Raise unless each chart point, tangent vector or frame belongs to space."""
     for item in items:
-        if item.space != space:
+        if item.space is not space and item.space != space:
             raise PreconditionError(f"{_KINDS[type(item)]} belongs to a different space")
 
 

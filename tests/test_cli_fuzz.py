@@ -3,9 +3,10 @@
 Every argv and matrix document must end in one of three ways: exit 0 with an
 empty stderr; exit 1 with a JSON error object on stdout and an empty stderr;
 or exit 2 with a usage message.  A traceback, any other exception or a numpy
-floating-point warning fails the test.  A second strategy drives the RK4
-oracle at every k = min(n, m) <= 4 and at entry scales from 1e-150 to 1e150,
-and fixed regressions check its exits at a tan pole and at extreme scales.
+floating-point warning fails the test.  Two more strategies draw entries at
+scales from 1e-150 to 1e150 for n, m <= 4: one drives the RK4 oracle at every
+k = min(n, m) <= 4, the other the chart-pair commands; fixed regressions
+check the oracle's exits at a tan pole and at extreme scales.
 """
 
 import json
@@ -113,6 +114,20 @@ def oracle_invocations(draw):
     return argv, {"input": jsonio.matrix_to_doc(draw(scaled_matrices(n, m)))}
 
 
+@st.composite
+def pair_invocations(draw):
+    """(argv, {file name: document}) for overlap (with and without --verify),
+    distance, diastasis or cayley with n, m in 1..4, both signs, and two
+    chart points from scaled_matrices."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["compact", "noncompact"]))
+    command = draw(st.sampled_from(
+        [["overlap"], ["overlap", "--verify"], ["distance"], ["diastasis"], ["cayley"]]
+    ))
+    argv = [*command, "--space", str(n), str(m), kind, "--z1", "z1", "--z2", "z2"]
+    return argv, {name: jsonio.matrix_to_doc(draw(scaled_matrices(n, m))) for name in ("z1", "z2")}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -140,6 +155,13 @@ def test_geodesic_oracle_outcomes(workdir, invocation):
     _check_outcome(workdir, *invocation)
 
 
+@_settings(80)
+@given(pair_invocations())
+def test_chart_pair_outcomes(workdir, invocation):
+    code, out = _check_outcome(workdir, *invocation)
+    assert code == 2 or isinstance(json.loads(out), dict)
+
+
 def _check_outcome(workdir, argv, docs):
     for name, doc in docs.items():
         path = workdir / name
@@ -148,13 +170,14 @@ def _check_outcome(workdir, argv, docs):
     code, out, err = run_main(argv)
     if code == 2:
         assert "usage" in err
-        return
+        return code, out
     assert err == ""
     if code == 1:
         error = json.loads(out)["error"]
         assert set(error) == {"type", "message"}
     else:
         assert code == 0 and out
+    return code, out
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -195,3 +218,23 @@ def test_tiny_triple_is_t_b(tmp_path):
     assert (code, err) == (0, "")
     Z = jsonio.doc_to_matrix(json.loads(out)["Z_ode"])
     assert np.abs(Z - B).max() <= 2e-13 * np.abs(B).max()
+
+
+@pytest.mark.parametrize("command", ["overlap", "plucker"])
+def test_subnormal_plucker_entry_exits_1(tmp_path, command):
+    # a chart point with one subnormal entry gives a frame whose 2 x 2 minor
+    # [[0, 1], [s, 0]] numpy's complex det returns as NaN, with a
+    # divide-by-zero warning; the Plucker oracle must fail as a typed error
+    s = 2.225073858507e-311j
+    if command == "overlap":
+        docs = {"z1": np.zeros((2, 1)), "z2": np.array([[s], [0.0]])}
+        argv = ["overlap", "--verify", "--z1", "z1", "--z2", "z2"]
+    else:
+        docs = {"frame": np.array([[1.0, 0.0], [0.0, 1.0], [-s, 0.0]])}
+        argv = ["plucker", "--frame", "frame"]
+    for name, M in docs.items():
+        (tmp_path / name).write_text(json.dumps(jsonio.matrix_to_doc(M)))
+        argv[argv.index(name)] = str(tmp_path / name)
+    code, out, err = run_main([*argv, "--space", "2", "1", "compact"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"]["type"] == "NumericalFailure"

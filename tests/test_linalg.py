@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from grassgeo.errors import PreconditionError, SingularityError
+from grassgeo.geometry import raw_frame
+from grassgeo.kernels import _subset_rows
 from grassgeo.linalg import (
+    _eye,
     _svd,
     _svdvals,
     apply_spectral,
@@ -11,6 +14,8 @@ from grassgeo.linalg import (
     rank_tol,
     svd,
 )
+from grassgeo.loci import dual_flag, standard_flag
+from grassgeo.spaces import ChartPoint, GrassmannSpace, coordinate_plane_frame
 from conftest import random_unitary
 
 
@@ -153,3 +158,38 @@ class TestCheckGram:
     def test_svdvals_match_the_svd(self, rng):
         M = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
         assert np.allclose(_svdvals(M), _svd(M)[1], rtol=1e-14, atol=0)
+
+
+class TestSharedConstants:
+    def test_identity_is_shared_and_read_only(self):
+        eye = _eye(3, complex)
+        assert eye.dtype == complex and np.array_equal(eye, np.eye(3))
+        assert _eye(3, complex) is eye
+        with pytest.raises(ValueError):
+            eye[0, 1] = 1.0
+
+    def test_plucker_rows_are_shared_and_read_only(self):
+        rows = _subset_rows(4, 2)
+        assert rows.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        assert _subset_rows(4, 2) is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            standard_flag,
+            dual_flag,
+            lambda space: raw_frame(ChartPoint(space, np.zeros((2, 3)))),
+            lambda space: coordinate_plane_frame(space, (0, 1)).F,
+        ],
+        ids=["standard_flag", "dual_flag", "raw_frame", "coordinate_plane_frame"],
+    )
+    def test_public_results_are_fresh(self, build):
+        # a caller may write into what a public function returns; the next
+        # call must not see it
+        space = GrassmannSpace(2, 3)
+        first = build(space)
+        expected = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(build(space), expected)

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     WrongChartError,
 )
-from .linalg import _eye, _principal_angles, _svd, _svdvals, apply_spectral
+from .linalg import ENTRY_LIMIT, _eye, _principal_angles, _svd, _svdvals, apply_spectral
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
 CHART_SINGULAR_TOL = 1e-12
@@ -39,22 +39,31 @@ def raw_frame(p: ChartPoint) -> np.ndarray:
 
 
 def frame_of_chart(p: ChartPoint) -> Frame:
-    """Orthonormalized (compact) or J-orthonormalized (noncompact) frame of Z."""
-    return Frame(p.space, raw_frame(p) @ _inv_sqrt_gram(p.space.epsilon, p.Z))
+    """(J-)orthonormal frame [I_n ; Z^dagger] (I + eps Z Z^dagger)^{-1/2} of Z, via _frame."""
+    return Frame(p.space, _frame(*_chart_svd(p.space.epsilon, p.Z)))
 
 
-def _inv_sqrt_gram(eps: int, X: np.ndarray) -> np.ndarray:
-    """(I + eps X X^dagger)^{-1/2}; its positive definiteness is, for eps = -1,
-    the bounded-domain condition."""
-    w, V = np.linalg.eigh(_eye(X.shape[0]) + eps * (X @ X.conj().T))
-    if w[0] <= 0:
-        if eps > 0:  # the eigenvalues are >= 1 exactly
-            raise NumericalFailure(
-                "I + Z Z^dagger is not positive definite in float64: the entries of Z "
-                "differ in scale by more than about 1e8"
-            )
+def _chart_svd(eps: int, Z: np.ndarray) -> tuple:
+    """(u, co, si, vh): the thin SVD Z = u diag(s) vh, co = (1 + eps s^2)^{-1/2}
+    and si = s co; a dual s >= 1 lies outside the bounded domain."""
+    u, s, vh = _svd(Z)
+    if eps < 0 and not s[0] < 1.0:
         raise DomainError("chart point lies outside the bounded domain")
-    return (V / np.sqrt(w)) @ V.conj().T
+    co = 1.0 / (np.hypot(1.0, s) if eps > 0 else np.sqrt((1.0 - s) * (1.0 + s)))
+    return u, co, s * co, vh
+
+
+def _frame(u: np.ndarray, co: np.ndarray, si: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """[I + u diag(co - 1) u^dagger ; vh^dagger diag(si) u^dagger] for the thin SVD
+    u diag(s) vh of a matrix or a stack (..., n, m) and factors co, si of s."""
+    uh = u.swapaxes(-1, -2).conj()
+    bottom = (vh.swapaxes(-1, -2).conj() * si[..., None, :]) @ uh
+    return np.concatenate([_eye_plus(u, co, uh), bottom], axis=-2)
+
+
+def _eye_plus(u: np.ndarray, c: np.ndarray, uh: np.ndarray) -> np.ndarray:
+    """I + u diag(c - 1) uh, for orthonormal columns u and uh = u^dagger."""
+    return _eye(u.shape[-2]) + (u * (c - 1.0)[..., None, :]) @ uh
 
 
 def chart_of_frame(F: Frame) -> ChartPoint:
@@ -108,21 +117,16 @@ def _tanh(s: np.ndarray) -> np.ndarray:
     # can already push the largest singular value of Z to 1
     if 1.0 - th[0] < TANH_LIMIT_TOL:
         raise DomainError(
-            f"tanh of the singular value {s[0]:.6g} of B is within {TANH_LIMIT_TOL:.2g} "
-            "of 1 (float64 rounds it to 1 above about 19), so the chart point cannot "
-            "be told from the boundary of the domain; exp0_frame reaches its own "
-            "float64 limit earlier (its J-Gram check fails from about 7)"
+            f"tanh of the singular value {s[0]:.6g} of B is within {TANH_LIMIT_TOL:.2g} of 1 "
+            "(float64 rounds it to 1 above about 19), so the chart point cannot be told from "
+            f"the boundary; exp0_frame holds up to about 346, where cosh passes {ENTRY_LIMIT:g}"
         )
     return th
 
 
 def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
-    """Geodesic exponential at the origin as a frame; globally defined.
-
-    Block form [co(sqrt(BB*)) ; si(sqrt(B*B))/sqrt(B*B) B*] evaluated through
-    one thin SVD of B, with co/si = cos/sin (compact) or cosh/sinh
-    (noncompact).
-    """
+    """Geodesic exponential at the origin as a frame, globally defined: _frame
+    of B's thin SVD with co/si = cos/sin (compact) or cosh/sinh (noncompact)."""
     check_space(space, B)
     with np.errstate(all="ignore"):  # cosh overflows from about 710 on; Frame rejects that
         F = _exp0_frames(space.epsilon, B.B)
@@ -132,15 +136,8 @@ def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
 def _exp0_frames(eps: int, B: np.ndarray) -> np.ndarray:
     """exp0_frame on raw arrays: a stack B (..., n, m) gives frames (..., n+m, n)."""
     u, s, vh = _svd(B)
-    if eps > 0:
-        co, si = np.cos(s), np.sin(s)
-    else:
-        co, si = np.cosh(s), np.sinh(s)
-    # top = I + u diag(co - 1) u^dagger, bottom = vh^dagger diag(si) u^dagger
-    uh = u.swapaxes(-1, -2).conj()
-    top = _eye(B.shape[-2]) + (u * (co - 1.0)[..., None, :]) @ uh
-    bottom = (vh.swapaxes(-1, -2).conj() * si[..., None, :]) @ uh
-    return np.concatenate([top, bottom], axis=-2)
+    co, si = (np.cos, np.sin) if eps > 0 else (np.cosh, np.sinh)
+    return _frame(u, co(s), si(s), vh)
 
 
 def log0(space: GrassmannSpace, p: ChartPoint) -> TangentVector:
@@ -341,15 +338,14 @@ def transport_to_origin(space: GrassmannSpace, p: ChartPoint) -> np.ndarray:
     preserves all pairwise principal angles (compact) and all J-Gram matrices
     (noncompact).
 
-    The off-diagonal blocks are formed as eps Z D and -Z^dagger A, equal to
-    the above by push-through.
+    All four blocks come from one thin SVD u diag(s) vh of Z: [A ; Z^dagger A]
+    is its frame, D = I + vh^dagger diag(co - 1) vh, and A Z = Z D,
+    D Z^dagger = Z^dagger A by push-through.
     """
     check_space(space, p)
-    eps, Z = space.epsilon, p.Z
-    Zh = Z.conj().T
-    A = _inv_sqrt_gram(eps, Z)
-    D = _inv_sqrt_gram(eps, Zh)
-    return np.block([[A, eps * (Z @ D)], [-(Zh @ A), D]])
+    u, co, si, vh = _chart_svd(space.epsilon, p.Z)
+    A, ZhA = np.split(_frame(u, co, si, vh), [space.n])
+    return np.block([[A, space.epsilon * ZhA.conj().T], [-ZhA, _eye_plus(vh.conj().T, co, vh)]])
 
 
 def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
@@ -363,11 +359,13 @@ def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
     G1 = [Z1 ; I] (I - Z1^dagger Z1)^{-1/2} the J-orthonormal frame of p1's complement.
     """
     check_space(space, p1, p2)
-    if space.compact:
-        F1, F2 = frame_of_chart(p1).F, frame_of_chart(p2).F
+    if space.compact:  # frames built from checked chart points need no Gram check
+        F1, F2 = (_frame(*_chart_svd(1, p.Z)) for p in (p1, p2))
         return float(np.linalg.norm(_principal_angles(F1, F2)))
-    Z1, Z2 = p1.Z, p2.Z
-    S = _inv_sqrt_gram(-1, Z1.conj().T) @ (Z2 - Z1).conj().T @ _inv_sqrt_gram(-1, Z2)
+    _, co1, _, vh1 = _chart_svd(-1, p1.Z)
+    u2, co2, _, _ = _chart_svd(-1, p2.Z)
+    D1, A2 = _eye_plus(vh1.conj().T, co1, vh1), _eye_plus(u2, co2, u2.conj().T)
+    S = D1 @ (p2.Z - p1.Z).conj().T @ A2
     return float(np.linalg.norm(np.arcsinh(_svdvals(S))))
 
 

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .geometry import raw_frame
-from .linalg import _eye, _svd
+from .linalg import _det, _eye, _svd
 from .spaces import ChartPoint, Frame, GrassmannSpace, check_space
 from .spaces import check_enumeration_size, coordinate_plane_frame
 
@@ -153,13 +153,7 @@ def plucker_embed(F: Frame) -> PluckerVector:
             f"Plucker embedding: {count} minors of size {n} need {count * n * n} "
             f"entries, more than {MAX_PLUCKER_ENTRIES}"
         )
-    with np.errstate(all="ignore"):  # numpy's complex det turns a subnormal pivot into NaN
-        minors = np.linalg.det(F.F[_subset_rows(N, n)])
-    if not np.isfinite(minors).all():
-        raise NumericalFailure(
-            "Plucker minors are not finite: numpy's complex det fails on a subnormal pivot"
-        )
-    return PluckerVector(n, N, minors)
+    return PluckerVector(n, N, _det(F.F[_subset_rows(N, n)], "Plucker minors are not finite"))
 
 
 @functools.lru_cache(maxsize=32)

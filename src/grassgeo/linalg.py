@@ -87,6 +87,16 @@ def _svdvals(M: np.ndarray) -> np.ndarray:
     return _svd(M, compute_uv=False)
 
 
+def _det(M: np.ndarray, failure: str) -> np.ndarray:
+    """det of a matrix or stack that the package built or checked; numpy's complex det
+    turns a subnormal pivot into NaN, so a det that is not finite raises NumericalFailure."""
+    with np.errstate(all="ignore"):
+        d = np.linalg.det(M)
+    if not np.isfinite(d).all():
+        raise NumericalFailure(f"{failure}: numpy's complex det fails on a subnormal pivot")
+    return d
+
+
 def apply_spectral(B, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Evaluate B -> u @ f(sigma) @ vh through the thin SVD of B.
 

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _exp0_frames, chart_of_frame
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
-from .linalg import _split_angles, _svdvals, check_positive_finite, rank_tol
+from .linalg import _det, _split_angles, _svdvals, check_positive_finite, rank_tol
 from .spaces import FRAME_GRAM_TOL, ChartPoint, Frame, GrassmannSpace, TangentVector
 from .spaces import check_space
 
@@ -109,7 +109,7 @@ def cut_locus_test(space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL
     if not space.compact:
         raise PreconditionError("cut locus test applies to the compact space")
     check_positive_finite(tol, "tol")
-    det_val = abs(np.linalg.det(F.top))
+    det_val = abs(_det(F.top, "top-block determinant is not finite"))
     angles = _angles_with_origin(space, F)
     by_det = det_val < tol
     by_angle = float(angles[-1]) > np.pi / 2 - DEFAULT_ANGLE_TOL
@@ -137,7 +137,7 @@ def disjoint_union_check(
     """
     check_space(space, F)
     check_positive_finite(tol, "tol")
-    det_val = abs(np.linalg.det(F.top))
+    det_val = abs(_det(F.top, "top-block determinant is not finite"))
     if det_val < tol:
         return DisjointUnionResult("polar-divisor", det_val, None)
     try:

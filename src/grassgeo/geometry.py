@@ -55,10 +55,12 @@ def _chart_svd(eps: int, Z: np.ndarray) -> tuple:
 
 def _frame(u: np.ndarray, co: np.ndarray, si: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """[I + u diag(co - 1) u^dagger ; vh^dagger diag(si) u^dagger] for the thin SVD
-    u diag(s) vh of a matrix or a stack (..., n, m) and factors co, si of s."""
-    uh = u.swapaxes(-1, -2).conj()
-    bottom = (vh.swapaxes(-1, -2).conj() * si[..., None, :]) @ uh
-    return np.concatenate([_eye_plus(u, co, uh), bottom], axis=-2)
+    u diag(s) vh of a matrix or a stack (..., n, m) and factors co, si of s, as one
+    product [u diag(co - 1) ; vh^dagger diag(si)] u^dagger with I added to its top rows."""
+    vs = vh.swapaxes(-1, -2).conj() * si[..., None, :]
+    F = np.concatenate([u * (co - 1.0)[..., None, :], vs], axis=-2) @ u.swapaxes(-1, -2).conj()
+    F[..., : u.shape[-2], :] += _eye(u.shape[-2])
+    return F
 
 
 def _eye_plus(u: np.ndarray, c: np.ndarray, uh: np.ndarray) -> np.ndarray:

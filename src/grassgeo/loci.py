@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _exp0_frames, chart_of_frame
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
-from .linalg import _det, _split_angles, _svdvals, check_positive_finite, rank_tol
+from .linalg import _det, _eye, _split_angles, _svdvals, check_positive_finite, rank_tol
 from .spaces import FRAME_GRAM_TOL, ChartPoint, Frame, GrassmannSpace, TangentVector
 from .spaces import check_space
 
@@ -238,17 +238,18 @@ def dexp_min_singular(space: GrassmannSpace, B: TangentVector, t: float) -> floa
     degenerate at once, so any mid-spectrum normalizer collapses with them.
 
     One point is a stack of one, and a t-grid (conjugate-scan) runs the same
-    code on a stack of all its points, in chunks of bounded memory, with the
+    core on a stack of all its points, in chunks of bounded memory, with the
     same ratios bit for bit.  The 4nm perturbed frames of each point come
-    from one stacked SVD, with the offsets built once per (n, m); each
-    frame's Gram is formed once, by the (J-)Gram check, and the compact
-    projection F (F^dagger F)^{-1} F^dagger reuses it; the Jacobian gives
-    its singular values only.  Errors are per point: a grid raises the error
-    of its first failing point, as a loop of this call over it would.
+    from one stacked SVD, and each frame's Gram G once from the (J-)Gram
+    check.  The compact projection F (2I - G) F^dagger takes one Newton step
+    from I for G^{-1}, off by about |G - I|^2 <= FRAME_GRAM_TOL^2; the dual
+    takes F (F^dagger F)^{-1} F^dagger.  The Jacobian gives its singular
+    values only, unscaled.  Errors are per point: a grid raises the error of
+    its first failing point, as a loop of this call over it would.
     """
     check_space(space, B)
-    B0 = _scaled_direction(B, t)
-    return float(_dexp_ratios(space.epsilon, space.n, space.m, B0[None])[0])
+    Bp = _scaled_direction(B, t) + _perturbations(space.n, space.m)
+    return float(_dexp_chunk(space.epsilon, space.n, space.m, Bp[None])[0])
 
 
 def _scaled_direction(B: TangentVector, t: float) -> np.ndarray:
@@ -270,7 +271,11 @@ def _dexp_scan(space: GrassmannSpace, B: TangentVector, ts: np.ndarray) -> np.nd
         B0 = ts[:, None, None] * B.B
         ok = (np.abs(ts) <= ENTRY_LIMIT) & (np.abs(B0).max(axis=(1, 2)) <= ENTRY_LIMIT)
     k = len(ts) if ok.all() else int(np.argmin(ok))
-    ratios = _dexp_ratios(space.epsilon, space.n, space.m, B0[:k])
+    n, m, dB = space.n, space.m, _perturbations(space.n, space.m)
+    step = max(1, _DEXP_CHUNK_ENTRIES // (len(dB) * (n + m) ** 2))
+    ratios = np.empty(k)
+    for i in range(0, k, step):
+        ratios[i : i + step] = _dexp_chunk(space.epsilon, n, m, B0[:k][i : i + step, None] + dB)
     if k < len(ts):
         _scaled_direction(B, float(ts[k]))
     return ratios
@@ -288,29 +293,18 @@ def _perturbations(n: int, m: int) -> np.ndarray:
     return both
 
 
-def _dexp_ratios(eps: int, n: int, m: int, B0: np.ndarray) -> np.ndarray:
-    """dexp_min_singular's ratio at each point of a checked stack B0 (p, n, m),
-    in chunks of at most _DEXP_CHUNK_ENTRIES entries of P."""
-    dB = _perturbations(n, m)
-    step = max(1, _DEXP_CHUNK_ENTRIES // (len(dB) * (n + m) ** 2))
-    ratios = np.empty(len(B0))
-    for i in range(0, len(B0), step):
-        ratios[i : i + step] = _dexp_chunk(eps, n, m, B0[i : i + step, None] + dB)
-    return ratios
-
-
 def _dexp_chunk(eps: int, n: int, m: int, Bp: np.ndarray) -> np.ndarray:
     """The ratios of a stack Bp (p, 4nm, n, m) of perturbed points."""
     with np.errstate(all="ignore"):  # cosh overflows from about 710 on; the check fails then
         F = _exp0_frames(eps, Bp)
         G = check_gram(F, eps, FRAME_GRAM_TOL)
     Fh = F.swapaxes(-1, -2).conj()
-    if eps < 0:  # G is the J-Gram; the projection needs F^dagger F
-        G = Fh @ F
-    P = F @ np.linalg.inv(G) @ Fh  # orthogonal projection onto each span
+    # the dual's G is the J-Gram, so its projection needs (F^dagger F)^{-1}
+    W = 2.0 * _eye(n) - G if eps > 0 else np.linalg.inv(Fh @ F)
+    P = F @ W @ Fh  # orthogonal projection onto each span
     half = 2 * n * m
-    diff = (P[:, :half] - P[:, half:]).reshape(len(P), half, -1) / (2.0 * FD_STEP)
-    s = _svdvals(np.concatenate([diff.real, diff.imag], axis=2).swapaxes(1, 2))
+    # the real view interleaves the Jacobian's rows [Re | Im]
+    s = _svdvals((P[:, :half] - P[:, half:]).reshape(len(P), half, -1).view(float).swapaxes(1, 2))
     if not s[:, 0].all():
         raise PreconditionError("degenerate Jacobian: all singular values vanish")
     return s[:, -1] / s[:, 0]

@@ -627,6 +627,35 @@ class TestInputHoles:
                 "--tmax", tmax, "--points", points]
         assert run_main(argv) == (1, stdout, "")
 
+    @pytest.mark.parametrize(
+        "argv, exponent, plain",
+        [
+            pytest.param(
+                ["conjugate-times", "--space", "2", "2", "compact", "--h", "0.8", "X",
+                 "--tmax", "3"], "-6e-1", "-0.6",
+                id="h",
+            ),
+            pytest.param(
+                ["critical-points", "--space", "2", "1", "compact", "--eps", "X", "0.5", "3"],
+                "-1e+20", "-100000000000000000000",
+                id="eps",
+            ),
+            pytest.param(
+                ["exp", "--space", "1", "1", "compact", "--input", "-", "--t", "X"],
+                "-1e-1", "-0.1",
+                id="t",
+            ),
+        ],
+    )
+    def test_negative_exponent_is_a_value(self, argv, exponent, plain, monkeypatch):
+        # argparse 3.11 reads -6e-1 as an option; it must parse as -0.6 does
+        got, want = (
+            run_main([word if a == "X" else a for a in argv], monkeypatch, stdin=POINT_DOC)
+            for word in (exponent, plain)
+        )
+        assert got[0] != 2
+        assert got == want
+
 
 def test_scan_flags_every_point_near_a_predicted_time():
     # the reference tests each point against every predicted time

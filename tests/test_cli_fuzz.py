@@ -41,14 +41,6 @@ COMMANDS = (
 )
 
 
-def _arg(x: float) -> str:
-    """A float as one argv word that argparse does not mistake for an option:
-    negative numbers are written without an exponent."""
-    if x < 0 and math.isfinite(x):
-        return np.format_float_positional(x, trim="0")
-    return repr(x)
-
-
 @st.composite
 def matrix_docs(draw, n, m):
     """A MatrixDocument of the right shape, or sometimes of a wrong one."""
@@ -70,12 +62,12 @@ def invocations(draw):
         docs["input"] = draw(matrix_docs(n, m))
         argv += ["--input", "input"]
         if command != "log":
-            argv += [f"--t={_arg(draw(SCALARS))}", "--steps", str(draw(st.integers(1, 200)))]
+            argv += [f"--t={draw(SCALARS)!r}", "--steps", str(draw(st.integers(1, 200)))]
         if command == "exp" and draw(st.booleans()):
             argv.append("--verify")
     elif command.startswith("conjugate"):
         h = draw(st.lists(SCALARS, min_size=1, max_size=3))
-        argv += ["--h", *map(_arg, h), f"--tmax={_arg(draw(SCALARS))}"]
+        argv += ["--h", *map(repr, h), f"--tmax={draw(SCALARS)!r}"]
         if draw(st.booleans()):
             argv.append("--no-normalize")
         if command == "conjugate-scan":
@@ -112,7 +104,7 @@ def oracle_invocations(draw):
     command = draw(st.sampled_from([["geodesic-check"], ["exp", "--verify"]]))
     argv = [*command, "--space", str(n), str(m), kind, "--input", "input"]
     t = draw(st.one_of(st.floats(-2.0, 2.0), SCALARS))
-    argv += [f"--t={_arg(t)}", "--steps", str(draw(st.integers(100, 400)))]
+    argv += [f"--t={t!r}", "--steps", str(draw(st.integers(100, 400)))]
     return argv, {"input": jsonio.matrix_to_doc(draw(scaled_matrices(n, m)))}
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassgeo import loci
 from grassgeo.errors import EnumerationSizeError, PreconditionError
-from grassgeo.geometry import exp0_frame, frame_of_chart
+from grassgeo.geometry import _exp0_frames, exp0_frame, frame_of_chart
+from grassgeo.linalg import ENTRY_LIMIT, check_gram
 from grassgeo.kernels import coordinate_plane_frame
 from grassgeo.loci import (
     CartanVector,
@@ -23,7 +26,7 @@ from grassgeo.loci import (
     tangent_conjugate_times,
     wong_cut_symbol,
 )
-from grassgeo.spaces import Frame, GrassmannSpace, TangentVector, origin_frame
+from grassgeo.spaces import FRAME_GRAM_TOL, Frame, GrassmannSpace, TangentVector, origin_frame
 from conftest import random_chart_point_rng, random_plane_rng
 
 
@@ -250,12 +253,63 @@ class TestDexpScan:
         with pytest.raises(PreconditionError, match=message):
             loci._dexp_scan(space, B, np.array(ts))
 
+    def test_compact_core_calls_no_inv(self, monkeypatch):
+        # the compact projection takes 2I - G for G^{-1}: no inverse, and one
+        # SVD for the frames and one for the Jacobian per chunk
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.inv called")
+
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        space = GrassmannSpace(2, 2, 1)
+        B = cartan_to_tangent(space, CartanVector([0.8, 0.6]))
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(loci, "_DEXP_CHUNK_ENTRIES", 3 * 4 * 4 * 4**2)  # 3 points a chunk
+        assert dexp_min_singular(space, B, np.pi / 1.6) < 1e-6
+        assert len(calls) == 2
+        calls.clear()
+        assert loci._dexp_scan(space, B, np.linspace(0.1, 3.0, 13)).shape == (13,)
+        assert len(calls) == 2 * 5
+
     def test_perturbations_are_read_only(self):
         dB = loci._perturbations(2, 2)
         assert dB.shape == (16, 2, 2)
         assert loci._perturbations(2, 2) is dB
         with pytest.raises(ValueError):
             dB[0, 0, 0] = 1.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    log_scale=st.floats(-8.0, float(np.log10(ENTRY_LIMIT))),
+    log_drift=st.floats(-17.0, -10.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_newton_corrected_projector(n, m, log_scale, log_drift, seed):
+    """F (2I - G) F^dagger is an orthogonal projection, to 1e-14, for every
+    compact frame stack that check_gram accepts: the frames of B at
+    log-uniform scales, times I + d (E + E^dagger) with d up to 10^-10.5,
+    where F F^dagger alone is off by about d."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(4, n, m)) + 1j * rng.normal(size=(4, n, m))
+    F = _exp0_frames(1, B * (10.0**log_scale / np.abs(B).max()))
+    E = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+    F = F @ (np.eye(n) + 10.0**log_drift * (E + E.swapaxes(1, 2).conj()))
+    try:
+        G = check_gram(F, 1, FRAME_GRAM_TOL)
+    except PreconditionError:
+        return
+    Fh = F.swapaxes(1, 2).conj()
+    P = F @ (2.0 * np.eye(n) - G) @ Fh
+    assert np.abs(P - P.swapaxes(1, 2).conj()).max() <= 1e-14
+    assert np.abs(P @ P - P).max() <= 1e-14
 
 
 class TestCutLocus:

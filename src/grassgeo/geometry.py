@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     WrongChartError,
 )
-from .linalg import ENTRY_LIMIT, _eye, _principal_angles, _svd, _svdvals, apply_spectral
+from .linalg import ENTRY_LIMIT, _eye, _svd, _svdvals, apply_spectral
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
 CHART_SINGULAR_TOL = 1e-12
@@ -43,10 +43,10 @@ def frame_of_chart(p: ChartPoint) -> Frame:
     return Frame(p.space, _frame(*_chart_svd(p.space.epsilon, p.Z)))
 
 
-def _chart_svd(eps: int, Z: np.ndarray) -> tuple:
-    """(u, co, si, vh): the thin SVD Z = u diag(s) vh, co = (1 + eps s^2)^{-1/2}
+def _chart_svd(eps: int, Z: np.ndarray, full: bool = False) -> tuple:
+    """(u, co, si, vh): the SVD Z = u diag(s) vh, thin unless full, co = (1 + eps s^2)^{-1/2}
     and si = s co; a dual s >= 1 lies outside the bounded domain."""
-    u, s, vh = _svd(Z)
+    u, s, vh = _svd(Z, full_matrices=full)
     if eps < 0 and not s[0] < 1.0:
         raise DomainError("chart point lies outside the bounded domain")
     co = 1.0 / (np.hypot(1.0, s) if eps > 0 else np.sqrt((1.0 - s) * (1.0 + s)))
@@ -55,17 +55,11 @@ def _chart_svd(eps: int, Z: np.ndarray) -> tuple:
 
 def _frame(u: np.ndarray, co: np.ndarray, si: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """[I + u diag(co - 1) u^dagger ; vh^dagger diag(si) u^dagger] for the thin SVD
-    u diag(s) vh of a matrix or a stack (..., n, m) and factors co, si of s, as one
-    product [u diag(co - 1) ; vh^dagger diag(si)] u^dagger with I added to its top rows."""
+    u diag(s) vh of a matrix or a stack (..., n, m) and factors co, si of s."""
     vs = vh.swapaxes(-1, -2).conj() * si[..., None, :]
     F = np.concatenate([u * (co - 1.0)[..., None, :], vs], axis=-2) @ u.swapaxes(-1, -2).conj()
     F[..., : u.shape[-2], :] += _eye(u.shape[-2])
     return F
-
-
-def _eye_plus(u: np.ndarray, c: np.ndarray, uh: np.ndarray) -> np.ndarray:
-    """I + u diag(c - 1) uh, for orthonormal columns u and uh = u^dagger."""
-    return _eye(u.shape[-2]) + (u * (c - 1.0)[..., None, :]) @ uh
 
 
 def chart_of_frame(F: Frame) -> ChartPoint:
@@ -340,35 +334,41 @@ def transport_to_origin(space: GrassmannSpace, p: ChartPoint) -> np.ndarray:
     preserves all pairwise principal angles (compact) and all J-Gram matrices
     (noncompact).
 
-    All four blocks come from one thin SVD u diag(s) vh of Z: [A ; Z^dagger A]
-    is its frame, D = I + vh^dagger diag(co - 1) vh, and A Z = Z D,
-    D Z^dagger = Z^dagger A by push-through.
+    All four blocks come from one thin SVD of Z: [A ; Z^dagger A] is its
+    frame, and A Z = Z D, D Z^dagger = Z^dagger A by push-through.
     """
     check_space(space, p)
     u, co, si, vh = _chart_svd(space.epsilon, p.Z)
     A, ZhA = np.split(_frame(u, co, si, vh), [space.n])
-    return np.block([[A, space.epsilon * ZhA.conj().T], [-ZhA, _eye_plus(vh.conj().T, co, vh)]])
+    D = _eye(space.m) + (vh.conj().T * (co - 1.0)) @ vh
+    return np.block([[A, space.epsilon * ZhA.conj().T], [-ZhA, D]])
 
 
 def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
-    """Geodesic distance: the 2-norm of the principal angles (compact) or of
-    the hyperbolic angles tau_i (noncompact) between the two planes.
+    """Geodesic distance: the 2-norm of the principal angles theta_i (compact)
+    or of the hyperbolic angles tau_i (noncompact) between the two planes.
 
-    The compact angles, taken between orthonormal frames, hold through the
-    polar divisor.  Noncompact: sinh tau_i are the singular values of
-    S = (I - Z1^dagger Z1)^{-1/2} (Z2 - Z1)^dagger (I - Z2 Z2^dagger)^{-1/2},
-    since S = -G1^dagger J F2 with F2 = frame_of_chart(p2) and
-    G1 = [Z1 ; I] (I - Z1^dagger Z1)^{-1/2} the J-orthonormal frame of p1's complement.
+    sin theta_i, or sinh tau_i, are the singular values of S = eps G1^dagger J F2
+    = D1 (Z2 - Z1)^dagger A2, for F2 the frame of p2 and G1 = [-eps Z1 ; I] D1
+    that of p1's complement; Z2 - Z1 is exact, so d(p, p) = 0.  With n <= m
+    (complements make the same angles), S = diag(co1, 1) vh1 (Z2 - Z1)^dagger u2 diag(co2)
+    up to unitary factors, vh1 full, so no sum cancels; role 2, where A2 damps
+    Z2 - Z1, goes to the point of larger si[0], i.e. norm.  Compact angles above
+    pi/4 come from the cosines, the singular values of A1 (I + Z1 Z2^dagger) A2.
     """
     check_space(space, p1, p2)
-    if space.compact:  # frames built from checked chart points need no Gram check
-        F1, F2 = (_frame(*_chart_svd(1, p.Z)) for p in (p1, p2))
-        return float(np.linalg.norm(_principal_angles(F1, F2)))
-    _, co1, _, vh1 = _chart_svd(-1, p1.Z)
-    u2, co2, _, _ = _chart_svd(-1, p2.Z)
-    D1, A2 = _eye_plus(vh1.conj().T, co1, vh1), _eye_plus(u2, co2, u2.conj().T)
-    S = D1 @ (p2.Z - p1.Z).conj().T @ A2
-    return float(np.linalg.norm(np.arcsinh(_svdvals(S))))
+    Z1, Z2 = (p1.Z, p2.Z) if space.n <= space.m else (p1.Z.T, p2.Z.T)
+    (Z1, (u1, co1, si1, vh1)), (Z2, (u2, co2, si2, vh2)) = sorted(
+        ((Z, _chart_svd(space.epsilon, Z, True)) for Z in (Z1, Z2)), key=lambda z: z[1][2][0])
+    k, X = len(co1), vh1 @ ((Z2 - Z1).conj().T @ u2 * co2)
+    s = _svdvals(np.concatenate([co1[:, None] * X[:k], X[k:]]))
+    if not space.compact:
+        return float(np.linalg.norm(np.arcsinh(s)))
+    # formed for every compact pair, so that the work does not depend on the data
+    C = co1[:, None] * (u1.conj().T @ u2) * co2 + si1[:, None] * (vh1[:k] @ vh2[:k].conj().T) * si2
+    cos = np.minimum(_svdvals(C)[::-1], 1.0)  # reversed: cosines fall as sines rise
+    theta = np.where(s < math.sqrt(0.5), np.arcsin(np.minimum(s, 1.0)), np.arccos(cos))
+    return float(np.linalg.norm(theta))
 
 
 def chart_transition(

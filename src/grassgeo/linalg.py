@@ -69,12 +69,12 @@ def svd(M) -> SvdResult:
     return SvdResult(*_svd(as_matrix(M)))
 
 
-def _svd(M: np.ndarray, compute_uv: bool = True):
-    """Thin SVD (u, s, vh), or s alone if not compute_uv, of a matrix or a
-    stack (..., p, q) that the package built or already checked, so its
+def _svd(M: np.ndarray, compute_uv: bool = True, full_matrices: bool = False):
+    """SVD (u, s, vh), thin unless full_matrices, or s alone if not compute_uv, of a
+    matrix or a stack (..., p, q) that the package built or already checked, so its
     entries are not checked again; a LAPACK failure raises NumericalFailure."""
     try:
-        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"SVD did not converge for a {M.shape[-2]}x{M.shape[-1]} matrix"

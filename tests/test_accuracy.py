@@ -5,8 +5,10 @@ Each row names a region, the worst error seen there on its sample and the
 bound asserted.  The oracle takes the angles from their cosines: the
 singular values of F1^dagger J F2 for (J-)orthonormal frames F1, F2 are
 cos theta_i (compact) or cosh tau_i (noncompact).  The float code takes
-sines instead (noncompact, and compact angles below pi/4), so the two routes
-share no formula and no rounding.
+sines instead (noncompact, and compact angles below pi/4).  Its compact
+angles above pi/4 come from the same cosines, but taken with n <= m from the
+float64 chart SVDs, where the oracle forms 50-digit inverse square roots; so
+the two routes share no rounding.
 """
 
 import mpmath
@@ -42,35 +44,48 @@ def _at_radius(rng, n, m, radius):
 
 def _pairs(rng, n, m, radius, apart):
     """Pairs with ||Z1||_2 = radius and either Z2 at Frobenius distance
-    `apart` from Z1, or, when apart is None, ||Z2||_2 = radius as well."""
+    `apart` from Z1, or, when apart is None, ||Z2||_2 = radius as well; a
+    radius pair (r1, r2) puts Z1 at r1 and Z2 at r2."""
+    r1, r2 = radius if isinstance(radius, tuple) else (radius, radius)
     for _ in range(PAIRS_PER_SIZE):
-        Z1 = _at_radius(rng, n, m, radius)
+        Z1 = _at_radius(rng, n, m, r1)
         if apart is None:
-            yield Z1, _at_radius(rng, n, m, radius)
+            yield Z1, _at_radius(rng, n, m, r2)
         else:
             W = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
             yield Z1, Z1 + W * (apart / np.linalg.norm(W))
 
 
-# (region, epsilon, radius, apart, observed worst relative error, bound)
+UNEQUAL = [(n, m) for n, m in SIZES if n != m]
+SQUARE = [(n, m) for n, m in SIZES if n == m]
+
+# (region, sizes, epsilon, radius, apart, observed worst relative error,
+# bound).  The unequal rows put one point near 1e3 and the other near 1e6,
+# in both orders; `distance` gives role 2 to the larger one, whose A2 damps
+# Z2 - Z1 (the 1e6-to-1e3 row read 4.4e-13 in the order given).  On the
+# square row D1 is applied in the basis of the full vh1; as
+# I + vh1^dagger diag(co1 - 1) vh1 it read 2.8e-10
 ACCURACY = [
-    ("compact-off-origin", 1, 1.5, None, 5.8e-16, 1e-14),
-    ("noncompact-off-origin", -1, 0.8, None, 5.1e-16, 1e-14),
-    ("compact-1e-7-apart", 1, 0.7, 1e-7, 3.4e-9, 1e-8),
-    ("noncompact-1e-7-apart", -1, 0.7, 1e-7, 5.6e-16, 1e-13),
-    ("noncompact-radius-0.999", -1, 0.999, None, 3.0e-14, 1e-12),
-    ("noncompact-radius-0.999999", -1, 0.999999, None, 1.5e-11, 1e-10),
+    ("compact-off-origin", SIZES, 1, 1.5, None, 3.7e-16, 1e-14),
+    ("noncompact-off-origin", SIZES, -1, 0.8, None, 5.6e-16, 1e-14),
+    ("compact-1e-7-apart", SIZES, 1, 0.7, 1e-7, 5.0e-16, 1e-13),
+    ("noncompact-1e-7-apart", SIZES, -1, 0.7, 1e-7, 6.6e-16, 1e-13),
+    ("noncompact-radius-0.999", SIZES, -1, 0.999, None, 3.5e-14, 1e-12),
+    ("noncompact-radius-0.999999", SIZES, -1, 0.999999, None, 1.5e-11, 1e-10),
+    ("compact-unequal-1e3-to-1e6", UNEQUAL, 1, (1e3, 1e6), None, 1.3e-15, 1e-14),
+    ("compact-unequal-1e6-to-1e3", UNEQUAL, 1, (1e6, 1e3), None, 8.6e-16, 1e-14),
+    ("compact-square-radius-1e6-1-apart", SQUARE, 1, 1e6, 1.0, 1.1e-15, 1e-14),
 ]
 
 
 @pytest.mark.parametrize(
-    "eps, radius, apart, observed, bound",
+    "sizes, eps, radius, apart, observed, bound",
     [pytest.param(*row[1:], id=row[0]) for row in ACCURACY],
 )
-def test_distance_accuracy(eps, radius, apart, observed, bound):
+def test_distance_accuracy(sizes, eps, radius, apart, observed, bound):
     rng = np.random.default_rng(20240817)
     worst = 0.0
-    for n, m in SIZES:
+    for n, m in sizes:
         space = GrassmannSpace(n, m, eps)
         for Z1, Z2 in _pairs(rng, n, m, radius, apart):
             d = distance(space, ChartPoint(space, Z1), ChartPoint(space, Z2))
@@ -80,22 +95,23 @@ def test_distance_accuracy(eps, radius, apart, observed, bound):
 
 
 def test_distance_accuracy_singular_values_apart():
-    # compact-sigma-1e5-to-0.3: distance from 0 to U diag(sigma) W with sigma
-    # spread from 1e5 to 0.3, where the frame of I + Z Z^dagger failed its
-    # Gram check.  Observed worst relative error 1.1e-12 over 60 pairs: the
-    # rounding of entries near 1e5 moves sigma = 0.3 by about 1e-11, as any
-    # normwise backward-stable SVD allows
+    # compact-sigma-1e5-to-0.3: distance between 0 and U diag(sigma) W, in
+    # both role orders, with sigma spread from 1e5 to 0.3, where the frame of
+    # I + Z Z^dagger failed its Gram check.  Observed worst relative error
+    # 4.6e-13 over 60 pairs: the rounding of entries near 1e5 moves sigma = 0.3
+    # by about 1e-11, as any normwise backward-stable SVD allows
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for n, m in [(2, 2), (2, 3), (3, 2)] * 20:
         k = min(n, m)
         U, W = random_unitary(rng, n)[:, :k], random_unitary(rng, m)[:k]
-        Z1, Z2 = np.zeros((n, m)), U @ np.diag(np.geomspace(1e5, 0.3, k)) @ W
+        Z = U @ np.diag(np.geomspace(1e5, 0.3, k)) @ W
         space = GrassmannSpace(n, m)
-        d = distance(space, ChartPoint(space, Z1), ChartPoint(space, Z2))
-        exact = distance_oracle(1, Z1, Z2)
-        worst = max(worst, float(abs(d - exact) / exact))
-    assert worst < 1e-11, f"worst relative error {worst:.2e} (recorded 1.1e-12)"
+        for Z1, Z2 in ((np.zeros((n, m)), Z), (Z, np.zeros((n, m)))):
+            d = distance(space, ChartPoint(space, Z1), ChartPoint(space, Z2))
+            exact = distance_oracle(1, Z1, Z2)
+            worst = max(worst, float(abs(d - exact) / exact))
+    assert worst < 1e-11, f"worst relative error {worst:.2e} (recorded 4.6e-13)"
 
 
 def exp_oracle(eps, B):

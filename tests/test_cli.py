@@ -656,6 +656,34 @@ class TestInputHoles:
         assert got[0] != 2
         assert got == want
 
+    @pytest.mark.parametrize("word", ["-inf", "-Infinity", "-NAN"])
+    @pytest.mark.parametrize(
+        "argv, same",
+        [
+            pytest.param(
+                ["exp", "--space", "1", "1", "compact", "--input", "-", "--t", "X"],
+                ["exp", "--space", "1", "1", "compact", "--input", "-", "--t=X"],
+                id="t",
+            ),
+            pytest.param(
+                ["conjugate-times", "--space", "2", "2", "compact", "--h", "1", "X",
+                 "--tmax", "3"],
+                ["conjugate-times", "--space", "2", "2", "compact", "--h", "1", "inf",
+                 "--tmax", "3"],
+                id="h",
+            ),
+        ],
+    )
+    def test_negative_infinity_is_a_value(self, argv, same, word, monkeypatch):
+        # read as an option, -inf was a usage error; as a value it fails the
+        # numeric check, as --t=-inf and a positive inf do
+        got, want = (
+            run_main([a.replace("X", word) for a in args], monkeypatch, stdin=POINT_DOC)
+            for args in (argv, same)
+        )
+        assert (got[0], '"PreconditionError"' in got[1]) == (1, True)
+        assert got == want
+
 
 def test_scan_flags_every_point_near_a_predicted_time():
     # the reference tests each point against every predicted time

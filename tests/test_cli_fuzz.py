@@ -166,7 +166,7 @@ def test_chart_pair_outcomes(workdir, invocation):
     code, out = _check_outcome(workdir, *invocation)
     assert code == 2 or isinstance(json.loads(out), dict)
     if compact_distance and code == 1:
-        # the frames come from thin SVDs, so only an entry past ENTRY_LIMIT stops it
+        # every factor comes from the chart SVDs, so only an entry past ENTRY_LIMIT stops it
         assert f"above {ENTRY_LIMIT:g}" in json.loads(out)["error"]["message"]
 
 

@@ -44,10 +44,10 @@ def frame_of_chart(p: ChartPoint) -> Frame:
 
 
 def _chart_svd(eps: int, Z: np.ndarray, full: bool = False) -> tuple:
-    """(u, co, si, vh): the SVD Z = u diag(s) vh, thin unless full, co = (1 + eps s^2)^{-1/2}
-    and si = s co; a dual s >= 1 lies outside the bounded domain."""
+    """(u, co, si, vh) of a matrix or a stack Z: the SVD u diag(s) vh, thin unless full,
+    co = (1 + eps s^2)^{-1/2} and si = s co; a dual s >= 1 lies outside the bounded domain."""
     u, s, vh = _svd(Z, full_matrices=full)
-    if eps < 0 and not s[0] < 1.0:
+    if eps < 0 and not (s[..., 0] < 1.0).all():
         raise DomainError("chart point lies outside the bounded domain")
     co = 1.0 / (np.hypot(1.0, s) if eps > 0 else np.sqrt((1.0 - s) * (1.0 + s)))
     return u, co, s * co, vh
@@ -352,23 +352,24 @@ def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
     = D1 (Z2 - Z1)^dagger A2, for F2 the frame of p2 and G1 = [-eps Z1 ; I] D1
     that of p1's complement; Z2 - Z1 is exact, so d(p, p) = 0.  With n <= m
     (complements make the same angles), S = diag(co1, 1) vh1 (Z2 - Z1)^dagger u2 diag(co2)
-    up to unitary factors, vh1 full, so no sum cancels; role 2, where A2 damps
-    Z2 - Z1, goes to the point of larger si[0], i.e. norm.  Compact angles above
-    pi/4 come from the cosines, the singular values of A1 (I + Z1 Z2^dagger) A2.
+    up to unitary factors, vh1 full, so no sum cancels; both chart SVDs are one stacked
+    call.  Role 2, where A2 damps Z2 - Z1, goes to the larger si[0] (norm), p2 on a tie.
+    Compact angles above pi/4 are arccos of the singular values of A1 (I + Z1 Z2^dagger) A2.
     """
     check_space(space, p1, p2)
-    Z1, Z2 = (p1.Z, p2.Z) if space.n <= space.m else (p1.Z.T, p2.Z.T)
-    (Z1, (u1, co1, si1, vh1)), (Z2, (u2, co2, si2, vh2)) = sorted(
-        ((Z, _chart_svd(space.epsilon, Z, True)) for Z in (Z1, Z2)), key=lambda z: z[1][2][0])
+    Z = np.stack([p1.Z, p2.Z] if space.n <= space.m else [p1.Z.T, p2.Z.T])
+    (Z1, u1, co1, si1, vh1), (Z2, u2, co2, si2, vh2) = sorted(
+        zip(Z, *_chart_svd(space.epsilon, Z, True)), key=lambda row: row[3][0])
     k, X = len(co1), vh1 @ ((Z2 - Z1).conj().T @ u2 * co2)
     s = _svdvals(np.concatenate([co1[:, None] * X[:k], X[k:]]))
     if not space.compact:
-        return float(np.linalg.norm(np.arcsinh(s)))
+        tau = np.arcsinh(s)
+        return math.sqrt(tau.dot(tau))
     # formed for every compact pair, so that the work does not depend on the data
     C = co1[:, None] * (u1.conj().T @ u2) * co2 + si1[:, None] * (vh1[:k] @ vh2[:k].conj().T) * si2
     cos = np.minimum(_svdvals(C)[::-1], 1.0)  # reversed: cosines fall as sines rise
     theta = np.where(s < math.sqrt(0.5), np.arcsin(np.minimum(s, 1.0)), np.arccos(cos))
-    return float(np.linalg.norm(theta))
+    return math.sqrt(theta.dot(theta))
 
 
 def chart_transition(

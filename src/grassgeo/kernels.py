@@ -91,14 +91,15 @@ def kernel(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> complex:
 
 
 def _kernels(space: GrassmannSpace, *pairs) -> list[complex]:
-    """kernel(space, Z1, Z2) for each pair (Z1, Z2), through one stacked det."""
+    """kernel(space, Z1, Z2) for each pair (Z1, Z2), through one stacked product and det."""
     check_space(space, *(p for pair in pairs for p in pair))
-    G = np.stack([_eye(space.n) + space.epsilon * (Z1.Z @ Z2.Z.conj().T) for Z1, Z2 in pairs])
+    G = np.array([a.Z for a, _ in pairs]) @ np.array([b.Z for _, b in pairs]).conj().swapaxes(1, 2)
+    (np.add if space.compact else np.subtract)(_eye(space.n), G, out=G)  # I + eps Z1 Z2^dagger
     with np.errstate(all="ignore"):
         dets = np.linalg.det(G)
     if not np.isfinite(dets).all():
         raise PreconditionError("kernel determinant is outside the float64 range")
-    return [complex(d) if space.compact else 1.0 / complex(d) for d in dets]
+    return dets.tolist() if space.compact else [1.0 / d for d in dets.tolist()]
 
 
 def normalized_overlap(
@@ -113,7 +114,7 @@ def normalized_overlap(
         raise NumericalFailure(
             f"kernel normalization {d1:.3g} x {d2:.3g} is not a positive float64 product"
         )
-    return OverlapValue(raw, raw / np.sqrt(d1 * d2))
+    return OverlapValue(raw, raw / math.sqrt(d1 * d2))
 
 
 def cayley_distance(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> float:
@@ -123,22 +124,23 @@ def cayley_distance(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> fl
             "Cayley distance is defined on the compact space; "
             "use the noncompact angle identity instead"
         )
-    ov = normalized_overlap(space, Z1, Z2)
-    return float(np.arccos(min(max(ov.modulus, -1.0), 1.0)))
+    return float(np.arccos(min(normalized_overlap(space, Z1, Z2).modulus, 1.0)))
 
 
 def diastasis(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> float:
     """Calabi diastasis D = -2 log |normalized overlap|, symmetric and >= 0.
 
-    Undefined exactly where the overlap vanishes, i.e. when Z2 sits on the
-    polar divisor of Z1.
+    The modulus is at most 1 by Cauchy-Schwarz, but rounding can put it above 1
+    for nearby points; it is clamped there, so D is never negative, and D = 0.0,
+    never -0.0.  Undefined exactly where the overlap vanishes, i.e. when Z2 sits
+    on the polar divisor of Z1.
     """
-    ov = normalized_overlap(space, Z1, Z2)
-    if ov.modulus < ZERO_OVERLAP_TOL:
+    modulus = normalized_overlap(space, Z1, Z2).modulus
+    if modulus < ZERO_OVERLAP_TOL:
         raise DiastasisUndefinedError(
             "overlap vanishes: second point lies on the polar divisor of the first"
         )
-    return float(-2.0 * np.log(ov.modulus))
+    return float(-2.0 * np.log(modulus)) if modulus < 1.0 else 0.0
 
 
 def plucker_embed(F: Frame) -> PluckerVector:

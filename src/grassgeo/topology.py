@@ -66,6 +66,19 @@ def weyl_group_ratio(n: int, m: int) -> int:
     return math.factorial(n + m) // (math.factorial(n) * math.factorial(m))
 
 
+def fundamental_rep_dim(n: int, m: int) -> int:
+    """Dimension of the GL(n+m) representation Lambda^n C^{n+m}, by the Weyl
+    dimension formula prod_{i<j} (l_i - l_j + j - i) / (j - i) for its highest
+    weight l = (1^n, 0^m), in exact integers: only the pairs i < n <= j have
+    l_i != l_j, and each gives (j - i + 1) / (j - i)."""
+    num = den = 1
+    for i in range(n):
+        for j in range(n, n + m):
+            num *= j - i + 1
+            den *= j - i
+    return num // den
+
+
 def schubert_cells(n: int, m: int) -> list[SchubertSymbol]:
     """All Schubert symbols for G_n(C^{n+m}): nondecreasing omega in [0, m]^n."""
     check_enumeration_size(euler_characteristic(n, m), "cell enumeration")
@@ -118,7 +131,7 @@ def characteristic_report(n: int, m: int, spec: EnergySpec) -> CharacteristicRep
         euler=chi,
         weyl_ratio=weyl_group_ratio(n, m),
         cell_count=len(cells),
-        fundamental_rep_dim=math.comb(n + m, n),
+        fundamental_rep_dim=fundamental_rep_dim(n, m),
         kodaira_N=math.comb(n + m, n),
         critical_count=len(crit),
         max_orthogonal_coherent=orthogonal_coherent_count(space),

@@ -6,8 +6,10 @@ or exit 2 with a usage message.  A traceback, any other exception or a numpy
 floating-point warning fails the test.  Two more strategies draw entries at
 scales from 1e-150 to 1e150 for n, m <= 4: one drives the RK4 oracle at every
 k = min(n, m) <= 4, the other the chart-pair commands, where compact
-`distance` must answer unless an entry passes ENTRY_LIMIT; fixed regressions
-check the oracle's exits at a tan pole and at extreme scales.
+`distance` must answer unless an entry passes ENTRY_LIMIT.  A fourth drives
+the eight frame and energy commands with frames that have one scale per
+block, down to subnormal entries, and --eps vectors at one log-uniform scale.
+Fixed regressions check the oracle's exits at a tan pole and at extreme scales.
 """
 
 import json
@@ -122,6 +124,75 @@ def pair_invocations(draw):
     return argv, {name: jsonio.matrix_to_doc(draw(scaled_matrices(n, m))) for name in ("z1", "z2")}
 
 
+@st.composite
+def block_scaled_frames(draw, n, m, eps):
+    """An (n+m) x n frame with one scale per block, log-uniform down to subnormal:
+    compact, the orthonormal Q of [s1 X ; s2 Y]; dual, [A ; s Y] U with
+    A = (I + s^2 Y^dagger Y)^{1/2} and U unitary, which is J-orthonormal.
+    Sometimes the raw blocks, which need not be a frame at all."""
+    parts = st.floats(-1.0, 1.0)
+
+    def block(rows, scale):
+        entries = [[complex(draw(parts), draw(parts)) for _ in range(n)] for _ in range(rows)]
+        return scale * np.array(entries)
+
+    def scale():
+        return 10.0 ** draw(st.floats(-320.0, 100.0))
+
+    raw = draw(st.integers(0, 3)) == 0
+    if eps > 0:
+        F = np.concatenate([block(n, scale()), block(m, scale())])
+        return F if raw else np.linalg.qr(F)[0]
+    B = block(m, scale())
+    if raw:
+        return np.concatenate([block(n, 1.0), B])
+    _, s, vh = np.linalg.svd(B)
+    k = len(s)
+    A = np.eye(n) + (vh[:k].conj().T * (np.hypot(1.0, s) - 1.0)) @ vh[:k]
+    U = np.linalg.qr(block(n, 1.0) + 2.0 * np.eye(n))[0]
+    return np.concatenate([A, B]) @ U
+
+
+FRAME_COMMANDS = (
+    "cut-test", "schubert", "strata", "isoclinic", "plucker", "energy", "critical-points",
+    "char-numbers",
+)
+
+
+@st.composite
+def frame_invocations(draw):
+    """(argv, {file name: document}) for one of the eight frame and energy
+    commands with n, m in 1..4, both signs, frames from block_scaled_frames and
+    --eps of length n + m (sometimes not) at one scale log-uniform over
+    [1e-300, 1e300], sometimes with a near-tie."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["compact", "noncompact"]))
+    command = draw(st.sampled_from(FRAME_COMMANDS))
+    argv = [command, "--space", str(n), str(m), kind]
+    eps = 1 if kind == "compact" else -1
+    names = ["frame1", "frame2"] if command == "isoclinic" else ["frame"]
+    if command in ("critical-points", "char-numbers"):
+        names = []
+    docs = {name: jsonio.matrix_to_doc(draw(block_scaled_frames(n, m, eps))) for name in names}
+    for name in names:
+        argv += [f"--{name}", name]
+    if command in ("cut-test", "schubert") and draw(st.booleans()):
+        argv.append(f"--tol={draw(st.one_of(st.just(1e-10), SCALARS))!r}")
+    if command == "schubert":
+        argv += ["--flag", draw(st.sampled_from(["standard", "dual"]))]
+        if draw(st.booleans()):
+            omega = draw(st.lists(st.integers(-1, m + 1), min_size=n, max_size=n))
+            argv += ["--omega", *map(str, sorted(omega))]
+    if command == "energy" or (not names and draw(st.booleans())):
+        size = draw(st.one_of(st.just(n + m), st.integers(1, 9)))
+        scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+        values = [scale * draw(st.floats(-1.0, 1.0)) for _ in range(size)]
+        if size > 1 and draw(st.booleans()):
+            values[1] = values[0] * (1.0 + draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-3])))
+        argv += ["--eps", *map(repr, values)]
+    return argv, docs
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -146,6 +217,12 @@ def test_cli_outcomes(workdir, invocation):
 @_settings(100)
 @given(oracle_invocations())
 def test_geodesic_oracle_outcomes(workdir, invocation):
+    _check_outcome(workdir, *invocation)
+
+
+@_settings(120)
+@given(frame_invocations())
+def test_frame_command_outcomes(workdir, invocation):
     _check_outcome(workdir, *invocation)
 
 

@@ -560,6 +560,24 @@ def distance_oracle(space, Z1, Z2):
     return float(np.sqrt(np.sum(theta**2)))
 
 
+def two_svd_distance(space, Z1, Z2):
+    """distance as it was before both chart SVDs became one stacked call: one
+    full SVD per point, ordered by si[0], with numpy norms."""
+    Z1, Z2 = (Z1, Z2) if space.n <= space.m else (Z1.T, Z2.T)
+    (Z1, (u1, co1, si1, vh1)), (Z2, (u2, co2, si2, vh2)) = sorted(
+        ((Z, geometry._chart_svd(space.epsilon, Z, True)) for Z in (Z1, Z2)),
+        key=lambda z: z[1][2][0],
+    )
+    k, X = len(co1), vh1 @ ((Z2 - Z1).conj().T @ u2 * co2)
+    s = np.linalg.svd(np.concatenate([co1[:, None] * X[:k], X[k:]]), compute_uv=False)
+    if not space.compact:
+        return float(np.linalg.norm(np.arcsinh(s)))
+    C = co1[:, None] * (u1.conj().T @ u2) * co2 + si1[:, None] * (vh1[:k] @ vh2[:k].conj().T) * si2
+    cos = np.minimum(np.linalg.svd(C, compute_uv=False)[::-1], 1.0)
+    theta = np.where(s < np.sqrt(0.5), np.arcsin(np.minimum(s, 1.0)), np.arccos(cos))
+    return float(np.linalg.norm(theta))
+
+
 class TestTransport:
     @pytest.mark.parametrize("eps", [1, -1])
     @pytest.mark.parametrize("n, m", SIZES)
@@ -671,6 +689,46 @@ class TestDistance:
         # z = 1 and z = -1 are orthogonal lines in C^2
         d = distance(cp1, ChartPoint(cp1, [[1.0]]), ChartPoint(cp1, [[-1.0]]))
         assert d == pytest.approx(np.pi / 2, abs=1e-14)
+
+    def test_one_full_svd_of_a_stack_of_two(self, monkeypatch):
+        # both chart SVDs are one stacked LAPACK call; the other SVDs are thin
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(M, *args, **kwargs):
+            calls.append((M.shape, kwargs.get("full_matrices", True)))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(6)
+        for n, m in [(1, 3), (2, 2), (3, 1)]:
+            for eps in (1, -1):
+                space = GrassmannSpace(n, m, eps)
+                p1, p2 = random_chart_point_rng(space, rng), random_chart_point_rng(space, rng)
+                calls.clear()
+                distance(space, p1, p2)
+                assert [shape for shape, full in calls if full] == [(2, min(n, m), max(n, m))]
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 2), (4, 1)])
+    def test_matches_two_svd_formula_bit_for_bit(self, n, m, eps):
+        space = GrassmannSpace(n, m, eps)
+        rng = np.random.default_rng(7 + 10 * n + m)
+        for scale in (1e-3, 0.3, 1.0, 1e3):
+            Z1 = random_chart_point_rng(space, rng).Z * (scale if eps > 0 else 1.0)
+            Z2 = random_chart_point_rng(space, rng).Z
+            # -Z1 ties Z1 in norm, so the given order decides the roles
+            for A, B in [(Z1, Z2), (Z2, Z1), (Z1, -Z1), (-Z1, Z1), (Z1, Z1 + 1e-7 * Z2)]:
+                d = distance(space, ChartPoint(space, A), ChartPoint(space, B))
+                assert d == two_svd_distance(space, A, B)
+
+    def test_dual_point_outside_the_domain_is_domain_error(self, g24_dual):
+        # a point that got past the boundary check fails in either role
+        good, bad = zero_point(g24_dual), ChartPoint(g24_dual, 0.5 * np.eye(2))
+        object.__setattr__(bad, "Z", np.diag([1.2 + 0j, 0.1]))
+        for p1, p2 in [(good, bad), (bad, good)]:
+            with pytest.raises(DomainError, match="outside the bounded domain"):
+                distance(g24_dual, p1, p2)
 
     def test_polar_divisor_fallback_plane(self, g24):
         # one right angle between the first axes, atan 0.5 - atan 0.3 between the second

@@ -1,6 +1,10 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassgeo import kernels, spaces
 from grassgeo.errors import (
@@ -63,6 +67,65 @@ class TestKernel:
         for space in (g24, g24_dual):
             z = random_chart_point_rng(space, rng)
             assert kernel(space, z, z).real >= 1.0
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_matches_per_pair_det_bit_for_bit(self, eps):
+        # the stacked product and det give what det(I + eps Z1 Z2^dagger) of
+        # each pair on its own gives, to the last bit
+        rng = np.random.default_rng(8)
+        for n in range(1, 4):
+            for m in range(1, 4):
+                space = GrassmannSpace(n, m, eps)
+                points = [random_chart_point_rng(space, rng) for _ in range(3)]
+                pairs = [(a, b) for a in points for b in points]
+                for pair, value in zip(pairs, kernels._kernels(space, *pairs)):
+                    Z1, Z2 = pair[0].Z, pair[1].Z
+                    d = complex(np.linalg.det(np.eye(n) + eps * (Z1 @ Z2.conj().T)))
+                    assert value == (d if eps > 0 else 1.0 / d)
+
+    @pytest.mark.parametrize("name", ["normalized_overlap", "diastasis", "cayley_distance"])
+    def test_one_det_call(self, name, monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def counted(G):
+            calls.append(G.shape)
+            return det(G)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        rng = np.random.default_rng(9)
+        for eps in (1, -1) if name != "cayley_distance" else (1,):
+            space = GrassmannSpace(2, 3, eps)
+            z1, z2 = random_chart_point_rng(space, rng), random_chart_point_rng(space, rng)
+            calls.clear()
+            getattr(kernels, name)(space, z1, z2)
+            assert calls == [(3, 2, 2)]
+
+
+@st.composite
+def near_pairs(draw):
+    """(space, Z1, Z2) with n, m <= 3, both signs, Z2 - Z1 of relative size
+    1e-12 to 1e-3; dual points keep spectral norm below 0.96."""
+    n, m, eps = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.sampled_from([1, -1]))
+    parts = st.floats(-1.0, 1.0)
+    Z1, D = (
+        np.array([[complex(draw(parts), draw(parts)) for _ in range(m)] for _ in range(n)])
+        for _ in range(2)
+    )
+    Z1 = Z1 * (10.0 ** draw(st.floats(-2.0, 2.0)) if eps > 0 else 0.95 / math.sqrt(2 * n * m))
+    scale = 10.0 ** draw(st.floats(-12.0, -3.0)) * max(1e-300, np.abs(Z1).max())
+    return GrassmannSpace(n, m, eps), Z1, Z1 + scale * D
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(near_pairs())
+def test_diastasis_is_never_negative(pair):
+    # |overlap| <= 1 by Cauchy-Schwarz, but its rounding can pass 1 for near points
+    space, Z1, Z2 = pair
+    D = diastasis(space, ChartPoint(space, Z1), ChartPoint(space, Z2))
+    assert D >= 0.0 and math.copysign(1.0, D) == 1.0
 
 
 class TestNormalizedOverlap:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from grassgeo import spaces, topology
@@ -7,6 +9,7 @@ from grassgeo.topology import (
     CharacteristicReport,
     characteristic_report,
     euler_characteristic,
+    fundamental_rep_dim,
     orthogonal_coherent_count,
     schubert_cells,
     weyl_group_ratio,
@@ -35,6 +38,24 @@ class TestEulerCharacteristic:
     def test_rejects_degenerate(self):
         with pytest.raises(PreconditionError):
             euler_characteristic(0, 3)
+
+
+class TestFundamentalRepDim:
+    def test_small_values(self):
+        # C^3, Lambda^2 C^4, Lambda^2 C^5 and Lambda^3 C^6
+        assert [fundamental_rep_dim(n, m) for n, m in ((1, 2), (2, 2), (2, 3), (3, 3))] == [
+            3, 6, 10, 20,
+        ]
+
+    def test_matches_binomial(self):
+        for n in range(1, 9):
+            for m in range(1, 9):
+                assert fundamental_rep_dim(n, m) == math.comb(n + m, n)
+
+    def test_wrong_route_fails_the_report(self, monkeypatch):
+        monkeypatch.setattr(topology, "fundamental_rep_dim", lambda n, m: math.comb(n + m, n) + 1)
+        with pytest.raises(ConsistencyError, match="disagree"):
+            characteristic_report(2, 2, EnergySpec([4.0, 3.0, 2.0, 1.0]))
 
 
 class TestSchubertCells:

@@ -45,12 +45,17 @@ def frame_of_chart(p: ChartPoint) -> Frame:
 
 def _chart_svd(eps: int, Z: np.ndarray, full: bool = False) -> tuple:
     """(u, co, si, vh) of a matrix or a stack Z: the SVD u diag(s) vh, thin unless full,
-    co = (1 + eps s^2)^{-1/2} and si = s co; a dual s >= 1 lies outside the bounded domain."""
+    and the chart factors co, si of s; a dual s >= 1 lies outside the bounded domain."""
     u, s, vh = _svd(Z, full_matrices=full)
     if eps < 0 and not (s[..., 0] < 1.0).all():
         raise DomainError("chart point lies outside the bounded domain")
+    return (u, *_chart_factors(eps, s), vh)
+
+
+def _chart_factors(eps: int, s: np.ndarray) -> tuple:
+    """co = (1 + eps s^2)^{-1/2} and si = s co of the singular values s of a chart point."""
     co = 1.0 / (np.hypot(1.0, s) if eps > 0 else np.sqrt((1.0 - s) * (1.0 + s)))
-    return u, co, s * co, vh
+    return co, s * co
 
 
 def _frame(u: np.ndarray, co: np.ndarray, si: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -124,16 +129,11 @@ def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
     """Geodesic exponential at the origin as a frame, globally defined: _frame
     of B's thin SVD with co/si = cos/sin (compact) or cosh/sinh (noncompact)."""
     check_space(space, B)
+    u, s, vh = _svd(B.B)
+    co, si = (np.cos, np.sin) if space.compact else (np.cosh, np.sinh)
     with np.errstate(all="ignore"):  # cosh overflows from about 710 on; Frame rejects that
-        F = _exp0_frames(space.epsilon, B.B)
+        F = _frame(u, co(s), si(s), vh)
     return Frame(space, F)
-
-
-def _exp0_frames(eps: int, B: np.ndarray) -> np.ndarray:
-    """exp0_frame on raw arrays: a stack B (..., n, m) gives frames (..., n+m, n)."""
-    u, s, vh = _svd(B)
-    co, si = (np.cos, np.sin) if eps > 0 else (np.cosh, np.sinh)
-    return _frame(u, co(s), si(s), vh)
 
 
 def log0(space: GrassmannSpace, p: ChartPoint) -> TangentVector:

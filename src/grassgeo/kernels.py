@@ -24,8 +24,8 @@ from .errors import (
     PreconditionError,
     UnsupportedSpaceError,
 )
-from .geometry import raw_frame
-from .linalg import _det, _eye, _svd
+from .geometry import _chart_svd, raw_frame
+from .linalg import _det, _eye
 from .spaces import ChartPoint, Frame, GrassmannSpace, check_space
 from .spaces import check_enumeration_size, coordinate_plane_frame
 
@@ -198,16 +198,15 @@ def energy(space: GrassmannSpace, spec: EnergySpec, F: Frame) -> float:
 
 
 def _energy_chart_pieces(Z: np.ndarray):
-    """C = (I + Z Z^dagger)^{-1}, C Z and Z^dagger C Z from the thin SVD
-    Z = u diag(s) vh with w = s^2 / (1 + s^2): C = I - u diag(w) u^dagger,
-    C Z = u diag(s / (1 + s^2)) vh, Z^dagger C Z = vh^dagger diag(w) vh.
+    """C = (I + Z Z^dagger)^{-1}, C Z and Z^dagger C Z from the compact chart
+    SVD (u, co, si, vh) of Z: C = I - u diag(si^2) u^dagger,
+    C Z = u diag(co si) vh, Z^dagger C Z = vh^dagger diag(si^2) vh.
     Every factor stays bounded, where inverting I + Z Z^dagger in float64
     loses the identity once the entries of Z reach about 1e8."""
-    u, s, vh = _svd(Z)
-    s2 = s * s
-    w = s2 / (1.0 + s2)
+    u, co, si, vh = _chart_svd(1, Z)
+    w = si * si
     C = _eye(Z.shape[0]) - (u * w) @ u.conj().T
-    return C, (u * (s / (1.0 + s2))) @ vh, (vh.conj().T * w) @ vh
+    return C, (u * (co * si)) @ vh, (vh.conj().T * w) @ vh
 
 
 def energy_chart(space: GrassmannSpace, spec: EnergySpec, p: ChartPoint) -> float:

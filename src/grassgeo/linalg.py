@@ -128,29 +128,17 @@ def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
-def check_gram(F: np.ndarray, eps: int, tol: float, name: str = "frame") -> np.ndarray:
-    """Return the Gram stack F^dagger J F, with J = diag(I_n, eps I_{N-n}), of
-    the frame or stack F (..., N, n); raise unless each is I_n to within tol.
-
-    A NaN deviation fails too.  On a stack the error names the deviation of
-    the first failing entry along the leading axis, its maximum over the rest
-    of that entry; so a stack of per-point stacks fails as its points, taken
-    one at a time, would.
-    """
-    N, n = F.shape[-2:]
-    Fh = F.swapaxes(-1, -2).conj()
+def check_gram(F: np.ndarray, eps: int, tol: float, name: str = "frame") -> None:
+    """Raise unless the Gram F^dagger J F, with J = diag(I_n, eps I_{N-n}), of
+    the frame F (N, n) is I_n to within tol; a NaN deviation fails too."""
+    N, n = F.shape
+    Fh = F.conj().T
     if eps < 0:
         Fh = Fh * np.concatenate([np.ones(n), -np.ones(N - n)])  # F^dagger J
-    G = Fh @ F
-    devs = np.abs(G - _eye(n))
-    dev = devs.max()
+    dev = np.abs(Fh @ F - _eye(n)).max()
     if not dev <= tol:
-        if F.ndim > 2:
-            devs = devs.reshape(len(F), -1).max(axis=1)
-            dev = devs[np.argmin(devs <= tol)]
         kind = "orthonormality" if eps > 0 else "J-orthonormality"
         raise PreconditionError(f"{name} {kind} deviation {dev:.3e} exceeds {tol:g}")
-    return G
 
 
 def principal_angles(F1, F2) -> np.ndarray:

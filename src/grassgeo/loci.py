@@ -9,17 +9,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
-from .geometry import _exp0_frames, chart_of_frame
+from .geometry import _chart_factors, _frame, chart_of_frame
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
-from .linalg import _det, _eye, _split_angles, _svdvals, check_positive_finite, rank_tol
-from .spaces import FRAME_GRAM_TOL, ChartPoint, Frame, GrassmannSpace, TangentVector
-from .spaces import check_space
+from .linalg import _det, _split_angles, _svd, _svdvals, check_positive_finite, rank_tol
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
 DEFAULT_DET_TOL = 1e-9
-DEFAULT_ANGLE_TOL = 1e-5
+DET_CROSS_CHECK_TOL = 1e-12  # |det F_top| vs the product of its singular values, both <= 1
 DEFAULT_EQUAL_ANGLE_TOL = 1e-6
 DEFAULT_CONJUGACY_TOL = 1e-3
 FD_STEP = 1e-5  # central-difference step of dexp_min_singular
+# largest |t B|_2 the dual dexp is measured at: the radial change of the projection
+# shrinks like 1/cosh^2, so there the ratio keeps about 5 of float64's digits
+DEXP_DUAL_LIMIT = 7.0
 COALESCE_REL_TOL = 1e-12
 MAX_CONJUGATE_TIMES = 100_000
 # bound on the complex entries of P that one stacked dexp chunk holds, 16 MiB
@@ -100,25 +102,22 @@ class SchubertSymbol:
 
 
 def cut_locus_test(space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL) -> bool:
-    """True iff the plane lies on the polar divisor of the origin.
+    """True iff the plane lies on the polar divisor of the origin, |det(F_O^dagger F)| < tol.
 
-    Both criteria are computed: |det(F_O^dagger F)| < tol and largest
-    principal angle with O within DEFAULT_ANGLE_TOL of pi/2; a mismatch raises
-    a consistency error.
-    """
+    A |det| that differs by more than DET_CROSS_CHECK_TOL from the product of the
+    cosines of the principal angles with O, the singular values of F_O^dagger F,
+    raises a consistency error."""
     if not space.compact:
         raise PreconditionError("cut locus test applies to the compact space")
     check_positive_finite(tol, "tol")
+    check_space(space, F)
     det_val = abs(_det(F.top, "top-block determinant is not finite"))
-    angles = _angles_with_origin(space, F)
-    by_det = det_val < tol
-    by_angle = float(angles[-1]) > np.pi / 2 - DEFAULT_ANGLE_TOL
-    if by_det != by_angle:
+    cosines = float(np.prod(_svdvals(F.top)))
+    if not abs(det_val - cosines) <= DET_CROSS_CHECK_TOL:
         raise ConsistencyError(
-            f"cut-locus criteria disagree: |det| = {det_val:.3e}, "
-            f"max angle = {angles[-1]:.12f}"
+            f"cut-locus criteria disagree: |det| = {det_val:.3e}, cosine product {cosines:.3e}"
         )
-    return by_det
+    return bool(det_val < tol)
 
 
 class DisjointUnionResult(NamedTuple):
@@ -239,13 +238,11 @@ def dexp_min_singular(space: GrassmannSpace, B: TangentVector, t: float) -> floa
 
     One point is a stack of one, and a t-grid (conjugate-scan) runs the same
     core on a stack of all its points, in chunks of bounded memory, with the
-    same ratios bit for bit.  The 4nm perturbed frames of each point come
-    from one stacked SVD, and each frame's Gram G once from the (J-)Gram
-    check.  The compact projection F (2I - G) F^dagger takes one Newton step
-    from I for G^{-1}, off by about |G - I|^2 <= FRAME_GRAM_TOL^2; the dual
-    takes F (F^dagger F)^{-1} F^dagger.  The Jacobian gives its singular
-    values only, unscaled.  Errors are per point: a grid raises the error of
-    its first failing point, as a loop of this call over it would.
+    same ratios bit for bit.  The 4nm perturbed planes of each point get
+    orthonormal frames F from one stacked SVD on both signs, so each
+    projection is F F^dagger.  The Jacobian gives its singular values only,
+    unscaled.  Past DEXP_DUAL_LIMIT the dual raises.  Errors are per point: a
+    grid raises the error of its first failing point, as a loop would.
     """
     check_space(space, B)
     Bp = _scaled_direction(B, t) + _perturbations(space.n, space.m)
@@ -294,20 +291,36 @@ def _perturbations(n: int, m: int) -> np.ndarray:
 
 
 def _dexp_chunk(eps: int, n: int, m: int, Bp: np.ndarray) -> np.ndarray:
-    """The ratios of a stack Bp (p, 4nm, n, m) of perturbed points."""
-    with np.errstate(all="ignore"):  # cosh overflows from about 710 on; the check fails then
-        F = _exp0_frames(eps, Bp)
-        G = check_gram(F, eps, FRAME_GRAM_TOL)
-    Fh = F.swapaxes(-1, -2).conj()
-    # the dual's G is the J-Gram, so its projection needs (F^dagger F)^{-1}
-    W = 2.0 * _eye(n) - G if eps > 0 else np.linalg.inv(Fh @ F)
-    P = F @ W @ Fh  # orthogonal projection onto each span
+    """The ratios of a stack Bp (p, 4nm, n, m) of perturbed points, each projection
+    F F^dagger of an orthonormal frame F from _dexp_frames, on both signs."""
+    F = _dexp_frames(eps, Bp)
+    P = F @ F.swapaxes(-1, -2).conj()
     half = 2 * n * m
     # the real view interleaves the Jacobian's rows [Re | Im]
     s = _svdvals((P[:, :half] - P[:, half:]).reshape(len(P), half, -1).view(float).swapaxes(1, 2))
     if not s[:, 0].all():
         raise PreconditionError("degenerate Jacobian: all singular values vanish")
     return s[:, -1] / s[:, 0]
+
+
+def _dexp_frames(eps: int, Bp: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (p, k, n+m, n) of the planes exp0(Bp), Bp (p, k, n, m), from one
+    stacked SVD u diag(s) vh: _frame of cos s, sin s, or on the dual of the compact chart
+    factors of tanh s, as exp0 there is the plane of the chart point u tanh(s) vh.  The
+    first dual point past DEXP_DUAL_LIMIT raises; below it no dual Jacobian degenerates,
+    so the per-point error order holds."""
+    u, s, vh = _svd(Bp)
+    if eps > 0:
+        co, si = np.cos(s), np.sin(s)
+    else:
+        top = s[..., 0].max(axis=-1)
+        if not (top <= DEXP_DUAL_LIMIT).all():
+            x = top[np.argmin(top <= DEXP_DUAL_LIMIT)]
+            raise PreconditionError(
+                f"dual dexp is measured up to |t B|_2 = {DEXP_DUAL_LIMIT:g}, got about {x:.4g}: "
+                "past it the central difference runs out of digits")
+        co, si = _chart_factors(1, np.tanh(s))
+    return _frame(u, co, si, vh)
 
 
 def is_conjugate(space: GrassmannSpace, B: TangentVector, t: float) -> bool:
@@ -371,14 +384,6 @@ def wong_cut_symbol(space: GrassmannSpace) -> SchubertSymbol:
     return SchubertSymbol((space.m - 1,) + (space.m,) * (space.n - 1), space.m)
 
 
-def _angles_with_origin(space: GrassmannSpace, F: Frame) -> np.ndarray:
-    """Principal angles of F with O = span(e_1, ..., e_n), read off F's own
-    blocks: the cross matrix is F.top and the residual [0 ; F.bottom]."""
-    check_space(space, F)
-    top = F.top
-    return _split_angles(top, lambda: np.concatenate([np.zeros_like(top), F.bottom]))
-
-
 def conjugate_stratum_W(space: GrassmannSpace, F: Frame) -> bool:
     """Angle-based test for the Wong stratum of the conjugate locus: more
     zero angles with O than the generic forced count max(0, n - m), or at
@@ -393,11 +398,14 @@ def conjugate_stratum_I(space: GrassmannSpace, F: Frame) -> bool:
 
 
 def _conjugate_strata(space: GrassmannSpace, F: Frame) -> tuple[np.ndarray, bool, bool]:
-    """The angles of F with O, taken once, and both stratum tests on them;
-    the dual is rejected before any angle is taken."""
+    """The angles of F with O = span(e_1, ..., e_n), taken once and read off F's own
+    blocks (the cross matrix F.top, the residual [0 ; F.bottom]), and both stratum
+    tests on them; the dual is rejected before any angle is taken."""
     if not space.compact:
         raise PreconditionError("conjugate strata apply to the compact space")
-    ang = _angles_with_origin(space, F)
+    check_space(space, F)
+    top = F.top
+    ang = _split_angles(top, lambda: np.concatenate([np.zeros_like(top), F.bottom]))
     zeros = int(np.count_nonzero(ang < DEFAULT_EQUAL_ANGLE_TOL))
     rights = int(np.count_nonzero(ang > np.pi / 2 - DEFAULT_EQUAL_ANGLE_TOL))
     stratum_W = zeros > max(0, space.n - space.m) or rights >= 1

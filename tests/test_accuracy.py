@@ -1,5 +1,6 @@
 """Accuracy envelopes against 50-digit mpmath oracles: of `geometry.distance`,
-and of the RK4 integrator `geometry.geodesic_ode`.
+and of the RK4 integrator `geometry.geodesic_ode`; and of
+`loci.dexp_min_singular` against its own central difference at 30 digits.
 
 Each row names a region, the worst error seen there on its sample and the
 bound asserted.  The oracle takes the angles from their cosines: the
@@ -15,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from grassgeo import loci
 from grassgeo.errors import PreconditionError
 from grassgeo.geometry import distance, geodesic_ode
 from grassgeo.sampling import generator, random_tangent_rng
@@ -364,3 +366,60 @@ G24_DUAL = GrassmannSpace(2, 2, -1)
 def test_distance_rejects_points_of_another_space(p1, p2):
     with pytest.raises(PreconditionError, match="different space"):
         distance(G24, p1, p2)
+
+
+def mp_projection(eps, B):
+    """Orthogonal projection onto the plane exp0(B), at mpmath's working
+    precision, from the first n columns F of the matrix exponential of
+    [[0, -B], [B^dagger, 0]] (compact) or [[0, B], [B^dagger, 0]] (dual):
+    F (F^dagger F)^{-1} F^dagger, with no SVD of B."""
+    n, m = B.shape
+    X = mpmath.zeros(n + m, n + m)
+    for i in range(n):
+        for j in range(m):
+            b = mpmath.mpc(complex(B[i, j]))
+            X[i, n + j], X[n + j, i] = -eps * b, mpmath.conj(b)
+    F = mpmath.expm(X)[:, :n]
+    Fh = F.transpose_conj()
+    return F * (Fh * F) ** -1 * Fh
+
+
+def dexp_oracle(space, B, t):
+    """The ratio dexp_min_singular measures, from the same float64 points
+    t B +- dB, with each projection, their differences and the singular values
+    of the Jacobian taken at 30 digits."""
+    Bp = loci._scaled_direction(B, t) + loci._perturbations(space.n, space.m)
+    half = 2 * space.n * space.m
+    with mpmath.workdps(30):
+        P = [mp_projection(space.epsilon, b) for b in Bp]
+        cols = [[x.real for x in d] + [x.imag for x in d] for d in
+                (a - b for a, b in zip(P[:half], P[half:]))]
+        s = mpmath.svd_r(mpmath.matrix(cols).T, compute_uv=False)
+        return min(s) / max(s)
+
+
+# (region, sign, |t B|_2 values, observed worst relative error, bound), on
+# one seeded direction per size.  The dual's radial difference shrinks like
+# 1/cosh^2 |t B|_2, and with it the digits left, up to DEXP_DUAL_LIMIT
+DEXP_ACCURACY = [
+    ("compact-up-to-6", 1, (0.7, 2.2, 6.0), 4.3e-11, 1e-9),
+    ("dual-3", -1, (3.0,), 1.5e-9, 1e-8),
+    ("dual-5", -1, (5.0,), 1.9e-7, 1e-6),
+]
+
+
+@pytest.mark.parametrize(
+    "eps, ts, observed, bound",
+    [pytest.param(*row[1:], id=row[0]) for row in DEXP_ACCURACY],
+)
+def test_dexp_min_singular_accuracy(eps, ts, observed, bound):
+    rng = np.random.default_rng(20240817)
+    worst = 0.0
+    for n, m in [(1, 1), (2, 2), (3, 2)]:
+        space = GrassmannSpace(n, m, eps)
+        B = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        B = TangentVector(space, B / np.linalg.norm(B, 2))
+        for t in ts:
+            exact = dexp_oracle(space, B, t)
+            worst = max(worst, float(abs(loci.dexp_min_singular(space, B, t) - exact) / exact))
+    assert worst < bound, f"worst relative error {worst:.2e} (recorded {observed:.1e})"

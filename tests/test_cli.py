@@ -284,6 +284,15 @@ class TestLociCommands:
         payload = json.loads(out)
         assert payload["branch"] in ("chart", "polar-divisor", "near-divisor")
 
+    @pytest.mark.parametrize("tol", ["0.5", "1e77"])
+    def test_cut_test_loose_tol(self, tol):
+        # |det| = 0.097 lies below a loose tol: on the cut locus, not a
+        # disagreement with the angles
+        argv = ["cut-test", "--space", "2", "2", "compact", "--seed", "7", "--tol", tol]
+        assert run_main(argv) == (
+            0, '{"branch":"polar-divisor","det_modulus":0.097374983630540021,"on_cut_locus":true}\n', ""
+        )
+
     def test_schubert_membership(self, tmp_path):
         F = np.zeros((4, 2), dtype=complex)
         F[2, 0] = F[0, 1] = 1.0
@@ -669,17 +678,18 @@ class TestInputHoles:
     @pytest.mark.parametrize(
         "tmax, points, stdout",
         [
-            # the third point (t = 9) is the first to fail its J-Gram check
+            # the third point (t = 9) is the first past the dual limit of 7
             pytest.param(
                 "12", "4",
-                '{"error":{"message":"frame J-orthonormality deviation 4.630e-09 '
-                'exceeds 1e-10","type":"PreconditionError"}}\n',
+                '{"error":{"message":"dual dexp is measured up to |t B|_2 = 7, got about 9: '
+                'past it the central difference runs out of digits","type":"PreconditionError"}}\n',
                 id="third-point-fails",
             ),
+            # where cosh would overflow, the limit fails first
             pytest.param(
                 "1e77", "1",
-                '{"error":{"message":"frame J-orthonormality deviation nan '
-                'exceeds 1e-10","type":"PreconditionError"}}\n',
+                '{"error":{"message":"dual dexp is measured up to |t B|_2 = 7, got about 1e+77: '
+                'past it the central difference runs out of digits","type":"PreconditionError"}}\n',
                 id="cosh-overflows",
             ),
         ],

@@ -136,24 +136,18 @@ class TestPrincipalAngles:
 
 
 class TestCheckGram:
-    def test_returns_the_gram_it_checked(self, rng):
+    def test_accepts_and_rejects_on_both_signs(self, rng):
         F = random_unitary(rng, 4)[:, :2]
-        assert np.array_equal(check_gram(F, 1, 1e-10), F.conj().T @ F)
-        # on the dual it is the J-Gram F^dagger J F
+        check_gram(F, 1, 1e-10)
+        with pytest.raises(PreconditionError, match=r"^frame orthonormality deviation 2\.000e-06"):
+            check_gram(F * (1.0 + 1e-6), 1, 1e-10)
+        # on the dual it checks the J-Gram F^dagger J F, which the Gram fails
         F = np.array([[np.cosh(0.5)], [np.sinh(0.5)]], dtype=complex)
-        assert np.allclose(check_gram(F, -1, 1e-10), [[1.0]], rtol=0, atol=1e-15)
-
-    def test_stack_names_its_first_failing_entry(self):
-        # entries 1 and 2 fail, entry 2 by more; the error names entry 1's
-        # deviation, the maximum over that entry's two frames
-        F = np.zeros((3, 2, 3, 1), dtype=complex)
-        F[..., 0, 0] = 1.0
-        F[1, 0, 0, 0], F[1, 1, 0, 0] = 1.0 + 1e-6, 1.0 + 2e-6
-        F[2, 1, 0, 0] = 1.1
-        with pytest.raises(PreconditionError, match="deviation 4.000e-06 exceeds"):
+        check_gram(F, -1, 1e-10)
+        with pytest.raises(PreconditionError, match=r"^frame orthonormality deviation 5\.431e-01"):
             check_gram(F, 1, 1e-10)
-        with pytest.raises(PreconditionError, match="deviation 2.100e-01 exceeds"):
-            check_gram(F[2], 1, 1e-10)
+        with pytest.raises(PreconditionError, match=r"^flag J-orthonormality deviation nan"):
+            check_gram(F * np.nan, -1, 1e-10, "flag")
 
     def test_svdvals_match_the_svd(self, rng):
         M = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))

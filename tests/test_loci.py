@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassgeo import loci
-from grassgeo.errors import EnumerationSizeError, PreconditionError
-from grassgeo.geometry import _exp0_frames, exp0_frame, frame_of_chart
-from grassgeo.linalg import ENTRY_LIMIT, check_gram
+from grassgeo import linalg, loci
+from grassgeo.errors import ConsistencyError, EnumerationSizeError, PreconditionError
+from grassgeo.geometry import exp0_frame, frame_of_chart
+from grassgeo.linalg import ENTRY_LIMIT
 from grassgeo.kernels import coordinate_plane_frame
 from grassgeo.loci import (
     CartanVector,
@@ -26,7 +26,7 @@ from grassgeo.loci import (
     tangent_conjugate_times,
     wong_cut_symbol,
 )
-from grassgeo.spaces import FRAME_GRAM_TOL, Frame, GrassmannSpace, TangentVector, origin_frame
+from grassgeo.spaces import Frame, GrassmannSpace, TangentVector, origin_frame
 from conftest import random_chart_point_rng, random_plane_rng
 
 
@@ -181,10 +181,11 @@ class TestDexp:
 
     @staticmethod
     def _per_column_reference(space, B, t, fd_step=1e-5):
-        # one public exp0_frame per perturbed point, one column at a time
+        # the core's orthonormal frame of one perturbed point at a time, one
+        # column at a time; test_projector_matches_exp0_frame checks that frame
         def projection(Bp):
-            F = exp0_frame(space, TangentVector(space, Bp)).F
-            return F @ np.linalg.inv(F.conj().T @ F) @ F.conj().T
+            F = loci._dexp_frames(space.epsilon, Bp[None, None])[0, 0]
+            return F @ F.conj().T
 
         cols = []
         for i in range(space.n):
@@ -214,6 +215,34 @@ class TestDexp:
         B = cartan_to_tangent(sp, CartanVector([0.8, 0.6]))
         assert dexp_min_singular(sp, B, np.pi / 1.6) > 1e-2
 
+    @pytest.mark.parametrize(
+        "eps, norm",
+        [(1, x) for x in (1e-3, 0.5, 2.0, 7.0, 100.0)] + [(-1, x) for x in (1e-3, 0.5, 1.5, 3.0)],
+    )
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (1, 3)])
+    def test_projector_matches_exp0_frame(self, n, m, eps, norm):
+        # F F^dagger of the core's orthonormal frame is F (F^dagger F)^{-1} F^dagger
+        # of the public exp0_frame, J-orthonormal on the dual
+        space = GrassmannSpace(n, m, eps)
+        rng = np.random.default_rng(100 * n + 10 * m + (eps > 0))
+        B = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        B *= norm / np.linalg.norm(B, 2)
+        F = loci._dexp_frames(eps, B[None, None])[0, 0]
+        G = exp0_frame(space, TangentVector(space, B)).F
+        want = G @ np.linalg.inv(G.conj().T @ G) @ G.conj().T
+        assert np.abs(F @ F.conj().T - want).max() <= 1e-14
+
+    def test_dual_limit(self):
+        # |t B|_2 = t here; the perturbed points lie within 2e-5 of t B
+        sp = GrassmannSpace(2, 2, -1)
+        B = cartan_to_tangent(sp, CartanVector([1.0, 0.0]))
+        assert 0.0 < dexp_min_singular(sp, B, loci.DEXP_DUAL_LIMIT - 1e-4) < 1e-4
+        for t in (loci.DEXP_DUAL_LIMIT + 1e-4, 1e150):
+            with pytest.raises(PreconditionError, match="runs out of digits"):
+                dexp_min_singular(sp, B, t)
+        with pytest.raises(PreconditionError, match="got about 7.1: past it"):
+            loci._dexp_scan(sp, B, np.array([6.9, 7.1, 8.0]))
+
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, t):
         sp = GrassmannSpace(2, 2, 1)
@@ -241,9 +270,9 @@ class TestDexpScan:
     @pytest.mark.parametrize(
         "eps, ts, message",
         [
-            # cosh overflows at t = 1e150, so its J-Gram check fails before
-            # the bound on t fails at the second point
-            (-1, [1e150, 2e150], "J-orthonormality deviation nan exceeds"),
+            # t = 1e150 passes the dual limit, which fails before the
+            # bound on t fails at the second point
+            (-1, [1e150, 2e150], "dual dexp is measured up to .* got about 1e\\+150: past it"),
             (1, [1.0, 2e150], "t must be finite and at most"),
         ],
     )
@@ -254,10 +283,11 @@ class TestDexpScan:
             loci._dexp_scan(space, B, np.array(ts))
 
     def test_compact_core_calls_no_inv(self, monkeypatch):
-        # the compact projection takes 2I - G for G^{-1}: no inverse, and one
-        # SVD for the frames and one for the Jacobian per chunk
+        # on both signs the projection is F F^dagger of an orthonormal frame:
+        # no Gram check, no inverse, and one SVD for the frames and one for
+        # the Jacobian per chunk
         def refuse(*args, **kwargs):
-            raise AssertionError("numpy.linalg.inv called")
+            raise AssertionError("numpy.linalg.inv or check_gram called")
 
         svd, calls = np.linalg.svd, []
 
@@ -265,16 +295,21 @@ class TestDexpScan:
             calls.append(None)
             return svd(*args, **kwargs)
 
-        space = GrassmannSpace(2, 2, 1)
-        B = cartan_to_tangent(space, CartanVector([0.8, 0.6]))
+        spaces = [GrassmannSpace(2, 2, eps) for eps in (1, -1)]
+        Bs = [cartan_to_tangent(space, CartanVector([0.8, 0.6])) for space in spaces]
         monkeypatch.setattr(np.linalg, "inv", refuse)
         monkeypatch.setattr(np.linalg, "svd", counted)
+        for module in (linalg, loci):
+            monkeypatch.setattr(module, "check_gram", refuse)
         monkeypatch.setattr(loci, "_DEXP_CHUNK_ENTRIES", 3 * 4 * 4 * 4**2)  # 3 points a chunk
-        assert dexp_min_singular(space, B, np.pi / 1.6) < 1e-6
-        assert len(calls) == 2
-        calls.clear()
-        assert loci._dexp_scan(space, B, np.linspace(0.1, 3.0, 13)).shape == (13,)
-        assert len(calls) == 2 * 5
+        for space, B in zip(spaces, Bs):
+            calls.clear()
+            # the first T2 time of the compact sign, which the dual does not share
+            assert (dexp_min_singular(space, B, np.pi / 1.6) < 1e-6) == space.compact
+            assert len(calls) == 2
+            calls.clear()
+            assert loci._dexp_scan(space, B, np.linspace(0.1, 3.0, 13)).shape == (13,)
+            assert len(calls) == 2 * 5
 
     def test_perturbations_are_read_only(self):
         dB = loci._perturbations(2, 2)
@@ -288,27 +323,24 @@ class TestDexpScan:
 @given(
     n=st.integers(1, 3),
     m=st.integers(1, 3),
-    log_scale=st.floats(-8.0, float(np.log10(ENTRY_LIMIT))),
-    log_drift=st.floats(-17.0, -10.5),
+    eps=st.sampled_from([1, -1]),
+    reach=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_newton_corrected_projector(n, m, log_scale, log_drift, seed):
-    """F (2I - G) F^dagger is an orthogonal projection, to 1e-14, for every
-    compact frame stack that check_gram accepts: the frames of B at
-    log-uniform scales, times I + d (E + E^dagger) with d up to 10^-10.5,
-    where F F^dagger alone is off by about d."""
+def test_core_frames_are_orthonormal(n, m, eps, reach, seed):
+    """The core's frames are orthonormal and F F^dagger is an orthogonal
+    projection, to 1e-14, for stacks of B at log-uniform scales from 1e-8 up
+    to ENTRY_LIMIT on the compact sign and up to DEXP_DUAL_LIMIT on the dual."""
     rng = np.random.default_rng(seed)
-    B = rng.normal(size=(4, n, m)) + 1j * rng.normal(size=(4, n, m))
-    F = _exp0_frames(1, B * (10.0**log_scale / np.abs(B).max()))
-    E = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
-    F = F @ (np.eye(n) + 10.0**log_drift * (E + E.swapaxes(1, 2).conj()))
-    try:
-        G = check_gram(F, 1, FRAME_GRAM_TOL)
-    except PreconditionError:
-        return
-    Fh = F.swapaxes(1, 2).conj()
-    P = F @ (2.0 * np.eye(n) - G) @ Fh
-    assert np.abs(P - P.swapaxes(1, 2).conj()).max() <= 1e-14
+    B = rng.normal(size=(2, 3, n, m)) + 1j * rng.normal(size=(2, 3, n, m))
+    limit = (ENTRY_LIMIT if eps > 0 else loci.DEXP_DUAL_LIMIT) * (1.0 - 1e-9)
+    scale = min(10.0 ** (-8.0 + reach * (np.log10(limit) + 8.0)), limit)
+    B *= scale / np.linalg.norm(B, 2, axis=(2, 3)).max()
+    F = loci._dexp_frames(eps, B)
+    Fh = F.swapaxes(-1, -2).conj()
+    assert np.abs(Fh @ F - np.eye(n)).max() <= 1e-14
+    P = F @ Fh
+    assert np.abs(P - P.swapaxes(-1, -2).conj()).max() <= 1e-14
     assert np.abs(P @ P - P).max() <= 1e-14
 
 
@@ -328,6 +360,23 @@ class TestCutLocus:
         # so det vanishes and the plane is on the polar divisor
         sp = GrassmannSpace(2, 2, 1)
         assert cut_locus_test(sp, coordinate_plane_frame(sp, (0, 2)))
+
+    @pytest.mark.parametrize("c", [2e-9, 1e-7, 5e-6])
+    def test_det_above_tol_is_off_locus(self, c):
+        # angles (0, arccos c) with O: |det| = c passes the default tol 1e-9,
+        # though the largest angle lies within 1e-5 of pi/2
+        sp = GrassmannSpace(2, 2, 1)
+        F = np.zeros((4, 2), dtype=complex)
+        F[0, 0], F[1, 1], F[3, 1] = 1.0, c, np.sqrt(1.0 - c * c)
+        assert not cut_locus_test(sp, Frame(sp, F))
+
+    def test_cross_check_fails_on_its_own(self, rng, monkeypatch):
+        sp = GrassmannSpace(2, 2, 1)
+        F = frame_of_chart(random_chart_point_rng(sp, rng))
+        det = loci._det
+        monkeypatch.setattr(loci, "_det", lambda M, failure: 2.0 * det(M, failure))
+        with pytest.raises(ConsistencyError, match="cut-locus criteria disagree"):
+            cut_locus_test(sp, F)
 
     def test_noncompact_rejected(self):
         sp = GrassmannSpace(1, 1, -1)

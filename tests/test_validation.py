@@ -69,6 +69,11 @@ def test_gram_checks_per_call(gram_checks, monkeypatch):
     # raw arrays are still checked, both of them
     assert _count(gram_checks, lambda: linalg.principal_angles(Q1, Q2)) == 2
     assert _count(gram_checks, lambda: loci.isoclinic_test(F, F)) == 0
+    # the dexp core's frames are orthonormal by construction, on both signs
+    for space, B in ((G24, B24), (G24_DUAL, B24_DUAL)):
+        assert _count(gram_checks, lambda: loci.dexp_min_singular(space, B, 1.0)) == 0
+        grid = np.linspace(0.1, 2.0, 7)
+        assert _count(gram_checks, lambda: loci._dexp_scan(space, B, grid)) == 0
     # strata: its own frame only, and the angles taken once
     angles = _record_calls(monkeypatch, "_split_angles")
     strata = ["strata", "--space", "2", "2", "compact", "--seed", "5"]

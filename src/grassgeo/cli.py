@@ -8,6 +8,7 @@ tolerance of cut-test and schubert; their --tol overrides both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -219,13 +220,10 @@ def cmd_conjugate_scan(space, args):
 
 
 def cmd_cut_test(space, args):
-    F = _frame_arg(space, args)
-    tol = _tol(args)
-    on_cut = loci.cut_locus_test(space, F, tol=tol)
-    check = loci.disjoint_union_check(space, F, tol=tol)
+    check = loci.disjoint_union_check(space, _frame_arg(space, args), tol=_tol(args))
     _emit(
         {
-            "on_cut_locus": on_cut,
+            "on_cut_locus": check.branch == "polar-divisor",
             "branch": check.branch,
             "det_modulus": check.det_modulus,
         }
@@ -308,18 +306,7 @@ def cmd_char_numbers(space, args):
         )
     eps = np.asarray(args.eps, dtype=float) if args.eps else _default_eps(space)
     report = topology.characteristic_report(space.n, space.m, EnergySpec(eps))
-    _emit(
-        {
-            "euler": report.euler,
-            "weyl_ratio": report.weyl_ratio,
-            "cell_count": report.cell_count,
-            "fundamental_rep_dim": report.fundamental_rep_dim,
-            "kodaira_N": report.kodaira_N,
-            "critical_count": report.critical_count,
-            "max_orthogonal_coherent": report.max_orthogonal_coherent,
-            "all_equal": len(set(report.values())) == 1,
-        }
-    )
+    _emit({**dataclasses.asdict(report), "all_equal": len(set(report.values())) == 1})
 
 
 # ---------------------------------------------------------------- parser

@@ -22,7 +22,7 @@ from .errors import (
     WrongChartError,
 )
 from .linalg import ENTRY_LIMIT, _eye, _svd, _svdvals, apply_spectral
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_rows, check_space
 
 CHART_SINGULAR_TOL = 1e-12
 TAN_POLE_TOL = 1e-12
@@ -68,27 +68,27 @@ def _frame(u: np.ndarray, co: np.ndarray, si: np.ndarray, vh: np.ndarray) -> np.
 
 
 def chart_of_frame(F: Frame) -> ChartPoint:
-    """Inverse chart map: Z^dagger = F_bottom @ F_top^{-1}.
+    """Inverse chart map: Z^dagger = F_bottom F_top^{-1}, from one SVD of F_top (_chart_of_rows).
 
     Raises OnPolarDivisorError when the top block is singular; that failure
     is itself meaningful (the plane meets the orthocomplement of the chart
     origin, see the loci module).
     """
-    return _chart_of_rows(
-        F.space, F.top, F.bottom, OnPolarDivisorError,
-        "plane is on the polar divisor of the chart origin "
-        "(top-block smallest singular value {smin:.3e})",
-    )
+    return _chart_of_rows(F.space, _svd(F.top), F.bottom)
 
 
-def _chart_of_rows(space: GrassmannSpace, top, bottom, error, message: str) -> ChartPoint:
-    """Chart point with Z^dagger = bottom @ top^{-1}; raises error(message),
-    which may name {smin}, when the smallest singular value smin of top is
-    below CHART_SINGULAR_TOL."""
-    smin = _svdvals(top)[-1]
-    if smin < CHART_SINGULAR_TOL:
-        raise error(message.format(smin=smin))
-    return ChartPoint(space, (bottom @ np.linalg.inv(top)).conj().T)
+def _chart_of_rows(
+    space: GrassmannSpace, top_svd: tuple, bottom, error=OnPolarDivisorError,
+    message: str = "plane is on the polar divisor of the chart origin "
+    "(top-block smallest singular value {smin:.3e})",
+) -> ChartPoint:
+    """Chart point with Z^dagger = bottom top^{-1}, from the thin SVD u diag(s) vh of top:
+    Z = u diag(1/s) vh bottom^dagger, with no inverse.  Raises error(message), which may
+    name {smin}, when the smallest singular value smin of top is below CHART_SINGULAR_TOL."""
+    u, s, vh = top_svd
+    if s[-1] < CHART_SINGULAR_TOL:
+        raise error(message.format(smin=s[-1]))
+    return ChartPoint(space, (u / s) @ vh @ bottom.conj().T)
 
 
 def exp0(space: GrassmannSpace, B: TangentVector) -> ChartPoint:
@@ -381,13 +381,9 @@ def chart_transition(
     invertible there.
     """
     check_space(space, F)
-    rows = sorted(int(i) for i in row_selection)
-    if len(rows) != space.n or len(set(rows)) != space.n:
-        raise PreconditionError(f"row_selection must pick {space.n} distinct rows")
-    if rows[0] < 0 or rows[-1] >= space.N:
-        raise PreconditionError("row_selection indices out of range")
+    rows = check_rows(space, row_selection, "row_selection")
     rest = [i for i in range(space.N) if i not in set(rows)]
     return _chart_of_rows(
-        space, F.F[rows], F.F[rest], WrongChartError,
+        space, _svd(F.F[rows]), F.F[rest], WrongChartError,
         "selected rows give a singular block; plane not in that chart",
     )

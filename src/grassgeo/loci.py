@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
-from .geometry import _chart_factors, _frame, chart_of_frame
+from .geometry import _chart_factors, _chart_of_rows, _frame
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
 from .linalg import _det, _split_angles, _svd, _svdvals, check_positive_finite, rank_tol
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
@@ -103,21 +103,30 @@ class SchubertSymbol:
 
 def cut_locus_test(space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL) -> bool:
     """True iff the plane lies on the polar divisor of the origin, |det(F_O^dagger F)| < tol.
+    The compact space only; a det that disagrees with the top block's singular values
+    raises ConsistencyError (_top_block)."""
+    return bool(_top_block(space, F, tol)[0] < tol)
 
-    A |det| that differs by more than DET_CROSS_CHECK_TOL from the product of the
-    cosines of the principal angles with O, the singular values of F_O^dagger F,
-    raises a consistency error."""
+
+def _top_block(space: GrassmannSpace, F: Frame, tol: float) -> tuple:
+    """|det F_top| and the thin SVD (u, s, vh) of F_top: the one reading of the top block
+    that the cut-locus test and the disjoint-union check share.
+
+    The compact space only.  A |det| that differs by more than DET_CROSS_CHECK_TOL from
+    the product of the cosines of the principal angles with O, the singular values s of
+    F_O^dagger F = F_top, raises a consistency error."""
     if not space.compact:
         raise PreconditionError("cut locus test applies to the compact space")
     check_positive_finite(tol, "tol")
     check_space(space, F)
     det_val = abs(_det(F.top, "top-block determinant is not finite"))
-    cosines = float(np.prod(_svdvals(F.top)))
+    top_svd = _svd(F.top)
+    cosines = float(np.prod(top_svd[1]))
     if not abs(det_val - cosines) <= DET_CROSS_CHECK_TOL:
         raise ConsistencyError(
             f"cut-locus criteria disagree: |det| = {det_val:.3e}, cosine product {cosines:.3e}"
         )
-    return bool(det_val < tol)
+    return det_val, top_svd
 
 
 class DisjointUnionResult(NamedTuple):
@@ -129,27 +138,22 @@ class DisjointUnionResult(NamedTuple):
 def disjoint_union_check(
     space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL
 ) -> DisjointUnionResult:
-    """Every plane is exactly one of chart-representable or polar-divisor.
+    """Every plane of the compact space is exactly one of chart-representable or
+    polar-divisor, read from _top_block.
 
-    Borderline determinants in [tol, 10 tol) are flagged rather than
-    classified.
+    |det| below tol is the polar divisor.  Otherwise the chart point comes from the
+    same SVD of F_top; borderline determinants in [tol, 10 tol), and planes whose
+    smallest top-block singular value the chart map refuses (below
+    CHART_SINGULAR_TOL), are flagged near-divisor rather than classified.
     """
-    check_space(space, F)
-    check_positive_finite(tol, "tol")
-    det_val = abs(_det(F.top, "top-block determinant is not finite"))
+    det_val, top_svd = _top_block(space, F, tol)
     if det_val < tol:
         return DisjointUnionResult("polar-divisor", det_val, None)
     try:
-        p = chart_of_frame(F)
+        p = _chart_of_rows(space, top_svd, F.bottom)
     except OnPolarDivisorError:
-        p = None
-    if det_val < 10 * tol:
-        return DisjointUnionResult("near-divisor", det_val, p)
-    if p is None:
-        raise ConsistencyError(
-            f"determinant {det_val:.3e} above tolerance but chart map failed"
-        )
-    return DisjointUnionResult("chart", det_val, p)
+        return DisjointUnionResult("near-divisor", det_val, None)
+    return DisjointUnionResult("near-divisor" if det_val < 10 * tol else "chart", det_val, p)
 
 
 def tangent_conjugate_times(

@@ -137,13 +137,23 @@ _KINDS = {ChartPoint: "chart point", TangentVector: "tangent vector", Frame: "fr
 
 def coordinate_plane_frame(space: GrassmannSpace, subset) -> Frame:
     """Frame of the coordinate plane spanned by the selected standard axes."""
-    S = sorted(int(i) for i in subset)
-    if len(S) != space.n or len(set(S)) != space.n:
-        raise PreconditionError(f"subset must pick {space.n} distinct axes")
     F = np.zeros((space.N, space.n), dtype=complex)
-    for col, i in enumerate(S):
-        F[i, col] = 1.0
+    F[check_rows(space, subset, "subset"), range(space.n)] = 1.0
     return Frame(space, F)
+
+
+def check_rows(space: GrassmannSpace, rows, name: str) -> list[int]:
+    """The n distinct indices in range(N) that rows lists, sorted; each is read
+    with operator.index, so a float or numpy float index is refused, not truncated."""
+    try:
+        S = sorted(operator.index(i) for i in rows)
+    except TypeError:
+        raise PreconditionError(f"{name} must list integer indices") from None
+    if len(S) != space.n or len(set(S)) != space.n:
+        raise PreconditionError(f"{name} must pick {space.n} distinct indices")
+    if S[0] < 0 or S[-1] >= space.N:
+        raise PreconditionError(f"{name} indices must lie in [0, {space.N})")
+    return S
 
 
 def origin_frame(space: GrassmannSpace) -> Frame:

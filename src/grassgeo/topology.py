@@ -7,7 +7,7 @@ path overflow-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -36,15 +36,7 @@ class CharacteristicReport:
     max_orthogonal_coherent: int
 
     def values(self) -> tuple:
-        return (
-            self.euler,
-            self.weyl_ratio,
-            self.cell_count,
-            self.fundamental_rep_dim,
-            self.kodaira_N,
-            self.critical_count,
-            self.max_orthogonal_coherent,
-        )
+        return astuple(self)
 
     def __post_init__(self):
         vals = self.values()

@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassgeo import linalg, loci
+from grassgeo import jsonio, linalg, loci
 from grassgeo.errors import ConsistencyError, EnumerationSizeError, PreconditionError
-from grassgeo.geometry import exp0_frame, frame_of_chart
+from grassgeo.geometry import chart_of_frame, chart_transition, exp0_frame, frame_of_chart
 from grassgeo.linalg import ENTRY_LIMIT
 from grassgeo.kernels import coordinate_plane_frame
 from grassgeo.loci import (
@@ -27,7 +29,7 @@ from grassgeo.loci import (
     wong_cut_symbol,
 )
 from grassgeo.spaces import Frame, GrassmannSpace, TangentVector, origin_frame
-from conftest import random_chart_point_rng, random_plane_rng
+from conftest import random_chart_point_rng, random_plane_rng, run_main
 
 
 CP1 = GrassmannSpace(1, 1, 1)
@@ -375,8 +377,63 @@ class TestCutLocus:
         F = frame_of_chart(random_chart_point_rng(sp, rng))
         det = loci._det
         monkeypatch.setattr(loci, "_det", lambda M, failure: 2.0 * det(M, failure))
-        with pytest.raises(ConsistencyError, match="cut-locus criteria disagree"):
-            cut_locus_test(sp, F)
+        for check in (cut_locus_test, disjoint_union_check):
+            with pytest.raises(ConsistencyError, match="cut-locus criteria disagree"):
+                check(sp, F)
+        code, out, _ = run_main(["cut-test", "--space", "2", "2", "compact", "--seed", "7"])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ConsistencyError"
+        assert "cut-locus criteria disagree" in out
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 3), (1, 2)])
+    @pytest.mark.parametrize("c", [1e-16, 1e-14, 1e-13, 5e-13])
+    def test_tight_tol_refused_chart_is_near_divisor(self, n, m, c, tmp_path):
+        # angles (0, ..., 0, arccos c) with O: |det| = c lies above tol 1e-20,
+        # and the smallest singular value c lies below CHART_SINGULAR_TOL, so
+        # the chart map refuses the plane; that is near-divisor, not a fault
+        sp = GrassmannSpace(n, m, 1)
+        F = np.zeros((n + m, n), dtype=complex)
+        F[np.arange(n - 1), np.arange(n - 1)] = 1.0
+        F[n - 1, n - 1], F[n, n - 1] = c, np.sqrt(1.0 - c * c)
+        out = disjoint_union_check(sp, Frame(sp, F), tol=1e-20)
+        assert out.branch == "near-divisor" and out.chart_point is None
+        assert out.det_modulus == pytest.approx(c, rel=1e-12)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(jsonio.matrix_to_doc(F)))
+        argv = ["cut-test", "--space", str(n), str(m), "compact", "--frame", str(path)]
+        code, stdout, err = run_main([*argv, "--tol", "1e-20"])
+        payload = json.loads(stdout)
+        assert (code, err) == (0, "")
+        assert payload["branch"] == "near-divisor" and payload["on_cut_locus"] is False
+
+    def test_one_det_and_one_svd_and_no_inv(self, monkeypatch):
+        # cut-test reads F_top once, and the chart map inverts no matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.inv called")
+
+        calls = []
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        sp = GrassmannSpace(2, 3, 1)
+        F = random_plane_rng(sp, np.random.default_rng(3))
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for name in ("det", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        code, out, _ = run_main(["cut-test", "--space", "2", "3", "compact", "--seed", "7"])
+        assert code == 0 and json.loads(out)["branch"] == "chart"
+        assert sorted(calls) == ["det", "svd"]
+        for call in (lambda: chart_of_frame(F), lambda: chart_transition(sp, F, [1, 4])):
+            calls.clear()
+            call()
+            assert calls == ["svd"]
 
     def test_noncompact_rejected(self):
         sp = GrassmannSpace(1, 1, -1)
@@ -406,6 +463,12 @@ class TestDisjointUnion:
         out = disjoint_union_check(sp, coordinate_plane_frame(sp, (2, 3)))
         assert out.branch == "polar-divisor"
         assert out.chart_point is None
+
+    def test_dual_rejected(self):
+        # the dual has no polar divisor: there |det F_top| >= 1
+        sp = GrassmannSpace(2, 2, -1)
+        with pytest.raises(PreconditionError, match="applies to the compact space"):
+            disjoint_union_check(sp, origin_frame(sp))
 
     def test_thousand_random_planes(self, rng):
         sp = GrassmannSpace(2, 3, 1)

@@ -21,7 +21,7 @@ from grassgeo.sampling import (
     random_plane_rng,
     random_tangent_rng,
 )
-from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
+from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, coordinate_plane_frame
 
 G24 = GrassmannSpace(2, 2)
 
@@ -155,6 +155,28 @@ def test_space_stores_python_ints():
             GrassmannSpace(*bad)
 
 
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        pytest.param([0, -1], r"must lie in \[0, 4\)", id="negative"),
+        pytest.param([0, 4], r"must lie in \[0, 4\)", id="past-N"),
+        pytest.param([0, 1.7], "must list integer indices", id="float-1.7"),
+        pytest.param([0, 2.9], "must list integer indices", id="float-2.9"),
+        pytest.param([0, np.float64(1.0)], "must list integer indices", id="numpy-float"),
+        pytest.param([1, 1], "must pick 2 distinct indices", id="repeated"),
+        pytest.param([0, 1, 2], "must pick 2 distinct indices", id="too-many"),
+        pytest.param(2, "must list integer indices", id="not-a-list"),
+    ],
+)
+def test_row_subsets_are_read_once_and_exactly(rows, match):
+    # a negative index, an index past N or a float is refused, not read as
+    # another row, a bare IndexError or a truncated index
+    for call in (lambda: coordinate_plane_frame(G24, rows), lambda: chart_transition(G24, F24, rows)):
+        with pytest.raises(PreconditionError, match=match):
+            call()
+    assert np.array_equal(coordinate_plane_frame(G24, [np.int64(3), 0]).F[[0, 3]], np.eye(2))
+
+
 def test_isoclinic_takes_angles_once(monkeypatch, capsys):
     angles = _record_calls(monkeypatch, "_principal_angles")
     cli.main(["isoclinic", "--space", "2", "2", "compact", "--seed1", "1", "--seed2", "2"])
@@ -173,6 +195,8 @@ def test_lapack_svd_failure_is_numerical_failure(monkeypatch):
         "distance": lambda: distance(G24, P24, P24),
         "distance-dual": lambda: distance(G24_DUAL, P24_DUAL, P24_DUAL),
         "chart_of_frame": lambda: chart_of_frame(F),
+        "chart_transition": lambda: chart_transition(G24, F, [1, 3]),
+        "disjoint_union_check": lambda: loci.disjoint_union_check(G24, F),
         "principal_angles": lambda: linalg.principal_angles(Q1, Q2),
         "ChartPoint-dual": lambda: ChartPoint(G24_DUAL, P24_DUAL.Z),
         "sampling": lambda: random_chart_point_rng(G24, generator(3)),
@@ -205,4 +229,6 @@ def test_as_matrix_passes_per_call(monkeypatch):
     assert _count(checks, lambda: ChartPoint(G24_DUAL, P24_DUAL.Z)) == 1
     assert _count(checks, lambda: loci.dexp_min_singular(G24, B24, 1.0)) == 1
     assert _count(checks, lambda: chart_of_frame(F)) == 1
+    assert _count(checks, lambda: loci.disjoint_union_check(G24, F)) == 1
+    assert _count(checks, lambda: chart_transition(G24, F, [1, 3])) == 1
     assert _count(checks, lambda: linalg.principal_angles(Q1, Q2)) == 2

@@ -25,7 +25,7 @@ from .sampling import random_plane
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
 # points run in stacked chunks of bounded memory; on one core of a shared two-core x86-64 Xeon
-# a G_3(C^6) point costs 0.18 to 0.23 ms, so 10000 points take 1.8 to 2.3 s there
+# a G_3(C^6) point costs 0.17 to 0.29 ms, so 10000 points take 1.7 to 2.9 s there
 MAX_SCAN_POINTS = 10_000
 # every negative float (-6e-1, -inf, -nan) is a value, not an option; 3.13's argparse takes digits
 _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)

@@ -7,12 +7,13 @@ bit-exactly and repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Any
 
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import as_matrix
+from .linalg import ENTRY_LIMIT, as_matrix
 
 
 def matrix_to_doc(M: np.ndarray) -> dict:
@@ -25,21 +26,42 @@ def matrix_to_doc(M: np.ndarray) -> dict:
 
 
 def doc_to_matrix(doc: Any, name: str = "matrix") -> np.ndarray:
+    """The rows x cols matrix of a document {"rows", "cols", "data"}: rows and cols are
+    read with operator.index, so a float, a string or a bool is refused, not truncated,
+    and data lists rows * cols [re, im] pairs of JSON numbers (not bool), row-major."""
     if not isinstance(doc, dict):
         raise PreconditionError(f"{name} document must be a JSON object")
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    except KeyError as exc:
         raise PreconditionError(f"{name} document needs rows, cols, data") from exc
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+        rows, cols = _integer(rows), _integer(cols)
+    except TypeError:
+        raise PreconditionError(f"{name} document rows and cols must be integers") from None
+    try:
+        flat = np.array([complex(_number(re), _number(im)) for re, im in data], dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise PreconditionError(f"{name} document data must be [re, im] pairs") from exc
+        raise PreconditionError(f"{name} document data must be [re, im] pairs of numbers") from exc
+    except OverflowError:  # an integer too large for a float
+        raise PreconditionError(f"{name} has an entry above {ENTRY_LIMIT:g} in modulus") from None
     if rows < 1 or cols < 1 or flat.size != rows * cols:
         raise PreconditionError(
             f"{name} document has {flat.size} entries, expected {rows} x {cols}"
         )
     return as_matrix(flat.reshape(rows, cols), name)
+
+
+def _integer(x: Any) -> int:
+    if isinstance(x, bool):
+        raise TypeError("bool is not an integer here")
+    return operator.index(x)
+
+
+def _number(x: Any) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{type(x).__name__} is not a number")
+    return x
 
 
 def _fmt_float(x: float) -> str:

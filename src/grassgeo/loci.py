@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
-from .geometry import _chart_factors, _chart_of_rows, _frame
+from .geometry import _chart_factors, _chart_of_rows
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
 from .linalg import _det, _split_angles, _svd, _svdvals, check_positive_finite, rank_tol
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
@@ -243,10 +243,11 @@ def dexp_min_singular(space: GrassmannSpace, B: TangentVector, t: float) -> floa
     One point is a stack of one, and a t-grid (conjugate-scan) runs the same
     core on a stack of all its points, in chunks of bounded memory, with the
     same ratios bit for bit.  The 4nm perturbed planes of each point get
-    orthonormal frames F from one stacked SVD on both signs, so each
-    projection is F F^dagger.  The Jacobian gives its singular values only,
-    unscaled.  Past DEXP_DUAL_LIMIT the dual raises.  Errors are per point: a
-    grid raises the error of its first failing point, as a loop would.
+    orthonormal frames G from one stacked SVD on both signs, so each
+    projection is G G^dagger; for n > m the core runs on the complement.
+    The Jacobian gives its singular values only, unscaled.  Past
+    DEXP_DUAL_LIMIT the dual raises.  Errors are per point: a grid raises the
+    error of its first failing point, as a loop would.
     """
     check_space(space, B)
     Bp = _scaled_direction(B, t) + _perturbations(space.n, space.m)
@@ -296,9 +297,16 @@ def _perturbations(n: int, m: int) -> np.ndarray:
 
 def _dexp_chunk(eps: int, n: int, m: int, Bp: np.ndarray) -> np.ndarray:
     """The ratios of a stack Bp (p, 4nm, n, m) of perturbed points, each projection
-    F F^dagger of an orthonormal frame F from _dexp_frames, on both signs."""
-    F = _dexp_frames(eps, Bp)
-    P = F @ F.swapaxes(-1, -2).conj()
+    G G^dagger of an orthonormal frame G from _dexp_frames, on both signs.
+
+    For n > m the core runs on the complement, the plane of -Bp^dagger in G_m(C^{m+n}),
+    as _dexp_frames needs n <= m: its projection is I - P with the blocks swapped, so
+    the central differences only change sign and order and the Jacobian keeps its
+    singular values; complements make the same angles."""
+    if n > m:
+        n, m, Bp = m, n, -Bp.swapaxes(-1, -2).conj()
+    G = _dexp_frames(eps, Bp)
+    P = G @ G.swapaxes(-1, -2).conj()
     half = 2 * n * m
     # the real view interleaves the Jacobian's rows [Re | Im]
     s = _svdvals((P[:, :half] - P[:, half:]).reshape(len(P), half, -1).view(float).swapaxes(1, 2))
@@ -308,11 +316,13 @@ def _dexp_chunk(eps: int, n: int, m: int, Bp: np.ndarray) -> np.ndarray:
 
 
 def _dexp_frames(eps: int, Bp: np.ndarray) -> np.ndarray:
-    """Orthonormal frames (p, k, n+m, n) of the planes exp0(Bp), Bp (p, k, n, m), from one
-    stacked SVD u diag(s) vh: _frame of cos s, sin s, or on the dual of the compact chart
-    factors of tanh s, as exp0 there is the plane of the chart point u tanh(s) vh.  The
-    first dual point past DEXP_DUAL_LIMIT raises; below it no dual Jacobian degenerates,
-    so the per-point error order holds."""
+    """Orthonormal frames G = [u diag(co) ; vh^dagger diag(si)] (p, k, n+m, n) of the planes
+    exp0(Bp), Bp (p, k, n, m) with n <= m, from one stacked SVD u diag(s) vh: co, si =
+    cos s, sin s, or on the dual the compact chart factors of tanh s, as exp0 there is
+    the plane of the chart point u tanh(s) vh.  With n <= m the thin u is unitary, so G
+    is the chart frame [I + u diag(co - 1) u^dagger ; vh^dagger diag(si) u^dagger] times u
+    and spans the same plane.  The first dual point past DEXP_DUAL_LIMIT raises; below it
+    no dual Jacobian degenerates, so the per-point error order holds."""
     u, s, vh = _svd(Bp)
     if eps > 0:
         co, si = np.cos(s), np.sin(s)
@@ -324,7 +334,8 @@ def _dexp_frames(eps: int, Bp: np.ndarray) -> np.ndarray:
                 f"dual dexp is measured up to |t B|_2 = {DEXP_DUAL_LIMIT:g}, got about {x:.4g}: "
                 "past it the central difference runs out of digits")
         co, si = _chart_factors(1, np.tanh(s))
-    return _frame(u, co, si, vh)
+    vs = vh.swapaxes(-1, -2).conj() * si[..., None, :]
+    return np.concatenate([u * co[..., None, :], vs], axis=-2)
 
 
 def is_conjugate(space: GrassmannSpace, B: TangentVector, t: float) -> bool:

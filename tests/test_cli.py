@@ -635,6 +635,48 @@ class TestInputHoles:
             assert "usage" in err
 
     @pytest.mark.parametrize(
+        "space, doc, message",
+        [
+            # each of these was truncated or coerced into a valid document
+            pytest.param(
+                ["1", "1"], '{"rows": 1.7, "cols": 1, "data": [[0.7, 0]]}',
+                "rows and cols must be integers", id="rows-float",
+            ),
+            pytest.param(
+                ["2", "1"], '{"rows": 2.9, "cols": 1, "data": [[0.7, 0], [0.1, 0]]}',
+                "rows and cols must be integers", id="rows-float-truncated",
+            ),
+            pytest.param(
+                ["1", "1"], '{"rows": true, "cols": 1, "data": [[0.7, 0]]}',
+                "rows and cols must be integers", id="rows-bool",
+            ),
+            pytest.param(
+                ["1", "1"], '{"rows": 1, "cols": "1", "data": [[0.7, 0]]}',
+                "rows and cols must be integers", id="cols-string",
+            ),
+            pytest.param(
+                ["1", "1"], '{"rows": 1, "cols": 1, "data": [[true, false]]}',
+                "pairs of numbers", id="data-bool",
+            ),
+            pytest.param(
+                ["1", "1"], '{"rows": 1, "cols": 1, "data": [["0.7", 0]]}',
+                "pairs of numbers", id="data-string",
+            ),
+            # an integer too large for a float once escaped as OverflowError
+            pytest.param(
+                ["1", "1"], '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
+                "entry above", id="data-int-huge",
+            ),
+        ],
+    )
+    def test_document_misread_refused(self, space, doc, message, monkeypatch):
+        code, out, err = run_main(["exp", "--space", *space, "compact"], monkeypatch, stdin=doc)
+        assert (code, err) == (1, "")
+        error = json.loads(out)["error"]
+        assert error["type"] == "PreconditionError"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize(
         "command, space, z1, z2, error",
         [
             # |Z| >= 1.3e154 overflows I + Z Z^dagger

@@ -36,6 +36,26 @@ CP1 = GrassmannSpace(1, 1, 1)
 CP2 = GrassmannSpace(1, 2, 1)
 
 
+def _core_orientation(B):
+    """B (..., n, m) as the dexp core takes it: B itself for n <= m, and for n > m
+    -B^dagger, whose plane exp0(-B^dagger) in G_m(C^{m+n}) is the complement of exp0(B)
+    with the blocks swapped."""
+    return B if B.shape[-2] <= B.shape[-1] else -B.swapaxes(-1, -2).conj()
+
+
+def _core_projection(eps, B):
+    """(sign, Q) from the core's frame G of one B (n, m) in its orientation: Q = G G^dagger,
+    with the blocks swapped back to the order of C^{n+m} for n > m.  The projection of
+    exp0(B) is Q for sign 1, and I - Q for sign -1 (n > m)."""
+    n, m = B.shape
+    G = loci._dexp_frames(eps, _core_orientation(B)[None, None])[0, 0]
+    Q = G @ G.conj().T
+    if n <= m:
+        return 1, Q
+    order = np.r_[m : m + n, :m]
+    return -1, Q[np.ix_(order, order)]
+
+
 class TestCartanVector:
     def test_accepts_unit(self):
         CartanVector([0.8, 0.6])
@@ -184,10 +204,11 @@ class TestDexp:
     @staticmethod
     def _per_column_reference(space, B, t, fd_step=1e-5):
         # the core's orthonormal frame of one perturbed point at a time, one
-        # column at a time; test_projector_matches_exp0_frame checks that frame
-        def projection(Bp):
-            F = loci._dexp_frames(space.epsilon, Bp[None, None])[0, 0]
-            return F @ F.conj().T
+        # column at a time; test_projector_matches_exp0_frame checks that frame.
+        # For n > m the difference of I - Q is minus that of Q, with no I added
+        def difference(Bp, Bm):
+            (sign, Qp), (_, Qm) = (_core_projection(space.epsilon, b) for b in (Bp, Bm))
+            return sign * (Qp - Qm)
 
         cols = []
         for i in range(space.n):
@@ -195,7 +216,7 @@ class TestDexp:
                 for unit in (1.0, 1.0j):
                     dB = np.zeros((space.n, space.m), dtype=complex)
                     dB[i, j] = unit * fd_step
-                    diff = projection(t * B.B + dB) - projection(t * B.B - dB)
+                    diff = difference(t * B.B + dB, t * B.B - dB)
                     diff /= 2.0 * fd_step
                     cols.append(np.concatenate([diff.real.ravel(), diff.imag.ravel()]))
         s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
@@ -223,16 +244,18 @@ class TestDexp:
     )
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (1, 3)])
     def test_projector_matches_exp0_frame(self, n, m, eps, norm):
-        # F F^dagger of the core's orthonormal frame is F (F^dagger F)^{-1} F^dagger
-        # of the public exp0_frame, J-orthonormal on the dual
+        # G G^dagger of the core's orthonormal frame, or for n > m I minus that of
+        # the complement with the blocks swapped, is F (F^dagger F)^{-1} F^dagger of
+        # the public exp0_frame, J-orthonormal on the dual
         space = GrassmannSpace(n, m, eps)
         rng = np.random.default_rng(100 * n + 10 * m + (eps > 0))
         B = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
         B *= norm / np.linalg.norm(B, 2)
-        F = loci._dexp_frames(eps, B[None, None])[0, 0]
-        G = exp0_frame(space, TangentVector(space, B)).F
-        want = G @ np.linalg.inv(G.conj().T @ G) @ G.conj().T
-        assert np.abs(F @ F.conj().T - want).max() <= 1e-14
+        sign, Q = _core_projection(eps, B)
+        P = Q if sign > 0 else np.eye(n + m) - Q
+        F = exp0_frame(space, TangentVector(space, B)).F
+        want = F @ np.linalg.inv(F.conj().T @ F) @ F.conj().T
+        assert np.abs(P - want).max() <= 1e-14
 
     def test_dual_limit(self):
         # |t B|_2 = t here; the perturbed points lie within 2e-5 of t B
@@ -285,7 +308,7 @@ class TestDexpScan:
             loci._dexp_scan(space, B, np.array(ts))
 
     def test_compact_core_calls_no_inv(self, monkeypatch):
-        # on both signs the projection is F F^dagger of an orthonormal frame:
+        # on both signs the projection is G G^dagger of an orthonormal frame:
         # no Gram check, no inverse, and one SVD for the frames and one for
         # the Jacobian per chunk
         def refuse(*args, **kwargs):
@@ -304,6 +327,8 @@ class TestDexpScan:
         for module in (linalg, loci):
             monkeypatch.setattr(module, "check_gram", refuse)
         monkeypatch.setattr(loci, "_DEXP_CHUNK_ENTRIES", 3 * 4 * 4 * 4**2)  # 3 points a chunk
+        # G comes straight from the SVD factors, with no chart frame G u^dagger
+        assert not hasattr(loci, "_frame")
         for space, B in zip(spaces, Bs):
             calls.clear()
             # the first T2 time of the compact sign, which the dual does not share
@@ -330,18 +355,20 @@ class TestDexpScan:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_core_frames_are_orthonormal(n, m, eps, reach, seed):
-    """The core's frames are orthonormal and F F^dagger is an orthogonal
+    """The core's frames are orthonormal and G G^dagger is an orthogonal
     projection, to 1e-14, for stacks of B at log-uniform scales from 1e-8 up
-    to ENTRY_LIMIT on the compact sign and up to DEXP_DUAL_LIMIT on the dual."""
+    to ENTRY_LIMIT on the compact sign and up to DEXP_DUAL_LIMIT on the dual;
+    for n > m the core's frames are those of the complement, from -B^dagger."""
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(2, 3, n, m)) + 1j * rng.normal(size=(2, 3, n, m))
     limit = (ENTRY_LIMIT if eps > 0 else loci.DEXP_DUAL_LIMIT) * (1.0 - 1e-9)
     scale = min(10.0 ** (-8.0 + reach * (np.log10(limit) + 8.0)), limit)
     B *= scale / np.linalg.norm(B, 2, axis=(2, 3)).max()
-    F = loci._dexp_frames(eps, B)
-    Fh = F.swapaxes(-1, -2).conj()
-    assert np.abs(Fh @ F - np.eye(n)).max() <= 1e-14
-    P = F @ Fh
+    G = loci._dexp_frames(eps, _core_orientation(B))
+    assert G.shape == (2, 3, n + m, min(n, m))
+    Gh = G.swapaxes(-1, -2).conj()
+    assert np.abs(Gh @ G - np.eye(min(n, m))).max() <= 1e-14
+    P = G @ Gh
     assert np.abs(P - P.swapaxes(-1, -2).conj()).max() <= 1e-14
     assert np.abs(P @ P - P).max() <= 1e-14
 

@@ -277,17 +277,15 @@ def cmd_plucker(space, args):
 
 def cmd_energy(space, args):
     F = _frame_arg(space, args)
-    spec = EnergySpec(np.asarray(args.eps, dtype=float))
-    _emit({"energy": kernels.energy(space, spec, F)})
+    _emit({"energy": kernels.energy(space, EnergySpec(args.eps), F)})
 
 
-def _default_eps(space: GrassmannSpace) -> np.ndarray:
-    return np.arange(space.N, 0, -1, dtype=float)
+def _spec(space: GrassmannSpace, args) -> EnergySpec:
+    return EnergySpec(args.eps or np.arange(space.N, 0, -1, dtype=float))
 
 
 def cmd_critical_points(space, args):
-    eps = np.asarray(args.eps, dtype=float) if args.eps else _default_eps(space)
-    pts = kernels.critical_points(space, EnergySpec(eps))
+    pts = kernels.critical_points(space, _spec(space, args))
     _emit(
         {
             "count": len(pts),
@@ -304,8 +302,7 @@ def cmd_char_numbers(space, args):
             "characteristic numbers are defined for the compact space; "
             "the noncompact dual is a contractible domain"
         )
-    eps = np.asarray(args.eps, dtype=float) if args.eps else _default_eps(space)
-    report = topology.characteristic_report(space.n, space.m, EnergySpec(eps))
+    report = topology.characteristic_report(space.n, space.m, _spec(space, args))
     _emit({**dataclasses.asdict(report), "all_equal": len(set(report.values())) == 1})
 
 

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     WrongChartError,
 )
-from .linalg import ENTRY_LIMIT, _eye, _svd, _svdvals, apply_spectral
+from .linalg import ENTRY_LIMIT, _angles, _eye, _svd, _svdvals, apply_spectral
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_rows, check_space
 
 CHART_SINGULAR_TOL = 1e-12
@@ -354,7 +354,7 @@ def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
     (complements make the same angles), S = diag(co1, 1) vh1 (Z2 - Z1)^dagger u2 diag(co2)
     up to unitary factors, vh1 full, so no sum cancels; both chart SVDs are one stacked
     call.  Role 2, where A2 damps Z2 - Z1, goes to the larger si[0] (norm), p2 on a tie.
-    Compact angles above pi/4 are arccos of the singular values of A1 (I + Z1 Z2^dagger) A2.
+    Compact cosines are the singular values of A1 (I + Z1 Z2^dagger) A2; _angles takes both.
     """
     check_space(space, p1, p2)
     Z = np.stack([p1.Z, p2.Z] if space.n <= space.m else [p1.Z.T, p2.Z.T])
@@ -367,8 +367,7 @@ def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
         return math.sqrt(tau.dot(tau))
     # formed for every compact pair, so that the work does not depend on the data
     C = co1[:, None] * (u1.conj().T @ u2) * co2 + si1[:, None] * (vh1[:k] @ vh2[:k].conj().T) * si2
-    cos = np.minimum(_svdvals(C)[::-1], 1.0)  # reversed: cosines fall as sines rise
-    theta = np.where(s < math.sqrt(0.5), np.arcsin(np.minimum(s, 1.0)), np.arccos(cos))
+    theta = _angles(s, _svdvals(C))
     return math.sqrt(theta.dot(theta))
 
 

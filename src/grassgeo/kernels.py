@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .geometry import _chart_svd, raw_frame
-from .linalg import _det, _eye
+from .linalg import _det, _eye, _numbers
 from .spaces import ChartPoint, Frame, GrassmannSpace, check_space
 from .spaces import check_enumeration_size, coordinate_plane_frame
 
@@ -56,7 +56,7 @@ class EnergySpec:
     eps: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.eps, dtype=float)
+        e = _numbers(self.eps, "eps", real=True)
         if e.ndim != 1 or e.size < 2:
             raise PreconditionError("eps must be a 1-D array of length n+m")
         if not np.all(np.isfinite(e)):

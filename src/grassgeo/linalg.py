@@ -26,7 +26,7 @@ ENTRY_LIMIT = 1e150
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex array whose entries are at most ENTRY_LIMIT in
     modulus; NaN and Inf fail the same comparison."""
-    M = np.asarray(a, dtype=complex)
+    M = _numbers(a, name)
     if M.ndim != 2:
         raise PreconditionError(f"{name} must be 2-dimensional, got ndim={M.ndim}")
     if M.shape[0] < 1 or M.shape[1] < 1:
@@ -36,6 +36,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
             raise PreconditionError(f"{name} contains non-finite entries")
         raise PreconditionError(f"{name} has an entry above {ENTRY_LIMIT:g} in modulus")
     return M
+
+
+def _numbers(a, name: str, real: bool = False) -> np.ndarray:
+    """np.asarray(a, dtype=complex), or its real part if real; strings, ragged rows and, if
+    real, an imaginary part raise PreconditionError rather than being cast or dropped."""
+    try:
+        z = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        z = None
+    if z is None or real and z.imag.any():
+        raise PreconditionError(f"{name} must be an array of {'real ' * real}numbers")
+    return z.real.copy() if real else z
 
 
 @functools.lru_cache(maxsize=16)
@@ -145,11 +157,10 @@ def principal_angles(F1, F2) -> np.ndarray:
     """Jordan's stationary angles between the column spans of F1 and F2.
 
     Both inputs must have orthonormal columns and the same column count.
-    Returns a nondecreasing array of angles in [0, pi/2]; the arccos argument
-    is clipped to [-1, 1] since rounding can exceed 1 by ~1e-16.  Angles
-    below pi/4 are recomputed from the sine (residual SVD), which keeps
-    nearly-aligned planes accurate to machine precision where arccos alone
-    loses half the digits.
+    Returns a nondecreasing array of angles in [0, pi/2], from _angles: the
+    sines are the singular values of the residual F2 - F1 F1^dagger F2, the
+    cosines those of F1^dagger F2, so nearly-aligned planes keep machine
+    precision where arccos alone loses half the digits.
     """
     F1, F2 = as_matrix(F1, "first frame"), as_matrix(F2, "second frame")
     check_gram(F1, 1, ORTHONORMALITY_TOL, "first frame")
@@ -164,17 +175,12 @@ def principal_angles(F1, F2) -> np.ndarray:
 def _principal_angles(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
     """principal_angles of two frames already checked, such as two Frame.F of one space."""
     cross = F1.conj().T @ F2
-    return _split_angles(cross, lambda: F2 - F1 @ cross)
+    return _angles(_svdvals(F2 - F1 @ cross), _svdvals(cross))[::-1]
 
 
-def _split_angles(cross: np.ndarray, residual: Callable[[], np.ndarray]) -> np.ndarray:
-    """Principal angles, nondecreasing, from the cross matrix F1^dagger F2 and
-    a thunk for the residual F2 - F1 F1^dagger F2: arccos of the singular
-    values of cross, with the angles below pi/4 recomputed as arcsin of those
-    of the residual, which is formed only if some angle needs it."""
-    theta = np.arccos(np.minimum(np.maximum(_svdvals(cross), -1.0), 1.0))
-    small = theta < np.pi / 4
-    if small.any():
-        sines = np.sort(np.minimum(np.maximum(_svdvals(residual()), -1.0), 1.0))
-        theta = np.where(small, np.arcsin(sines), theta)
-    return theta
+def _angles(sines: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+    """Principal angles, in the order of the sines, from their sines and cosines, both
+    nonincreasing as _svdvals gives them: arcsin of a sine below sqrt(1/2), where it is the
+    better conditioned, else arccos of the cosine (Bjorck & Golub 1973), each clipped at 1."""
+    s = np.minimum(sines, 1.0)
+    return np.where(s < np.sqrt(0.5), np.arcsin(s), np.arccos(np.minimum(cosines[::-1], 1.0)))

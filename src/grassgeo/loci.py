@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
 from .geometry import _chart_factors, _chart_of_rows
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
-from .linalg import _det, _split_angles, _svd, _svdvals, check_positive_finite, rank_tol
+from .linalg import _det, _eye, _numbers, _svd, _svdvals, check_positive_finite, rank_tol
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
 DEFAULT_DET_TOL = 1e-9
@@ -26,7 +27,6 @@ COALESCE_REL_TOL = 1e-12
 MAX_CONJUGATE_TIMES = 100_000
 # bound on the complex entries of P that one stacked dexp chunk holds, 16 MiB
 _DEXP_CHUNK_ENTRIES = 2**20
-_FAMILY_ORDER = {"T1": 0, "T2": 1, "T3": 2}
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class CartanVector:
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = _numbers(self.h, "h", real=True)
         if h.ndim != 1 or h.size < 1:
             raise PreconditionError("h must be a nonempty 1-D real array")
         if not np.all(np.isfinite(h)):
@@ -72,7 +72,11 @@ class SchubertSymbol:
     m_bound: int
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.omega)
+        try:
+            w = tuple(operator.index(x) for x in self.omega)
+            object.__setattr__(self, "m_bound", operator.index(self.m_bound))
+        except TypeError:
+            raise PreconditionError("omega and m_bound must be integers") from None
         if len(w) < 1:
             raise PreconditionError("omega must be nonempty")
         if any(b < a for a, b in zip(w, w[1:])):
@@ -164,7 +168,7 @@ def tangent_conjugate_times(
     Zero denominators (h_p = h_q or h_p = 0) contribute no time: the formula
     value is infinite.  Coincident times from different (family, indices,
     lambda) are merged, multiplicities summed; the surviving tag is the
-    largest single contribution.  The noncompact dual has nonpositive
+    first of the largest single contributions.  The noncompact dual has nonpositive
     curvature, so its list is empty.
     """
     check_positive_finite(t_max, "t_max")
@@ -176,17 +180,11 @@ def tangent_conjugate_times(
     hv = h.h
 
     # (denominator, family, multiplicity, indices); time lam pi / denom
-    series = []
-    for p in range(r):
-        for q in range(p + 1, r):
-            series.append((abs(hv[p] + hv[q]), "T1", 2, (p, q)))
-            series.append((abs(hv[p] - hv[q]), "T1", 2, (p, q)))
-    for p in range(r):
-        series.append((2 * abs(hv[p]), "T2", 1, (p,)))
+    pairs = [(p, q) for p in range(r) for q in range(p + 1, r)]
+    series = [(abs(hv[p] + sign * hv[q]), "T1", 2, (p, q)) for p, q in pairs for sign in (1, -1)]
+    series += [(2 * abs(hv[p]), "T2", 1, (p,)) for p in range(r)]
     if space.n != space.m:
-        mult3 = 2 * abs(space.m - space.n)
-        for p in range(r):
-            series.append((abs(hv[p]), "T3", mult3, (p,)))
+        series += [(abs(hv[p]), "T3", 2 * abs(space.m - space.n), (p,)) for p in range(r)]
     series = [s for s in series if s[0] >= 1e-14]
 
     # Python floats: an overflowing product is inf without a warning
@@ -203,19 +201,18 @@ def tangent_conjugate_times(
             raw.append(ConjugateTime(lam * np.pi / denom, family, mult, indices, lam))
             lam += 1
 
-    raw.sort(key=lambda c: (c.t, _FAMILY_ORDER[c.family]))
-    merged: list[ConjugateTime] = []
+    raw.sort(key=lambda c: (c.t, c.family))  # T1 < T2 < T3
+    groups: list[list[ConjugateTime]] = []
     for c in raw:
-        if merged and abs(c.t - merged[-1].t) <= COALESCE_REL_TOL * max(1.0, c.t):
-            prev = merged[-1]
-            keep = prev if prev.multiplicity >= c.multiplicity else c
-            merged[-1] = ConjugateTime(
-                prev.t, keep.family, prev.multiplicity + c.multiplicity,
-                keep.indices, keep.lam,
-            )
+        if groups and abs(c.t - groups[-1][0].t) <= COALESCE_REL_TOL * max(1.0, c.t):
+            groups[-1].append(c)
         else:
-            merged.append(c)
-    return merged
+            groups.append([c])
+    return [
+        replace(max(g, key=lambda c: c.multiplicity), t=g[0].t,
+                multiplicity=sum(c.multiplicity for c in g)) if len(g) > 1 else g[0]
+        for g in groups
+    ]
 
 
 def cartan_to_tangent(space: GrassmannSpace, h: CartanVector) -> TangentVector:
@@ -365,11 +362,11 @@ def dual_flag(space: GrassmannSpace) -> np.ndarray:
 
 def schubert_dims(F: Frame, flag: np.ndarray, tol: float = DEFAULT_DET_TOL) -> list[int]:
     """dim(X intersect C^p) for p = 1..n+m via n + p - rank([F | basis of C^p])."""
-    flag = np.asarray(flag, dtype=complex)
+    flag = as_matrix(flag, "flag basis")
     N, n = F.space.N, F.space.n
     if flag.shape != (N, N):
         raise PreconditionError(f"flag basis must be {N}x{N}")
-    check_gram(as_matrix(flag, "flag basis"), 1, ORTHONORMALITY_TOL, "flag basis")
+    check_gram(flag, 1, ORTHONORMALITY_TOL, "flag basis")
     dims = []
     for p in range(1, N + 1):
         stacked = np.hstack([F.F, flag[:, :p]])
@@ -413,14 +410,13 @@ def conjugate_stratum_I(space: GrassmannSpace, F: Frame) -> bool:
 
 
 def _conjugate_strata(space: GrassmannSpace, F: Frame) -> tuple[np.ndarray, bool, bool]:
-    """The angles of F with O = span(e_1, ..., e_n), taken once and read off F's own
-    blocks (the cross matrix F.top, the residual [0 ; F.bottom]), and both stratum
-    tests on them; the dual is rejected before any angle is taken."""
+    """The angles of F with O = span(e_1, ..., e_n), taken once, and both stratum tests
+    on them; the dual is rejected before any angle is taken.  The cross matrix is F.top
+    and the residual [0 ; F.bottom], both exact, so O needs no check."""
     if not space.compact:
         raise PreconditionError("conjugate strata apply to the compact space")
     check_space(space, F)
-    top = F.top
-    ang = _split_angles(top, lambda: np.concatenate([np.zeros_like(top), F.bottom]))
+    ang = _principal_angles(_eye(space.N)[:, : space.n], F.F)
     zeros = int(np.count_nonzero(ang < DEFAULT_EQUAL_ANGLE_TOL))
     rights = int(np.count_nonzero(ang > np.pi / 2 - DEFAULT_EQUAL_ANGLE_TOL))
     stratum_W = zeros > max(0, space.n - space.m) or rights >= 1

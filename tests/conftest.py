@@ -59,6 +59,13 @@ def _mp_inv_sqrt(G):
     return Q * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * Q.transpose_conj()
 
 
+def mp_orthonormal(F):
+    """F (F^dagger F)^{-1/2} at mpmath's working precision: the orthonormal frame
+    nearest to the exact float frame F, with the same column span."""
+    A = mp_matrix(F)
+    return A * _mp_inv_sqrt(A.transpose_conj() * A)
+
+
 def mp_chart_cosines(eps, Z1, Z2):
     """Singular values, at mpmath's working precision, of the chart cosine
     matrix (I + eps Z1 Z1^dagger)^{-1/2} (I + eps Z1 Z2^dagger)
@@ -116,6 +123,7 @@ __all__ = [
     "CLI",
     "mp_chart_cosines",
     "mp_matrix",
+    "mp_orthonormal",
     "run_main",
     "run_process",
     "random_chart_point_rng",

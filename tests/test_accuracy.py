@@ -1,5 +1,5 @@
 """Accuracy envelopes against 50-digit mpmath oracles: of `geometry.distance`,
-and of the RK4 integrator `geometry.geodesic_ode`; and of
+of `linalg.principal_angles`, and of the RK4 integrator `geometry.geodesic_ode`; and of
 `loci.dexp_min_singular` against its own central difference at 30 digits;
 and the dual chart round trip near the boundary of the bounded domain.
 
@@ -17,12 +17,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from grassgeo import loci
+from grassgeo import linalg, loci
 from grassgeo.errors import PreconditionError
 from grassgeo.geometry import chart_of_frame, distance, frame_of_chart, geodesic_ode
 from grassgeo.sampling import generator, random_tangent_rng
 from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
-from conftest import mp_chart_cosines, mp_matrix, random_unitary
+from conftest import mp_chart_cosines, mp_matrix, mp_orthonormal, random_unitary
 
 SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 PAIRS_PER_SIZE = 5
@@ -115,6 +115,57 @@ def test_distance_accuracy_singular_values_apart():
             exact = distance_oracle(1, Z1, Z2)
             worst = max(worst, float(abs(d - exact) / exact))
     assert worst < 1e-11, f"worst relative error {worst:.2e} (recorded 4.6e-13)"
+
+
+def principal_angles_oracle(F1, F2):
+    """The angles, nondecreasing, between the spans of the exact float frames: acos of
+    the singular values of Q1^dagger Q2 for Q1, Q2 the frames orthonormalized at 50
+    digits."""
+    with mpmath.workdps(50):
+        Q1, Q2 = mp_orthonormal(F1), mp_orthonormal(F2)
+        cosines = mpmath.svd_c(Q1.transpose_conj() * Q2, compute_uv=False)
+        return sorted(mpmath.acos(min(c, 1)) for c in cosines)
+
+
+def _frames_at_angles(rng, n, m, theta):
+    """Frames Q[:, :n] and Q [diag(cos theta) ; diag(sin theta) ; 0] V, n <= m, for random
+    unitary Q and V: their spans meet at the angles theta, up to the rounding of the frames."""
+    Q = random_unitary(rng, n + m)
+    X = np.zeros((n + m, n), dtype=complex)
+    X[:n], X[n : 2 * n] = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    return Q[:, :n], Q @ X @ random_unitary(rng, n)
+
+
+# (region, angle draw for n angles, observed worst absolute error, bound), 20 frame pairs
+# for each n <= m <= 3.  Near 0 arccos alone reads about 1e-8, near pi/2 arcsin alone;
+# the pi/4 row draws each angle at its own distance 1e-12 to 1e-3 on either side.
+# Angles drawn within ~1e-15 of each other fall outside this envelope: there LAPACK
+# moves clustered singular values by up to ~4e-15 on its own (5.4e-15 seen)
+ANGLE_ACCURACY = [
+    ("near-0", lambda rng, n: 10.0 ** rng.uniform(-10, -3, n), 8.5e-17, 2e-15),
+    (
+        "near-pi/4",
+        lambda rng, n: np.pi / 4 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, -3, n),
+        7.8e-16,
+        2e-15,
+    ),
+    ("near-pi/2", lambda rng, n: np.pi / 2 - 10.0 ** rng.uniform(-10, -3, n), 1.4e-16, 2e-15),
+]
+
+
+@pytest.mark.parametrize(
+    "draw, observed, bound",
+    [pytest.param(*row[1:], id=row[0]) for row in ANGLE_ACCURACY],
+)
+def test_principal_angles_accuracy(draw, observed, bound):
+    rng = np.random.default_rng(20240817)
+    worst = 0.0
+    for n, m in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)] * 20:
+        F1, F2 = _frames_at_angles(rng, n, m, draw(rng, n))
+        exact = principal_angles_oracle(F1, F2)
+        got = linalg.principal_angles(F1, F2)
+        worst = max(worst, max(float(abs(g - e)) for g, e in zip(got, exact)))
+    assert worst < bound, f"worst absolute error {worst:.2e} (recorded {observed:.1e})"
 
 
 def exp_oracle(eps, B):

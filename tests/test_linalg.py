@@ -134,6 +134,23 @@ class TestPrincipalAngles:
         with pytest.raises(PreconditionError):
             principal_angles(np.ones((3, 1)), np.array([[1.0], [0.0], [0.0]]))
 
+    def test_same_work_on_near_and_far_pairs(self, rng, monkeypatch):
+        # the sines and the cosines are both taken on every input, so a pair
+        # whose angles are all above pi/4 still takes the residual's SVD
+        calls, svd = [], np.linalg.svd
+
+        def counted(M, *args, **kwargs):
+            calls.append(np.shape(M))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        Q = random_unitary(rng, 4)
+        near, far = Q[:, [0, 1]] + 1e-9 * Q[:, [2, 3]], Q[:, [2, 3]] + 0.1 * Q[:, [0, 1]]
+        for F2 in (near / np.sqrt(1 + 1e-18), far / np.sqrt(1.01)):
+            calls.clear()
+            angles = principal_angles(Q[:, :2], F2)
+            assert sorted(calls) == [(2, 2), (4, 2)], angles
+
 
 class TestCheckGram:
     def test_accepts_and_rejects_on_both_signs(self, rng):

@@ -106,6 +106,16 @@ class TestConjugateTimes:
             (2.617993877991, "T2", 1),
         ]
 
+    def test_coalesced_time_keeps_the_largest_single_tag(self):
+        # at t = sqrt(5) pi on G_2(C^7), h = (2, 1)/sqrt(5), six contributions
+        # coincide: T1 2 + 2, T2 1 + 1 and T3 6 + 6.  The tag is the first T3
+        # (6), not the T1 that a comparison with the running sum would keep
+        sp = GrassmannSpace(2, 5, 1)
+        times = tangent_conjugate_times(sp, CartanVector(np.array([2.0, 1.0]) / np.sqrt(5)), 7.1)
+        last = times[-1]
+        assert abs(last.t - np.sqrt(5) * np.pi) < 1e-14
+        assert (last.family, last.multiplicity, last.indices, last.lam) == ("T3", 18, (0,), 2)
+
     def test_no_t3_for_equal_ranks(self):
         sp = GrassmannSpace(2, 2, 1)
         times = tangent_conjugate_times(sp, CartanVector([0.8, 0.6]), 10.0)

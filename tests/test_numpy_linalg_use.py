@@ -1,9 +1,11 @@
-"""A static scan of how src/grassgeo calls numpy.linalg.
+"""A static scan of how src/grassgeo calls numpy.linalg, and numpy's arcsin.
 
 The package takes no matrix inverse, linear solve, Hermitian eigensolver,
 least squares or Cholesky factor: every spectral step goes through one SVD
 wrapper, linalg._svd, which turns a LAPACK failure into NumericalFailure.
 The one QR left orthonormalizes the Gaussian draw of a random compact plane.
+Every principal angle comes from one formula, linalg._angles, the only
+caller of numpy.arcsin.
 """
 
 import ast
@@ -12,8 +14,12 @@ import pathlib
 import grassgeo
 
 FORBIDDEN = {"inv", "solve", "eigh", "eigvalsh", "pinv", "lstsq", "cholesky"}
-# numpy.linalg function -> the only (module, function) allowed to call it
-CONFINED = {"svd": {("linalg", "_svd")}, "qr": {("sampling", "random_plane_rng")}}
+# numpy.linalg function, or numpy.<function>, -> the only (module, function) allowed to call it
+CONFINED = {
+    "svd": {("linalg", "_svd")},
+    "qr": {("sampling", "random_plane_rng")},
+    "numpy.arcsin": {("linalg", "_angles")},
+}
 
 
 class _Uses(ast.NodeVisitor):
@@ -43,8 +49,10 @@ class _Uses(ast.NodeVisitor):
         if node.module == "numpy.linalg":
             for alias in node.names:
                 self._record(alias.name, node)
-        elif node.module == "numpy" and any(a.name == "linalg" for a in node.names):
-            self._record("from numpy import linalg", node)
+        elif node.module == "numpy":
+            for alias in node.names:
+                if alias.name == "linalg" or "numpy." + alias.name in CONFINED:
+                    self._record(f"from numpy import {alias.name}", node)
 
     def visit_Attribute(self, node):
         base = node.value
@@ -55,29 +63,66 @@ class _Uses(ast.NodeVisitor):
             and base.value.id in self.numpy
         ):
             self._record(node.attr, node)
+        elif (
+            isinstance(base, ast.Name)
+            and base.id in self.numpy
+            and "numpy." + node.attr in CONFINED
+        ):
+            self._record("numpy." + node.attr, node)
         self.generic_visit(node)
 
 
-def _numpy_linalg_uses():
+def _sources():
+    """{module name: source text} of every module of src/grassgeo."""
+    return {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(pathlib.Path(grassgeo.__file__).parent.glob("*.py"))
+    }
+
+
+def _numpy_uses(sources):
     uses = []
-    for path in sorted(pathlib.Path(grassgeo.__file__).parent.glob("*.py")):
-        visitor = _Uses(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        uses += [(name, where, f"{path.name}:{line}") for name, where, line in visitor.found]
+    for module, text in sources.items():
+        visitor = _Uses(module)
+        visitor.visit(ast.parse(text))
+        uses += [(name, where, f"{module}.py:{line}") for name, where, line in visitor.found]
     return uses
 
 
-def test_the_scan_sees_the_calls_it_confines():
-    # a scan that finds nothing would pass the test below on its own
-    names = {name for name, _, _ in _numpy_linalg_uses()}
-    assert {"svd", "qr", "det"} <= names
-
-
-def test_numpy_linalg_use_in_src():
+def _violations(sources):
     bad = []
-    for name, where, at in _numpy_linalg_uses():
+    for name, where, at in _numpy_uses(sources):
         if name in FORBIDDEN or name.startswith(("import ", "from ")):
             bad.append(f"{at} {name}")
         elif name in CONFINED and where not in CONFINED[name]:
             bad.append(f"{at} {name} outside {sorted(CONFINED[name])}")
-    assert not bad, "numpy.linalg used where the package does not allow it: " + "; ".join(bad)
+    return bad
+
+
+def test_the_scan_sees_the_calls_it_confines():
+    # a scan that finds nothing would pass the test below on its own
+    names = {name for name, _, _ in _numpy_uses(_sources())}
+    assert {"svd", "qr", "det", "numpy.arcsin"} <= names
+
+
+def test_numpy_linalg_use_in_src():
+    bad = _violations(_sources())
+    assert not bad, "numpy used where the package does not allow it: " + "; ".join(bad)
+
+
+# (module, text, its replacement): each puts back a use that the scan refuses
+MUTATIONS = [
+    ("geometry", "theta = _angles(s, _svdvals(C))", "theta = np.arcsin(np.minimum(s, 1.0))"),
+    ("loci", "import numpy as np\n", "import numpy as np\nfrom numpy import arcsin\n"),
+    ("kernels", "import numpy as np\n", "import numpy as np\n_inv = np.linalg.inv\n"),
+    ("linalg", "return _svd(M, compute_uv=False)", "return np.linalg.svd(M, compute_uv=False)"),
+]
+
+
+def test_a_mutated_copy_fails_the_scan():
+    # the guards above can fail: each mutated copy of the source gives one violation
+    sources = _sources()
+    for module, old, new in MUTATIONS:
+        assert old in sources[module], (module, old)
+        bad = _violations({**sources, module: sources[module].replace(old, new, 1)})
+        assert len(bad) == 1 and bad[0].startswith(f"{module}.py:"), bad

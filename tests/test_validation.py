@@ -75,7 +75,7 @@ def test_gram_checks_per_call(gram_checks, monkeypatch):
         grid = np.linspace(0.1, 2.0, 7)
         assert _count(gram_checks, lambda: loci._dexp_scan(space, B, grid)) == 0
     # strata: its own frame only, and the angles taken once
-    angles = _record_calls(monkeypatch, "_split_angles")
+    angles = _record_calls(monkeypatch, "_principal_angles")
     strata = ["strata", "--space", "2", "2", "compact", "--seed", "5"]
     assert _count(gram_checks, lambda: cli.main(strata)) == 1
     assert len(angles) == 1
@@ -175,6 +175,34 @@ def test_row_subsets_are_read_once_and_exactly(rows, match):
         with pytest.raises(PreconditionError, match=match):
             call()
     assert np.array_equal(coordinate_plane_frame(G24, [np.int64(3), 0]).F[[0, 3]], np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ChartPoint(G24, [["x"]]), id="ChartPoint-string"),
+        pytest.param(lambda: ChartPoint(G24, [[1], [1, 2]]), id="ChartPoint-ragged"),
+        pytest.param(lambda: TangentVector(G24, {"a": 1}), id="TangentVector-dict"),
+        pytest.param(lambda: TangentVector(G24, [[10**400, 0], [0, 0]]), id="TangentVector-int"),
+        pytest.param(lambda: linalg.principal_angles("ab", "cd"), id="principal_angles-strings"),
+        pytest.param(lambda: linalg.rank_tol([["x"]]), id="rank_tol-string"),
+        pytest.param(lambda: loci.CartanVector([1j]), id="CartanVector-complex"),
+        pytest.param(lambda: loci.CartanVector(np.array([1 + 1j])), id="CartanVector-numpy"),
+        pytest.param(lambda: kernels.EnergySpec(["a", 1]), id="EnergySpec-string"),
+        pytest.param(lambda: kernels.EnergySpec(np.array([1, 2j])), id="EnergySpec-numpy"),
+        pytest.param(lambda: loci.SchubertSymbol((0.5, 1.9), 2), id="SchubertSymbol-floats"),
+        pytest.param(lambda: loci.SchubertSymbol(("1", "2"), 2), id="SchubertSymbol-strings"),
+        pytest.param(lambda: loci.SchubertSymbol((0, 1), 1.5), id="SchubertSymbol-float-bound"),
+        pytest.param(
+            lambda: loci.schubert_dims(F24, [["x"] * 4] * 4), id="schubert_dims-string-flag"
+        ),
+    ],
+)
+def test_unreadable_input_is_a_typed_error(call):
+    # refused at the constructor or the raw-array boundary, not passed on as a
+    # bare ValueError or TypeError, and not truncated (0.5 read as 0, 1j as 0)
+    with pytest.raises(PreconditionError):
+        call()
 
 
 def test_isoclinic_takes_angles_once(monkeypatch, capsys):

@@ -1,8 +1,8 @@
 """Command-line front end exposing every operation over JSON matrix I/O.
 
 Exit codes: 0 success, 1 domain/numerical errors (machine-readable error
-object on stdout), 2 usage errors.  GRASSGEO_TOL overrides the default
-tolerance of cut-test and schubert; their --tol overrides both.
+object on stdout), 2 usage errors.  GRASSGEO_TOL overrides the default cosine
+tolerance of cut-test and rank tolerance of schubert; their --tol overrides both.
 """
 
 from __future__ import annotations

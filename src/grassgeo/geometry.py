@@ -25,7 +25,6 @@ from .linalg import ENTRY_LIMIT, _angles, _eye, _svd, _svdvals, apply_spectral
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_rows, check_space
 
 CHART_SINGULAR_TOL = 1e-12
-TAN_POLE_TOL = 1e-12
 TANH_LIMIT_TOL = 16 * np.finfo(float).eps
 BLOWUP_LIMIT = 1e8
 MAX_ODE_STEPS = 100_000
@@ -102,9 +101,8 @@ def exp0(space: GrassmannSpace, B: TangentVector) -> ChartPoint:
 
 
 def _tan(s: np.ndarray) -> np.ndarray:
-    # distance of each singular value to the nearest pi/2 + k*pi pole
-    r = np.remainder(s - np.pi / 2, np.pi)
-    if np.min(np.minimum(r, np.pi - r)) < TAN_POLE_TOL:
+    # |cos s| are the cosines of exp0_frame's plane with O, which the chart map reads
+    if np.abs(np.cos(s)).min() < CHART_SINGULAR_TOL:
         raise ConjugateToChartError(
             "tan singularity: a singular value of B equals pi/2 mod pi; "
             "the point exists but leaves the chart -- use exp0_frame"

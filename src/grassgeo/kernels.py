@@ -132,11 +132,11 @@ def diastasis(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> float:
 
     The modulus is at most 1 by Cauchy-Schwarz, but rounding can put it above 1
     for nearby points; it is clamped there, so D is never negative, and D = 0.0,
-    never -0.0.  Undefined exactly where the overlap vanishes, i.e. when Z2 sits
-    on the polar divisor of Z1.
+    never -0.0.  Compact: undefined exactly where the overlap vanishes, when Z2 is on
+    the polar divisor of Z1; the dual has none, and there a tiny overlap is a large D.
     """
     modulus = normalized_overlap(space, Z1, Z2).modulus
-    if modulus < ZERO_OVERLAP_TOL:
+    if space.compact and modulus < ZERO_OVERLAP_TOL:
         raise DiastasisUndefinedError(
             "overlap vanishes: second point lies on the polar divisor of the first"
         )

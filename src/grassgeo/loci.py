@@ -9,8 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, EnumerationSizeError, OnPolarDivisorError, PreconditionError
-from .geometry import _chart_factors, _chart_of_rows
+from .errors import ConsistencyError, EnumerationSizeError, PreconditionError
+from .geometry import CHART_SINGULAR_TOL, _chart_factors, _chart_of_rows
 from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
 from .linalg import _det, _eye, _numbers, _svd, _svdvals, check_positive_finite, rank_tol
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
@@ -106,15 +106,16 @@ class SchubertSymbol:
 
 
 def cut_locus_test(space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL) -> bool:
-    """True iff the plane lies on the polar divisor of the origin, |det(F_O^dagger F)| < tol.
-    The compact space only; a det that disagrees with the top block's singular values
-    raises ConsistencyError (_top_block)."""
-    return bool(_top_block(space, F, tol)[0] < tol)
+    """True iff the plane lies on the polar divisor of the origin: its smallest cosine with O,
+    the smallest singular value of F_O^dagger F = F_top, is below tol.  The compact space
+    only; a det that disagrees with that SVD raises ConsistencyError (_top_block)."""
+    _, (_, s, _) = _top_block(space, F, tol)
+    return bool(s[-1] < tol)
 
 
 def _top_block(space: GrassmannSpace, F: Frame, tol: float) -> tuple:
-    """|det F_top| and the thin SVD (u, s, vh) of F_top: the one reading of the top block
-    that the cut-locus test and the disjoint-union check share.
+    """|det F_top| and the thin SVD (u, s, vh) of F_top: the one reading of the top block.
+    The cut-locus test and the disjoint-union check decide on s[-1]; the det is reported.
 
     The compact space only.  A |det| that differs by more than DET_CROSS_CHECK_TOL from
     the product of the cosines of the principal angles with O, the singular values s of
@@ -143,21 +144,17 @@ def disjoint_union_check(
     space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL
 ) -> DisjointUnionResult:
     """Every plane of the compact space is exactly one of chart-representable or
-    polar-divisor, read from _top_block.
-
-    |det| below tol is the polar divisor.  Otherwise the chart point comes from the
-    same SVD of F_top; borderline determinants in [tol, 10 tol), and planes whose
-    smallest top-block singular value the chart map refuses (below
-    CHART_SINGULAR_TOL), are flagged near-divisor rather than classified.
+    polar-divisor, decided on its smallest cosine with O, the smallest singular value
+    s_min of F_top (_top_block): below tol is the polar divisor, and borderline values
+    in [tol, max(10 tol, CHART_SINGULAR_TOL)) are flagged near-divisor rather than
+    classified.  Otherwise the chart point comes from the same SVD of F_top.
     """
     det_val, top_svd = _top_block(space, F, tol)
-    if det_val < tol:
+    if top_svd[1][-1] < tol:
         return DisjointUnionResult("polar-divisor", det_val, None)
-    try:
-        p = _chart_of_rows(space, top_svd, F.bottom)
-    except OnPolarDivisorError:
+    if top_svd[1][-1] < max(10 * tol, CHART_SINGULAR_TOL):
         return DisjointUnionResult("near-divisor", det_val, None)
-    return DisjointUnionResult("near-divisor" if det_val < 10 * tol else "chart", det_val, p)
+    return DisjointUnionResult("chart", det_val, _chart_of_rows(space, top_svd, F.bottom))
 
 
 def tangent_conjugate_times(

@@ -1,6 +1,7 @@
 """Accuracy envelopes against 50-digit mpmath oracles: of `geometry.distance`,
-of `linalg.principal_angles`, and of the RK4 integrator `geometry.geodesic_ode`; and of
-`loci.dexp_min_singular` against its own central difference at 30 digits;
+of `linalg.principal_angles`, of the RK4 integrator `geometry.geodesic_ode`, of
+`geometry.exp0` near tan poles and of the dual `kernels.diastasis` near the boundary;
+and of `loci.dexp_min_singular` against its own central difference at 30 digits;
 and the dual chart round trip near the boundary of the bounded domain.
 
 Each row names a region, the worst error seen there on its sample and the
@@ -17,9 +18,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from grassgeo import linalg, loci
-from grassgeo.errors import PreconditionError
-from grassgeo.geometry import chart_of_frame, distance, frame_of_chart, geodesic_ode
+from grassgeo import kernels, linalg, loci
+from grassgeo.errors import ConjugateToChartError, OnPolarDivisorError, PreconditionError
+from grassgeo.geometry import (
+    CHART_SINGULAR_TOL,
+    chart_of_frame,
+    distance,
+    exp0,
+    exp0_frame,
+    frame_of_chart,
+    geodesic_ode,
+)
 from grassgeo.sampling import generator, random_tangent_rng
 from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 from conftest import mp_chart_cosines, mp_matrix, mp_orthonormal, random_unitary
@@ -494,3 +503,127 @@ def test_dual_chart_round_trip_near_the_boundary():
                 back = chart_of_frame(Frame(space, F)).Z
                 worst = max(worst, float(np.abs(back - Z).max()))
     assert worst < 1e-11, f"worst absolute error {worst:.2e} (recorded 8.1e-13)"
+
+
+def _pole_sigmas(deltas):
+    """sigma = k pi + pi/2 + delta in float64 for k in 0..3, 10, 100, 1000, 1e4 and 12
+    seeded k up to 1e4."""
+    rng = np.random.default_rng(20240817)
+    ks = [0, 1, 2, 3, 10, 100, 1000, 10_000, *rng.integers(0, 10_001, 12).tolist()]
+    return [k * np.pi + np.pi / 2 + delta for k in ks for delta in deltas]
+
+
+def _mp_cos_tan(sigma):
+    """|cos sigma| and tan sigma of the float sigma at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(sigma)
+        return float(abs(mpmath.cos(x))), mpmath.tan(x)
+
+
+def _raises(call, error) -> bool:
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+POLE_DELTAS = [sign * 10.0**e for e in np.arange(-11.0, -2.9, 0.5) for sign in (1, -1)]
+# offsets that put some float sigma on either side of |cos sigma| = CHART_SINGULAR_TOL
+AT_POLE_DELTAS = [0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12, -2e-12]
+# |cos sigma| 1.58e-12 and 9.0e-13: a float-pi distance to the nearest pole
+# refuses the first and takes the second, the other way round from the chart map
+LARGE_SIGMAS = [8194.844436888974, 16384.976484797568]
+
+
+def test_exp0_accuracy_near_tan_poles():
+    # B = diag(sigma, 0.3) on G_1(C^2) and G_2(C^3), whose SVD is exact, so
+    # exp0 takes tan of the float sigma itself; 1e-11 <= |delta| <= 1e-3, 680
+    # sigmas.  Observed worst relative error of Z[0, 0] 9.4e-17
+    worst = 0.0
+    for sigma in _pole_sigmas(POLE_DELTAS):
+        exact = _mp_cos_tan(sigma)[1]
+        for n, m in [(1, 1), (2, 3)]:
+            space = GrassmannSpace(n, m, 1)
+            B = np.zeros((n, m))
+            B[0, 0] = sigma
+            if n > 1:
+                B[1, 1] = 0.3
+            z = exp0(space, TangentVector(space, B)).Z[0, 0]
+            worst = max(worst, float(abs((z - exact) / exact)))
+    assert worst < 1e-15, f"worst relative error {worst:.2e} (recorded 9.4e-17)"
+
+
+def test_exp0_refuses_every_pole_cosine_below_the_chart_tol():
+    space = GrassmannSpace(1, 1, 1)
+    refused = 0
+    for sigma in _pole_sigmas(AT_POLE_DELTAS):
+        B = TangentVector(space, [[sigma]])
+        if _mp_cos_tan(sigma)[0] < CHART_SINGULAR_TOL:
+            refused += 1
+            with pytest.raises(ConjugateToChartError):
+                exp0(space, B)
+        else:
+            exp0(space, B)
+    assert refused >= 60
+
+
+def test_exp0_refuses_exactly_where_the_chart_map_does():
+    # one rule of chart membership: exp0 raises ConjugateToChartError iff the
+    # chart map raises OnPolarDivisorError on exp0_frame's plane; cosines within
+    # 1% of CHART_SINGULAR_TOL, where the rounding of the frame decides, are skipped
+    space = GrassmannSpace(1, 1, 1)
+    for sigma in _pole_sigmas(POLE_DELTAS + AT_POLE_DELTAS) + LARGE_SIGMAS:
+        cos = _mp_cos_tan(sigma)[0]
+        if abs(cos / CHART_SINGULAR_TOL - 1.0) < 0.01:
+            continue
+        B = TangentVector(space, [[sigma]])
+        assert _raises(lambda: exp0(space, B), ConjugateToChartError) == _raises(
+            lambda: chart_of_frame(exp0_frame(space, B)), OnPolarDivisorError
+        ), f"sigma {sigma!r}, |cos| {cos:.3e}"
+
+
+def test_exp0_at_a_large_sigma_next_to_the_chart_tol():
+    # |cos sigma| = 1.58e-12; 50-digit tan of the float sigma 634786260538.26503
+    space = GrassmannSpace(1, 1, 1)
+    z = exp0(space, TangentVector(space, [[LARGE_SIGMAS[0]]])).Z[0, 0]
+    assert z == pytest.approx(634786260538.26503, rel=1e-15)
+
+
+def dual_diastasis_oracle(Z1, Z2):
+    """2 log of the product of cosh tau_i, the dual chart cosines, at 50 digits from
+    the exact float inputs: from the angles, not from the kernel determinant."""
+    with mpmath.workdps(50):
+        return 2 * mpmath.fsum(mpmath.log(x) for x in mp_chart_cosines(-1, Z1, Z2))
+
+
+def test_dual_diastasis_near_the_boundary():
+    # dual-radius-1-minus-1e-9-to-1e-12: Z2 = U diag(1 - 10^-u) W with u uniform
+    # in [9, 12] and random unitary U, W, Z1 at 0 or at radius 0.5; 10 draws per
+    # shape, n, m <= 3.  The dual has no polar divisor, so a vanishing overlap
+    # is a large diastasis, not an error.  Observed worst relative error 1.2e-6:
+    # the kernel determinant det(I - Z2 Z2^dagger) loses digits as |Z2| -> 1
+    rng = np.random.default_rng(20240817)
+    worst = 0.0
+    for r1 in (0.0, 0.5):
+        for n, m in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            space, k = GrassmannSpace(n, m, -1), min(n, m)
+            for _ in range(10):
+                s = 1.0 - 10.0 ** -rng.uniform(9, 12, k)
+                Z2 = (random_unitary(rng, n)[:, :k] * s) @ random_unitary(rng, m)[:k]
+                Z1 = _at_radius(rng, n, m, r1) if r1 else np.zeros((n, m))
+                D = kernels.diastasis(space, ChartPoint(space, Z1), ChartPoint(space, Z2))
+                exact = dual_diastasis_oracle(Z1, Z2)
+                worst = max(worst, float(abs(D - exact) / exact))
+    assert worst < 1e-5, f"worst relative error {worst:.2e} (recorded 1.2e-6)"
+
+
+def test_dual_diastasis_of_the_diagonal_near_the_boundary():
+    # G_3(C^6), Z1 = 0, Z2 = (1 - 1e-12) I: overlap 8.9e-36; 50 digits give
+    # 80.8136881720017
+    space = GrassmannSpace(3, 3, -1)
+    Z2 = (1 - 1e-12) * np.eye(3)
+    D = kernels.diastasis(space, ChartPoint(space, np.zeros((3, 3))), ChartPoint(space, Z2))
+    exact = dual_diastasis_oracle(np.zeros((3, 3)), Z2)
+    assert float(abs(D - exact) / exact) < 1e-13
+    assert mpmath.nstr(exact, 15) == "80.8136881720017"

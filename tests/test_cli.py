@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -89,6 +91,34 @@ class TestExpCommand:
         assert code == 1
         err = json.loads(out)["error"]
         assert err["type"] == "ConjugateToChartError"
+
+    POLE_ERROR = (
+        1,
+        '{"error":{"message":"tan singularity: a singular value of B equals pi/2 mod pi; '
+        'the point exists but leaves the chart -- use exp0_frame",'
+        '"type":"ConjugateToChartError"}}\n',
+    )
+
+    @pytest.mark.parametrize(
+        "k, offset, expected",
+        [
+            (0, 0.0, POLE_ERROR),
+            (0, 1e-6, (0, '{"Z":{"cols":1,"data":[[-1000000.0001431657,0]],"rows":1},'
+                          '"arc_length":1.5707973267948965}\n')),
+            (0, 0.3, (0, '{"Z":{"cols":1,"data":[[-3.2327281437658275,0]],"rows":1},'
+                         '"arc_length":1.8707963267948966}\n')),
+            (10_000, 0.0, POLE_ERROR),
+            (10_000, 1e-6, (0, '{"Z":{"cols":1,"data":[[-999999.07251246949,0]],"rows":1},'
+                               '"arc_length":31417.497333224728}\n')),
+            (10_000, 0.3, (0, '{"Z":{"cols":1,"data":[[-3.2327281437674151,0]],"rows":1},'
+                              '"arc_length":31417.797332224727}\n')),
+        ],
+    )
+    def test_pole_offset_bytes(self, tmp_path, k, offset, expected):
+        # B = k pi + pi/2 + offset: the pole itself is refused, and its
+        # neighbours at 1e-6 and 0.3 print tan of the float B
+        doc = write_doc(tmp_path / "b.json", [[k * np.pi + np.pi / 2 + offset]])
+        assert run_main(["exp", *self.SPACE, "--input", doc]) == (*expected, "")
 
     def test_malformed_json_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -291,6 +321,25 @@ class TestLociCommands:
         argv = ["cut-test", "--space", "2", "2", "compact", "--seed", "7", "--tol", tol]
         assert run_main(argv) == (
             0, '{"branch":"polar-divisor","det_modulus":0.097374983630540021,"on_cut_locus":true}\n', ""
+        )
+
+    def test_seeded_cut_test_bytes(self):
+        # cut-test --seed s, s < 40, on every G_n(C^{n+m}) with n, m <= 4: 640
+        # runs pinned by one digest of their exit codes, stdout and stderr
+        digest = hashlib.sha256()
+        for n, m, seed in itertools.product(range(1, 5), range(1, 5), range(40)):
+            argv = ["cut-test", "--space", str(n), str(m), "compact", "--seed", str(seed)]
+            digest.update(repr(run_main(argv)).encode())
+        assert digest.hexdigest() == (
+            "19e56980250840d5906877d5f4e622f752b08ad1cdc1e306443ba63886f018c2"
+        )
+
+    def test_cut_test_large_random_plane(self):
+        # |det F_top| = 3.5e-10 is below tol, but only as the product of 32
+        # cosines: the largest angle with O is 1.5355 rad, so no cosine vanishes
+        argv = ["cut-test", "--space", "32", "32", "compact", "--seed", "1"]
+        assert run_main(argv) == (
+            0, '{"branch":"chart","det_modulus":3.5180026460143761e-10,"on_cut_locus":false}\n', ""
         )
 
     def test_schubert_membership(self, tmp_path):
@@ -675,6 +724,27 @@ class TestInputHoles:
         error = json.loads(out)["error"]
         assert error["type"] == "PreconditionError"
         assert message in error["message"]
+
+    @pytest.mark.parametrize(
+        "kind, space, z1, z2, expected",
+        [
+            # the dual has no polar divisor: an overlap of 8.9e-36 is a diastasis
+            pytest.param(
+                "noncompact", ["3", "3"], np.zeros((3, 3)), (1 - 1e-12) * np.eye(3),
+                (0, '{"diastasis":80.813688172000241}\n'), id="dual-near-the-boundary",
+            ),
+            pytest.param(
+                "compact", ["2", "2"], 1e9 * np.eye(2), -1e-9 * np.eye(2),
+                (1, '{"error":{"message":"overlap vanishes: second point lies on the polar '
+                    'divisor of the first","type":"DiastasisUndefinedError"}}\n'),
+                id="compact-polar-pair",
+            ),
+        ],
+    )
+    def test_diastasis_outcome(self, tmp_path, kind, space, z1, z2, expected):
+        docs = [write_doc(tmp_path / f"{name}.json", z) for name, z in (("z1", z1), ("z2", z2))]
+        argv = ["diastasis", "--space", *space, kind, "--z1", docs[0], "--z2", docs[1]]
+        assert run_main(argv) == (*expected, "")
 
     @pytest.mark.parametrize(
         "command, space, z1, z2, error",

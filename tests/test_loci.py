@@ -29,7 +29,7 @@ from grassgeo.loci import (
     wong_cut_symbol,
 )
 from grassgeo.spaces import Frame, GrassmannSpace, TangentVector, origin_frame
-from conftest import random_chart_point_rng, random_plane_rng, run_main
+from conftest import random_chart_point_rng, random_plane_rng, random_unitary, run_main
 
 
 CP1 = GrassmannSpace(1, 1, 1)
@@ -402,8 +402,8 @@ class TestCutLocus:
 
     @pytest.mark.parametrize("c", [2e-9, 1e-7, 5e-6])
     def test_det_above_tol_is_off_locus(self, c):
-        # angles (0, arccos c) with O: |det| = c passes the default tol 1e-9,
-        # though the largest angle lies within 1e-5 of pi/2
+        # angles (0, arccos c) with O: the smallest cosine c passes the default
+        # tol 1e-9, though the largest angle lies within 1e-5 of pi/2
         sp = GrassmannSpace(2, 2, 1)
         F = np.zeros((4, 2), dtype=complex)
         F[0, 0], F[1, 1], F[3, 1] = 1.0, c, np.sqrt(1.0 - c * c)
@@ -425,9 +425,9 @@ class TestCutLocus:
     @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 3), (1, 2)])
     @pytest.mark.parametrize("c", [1e-16, 1e-14, 1e-13, 5e-13])
     def test_tight_tol_refused_chart_is_near_divisor(self, n, m, c, tmp_path):
-        # angles (0, ..., 0, arccos c) with O: |det| = c lies above tol 1e-20,
-        # and the smallest singular value c lies below CHART_SINGULAR_TOL, so
-        # the chart map refuses the plane; that is near-divisor, not a fault
+        # angles (0, ..., 0, arccos c) with O: the smallest cosine c lies above
+        # tol 1e-20 but below CHART_SINGULAR_TOL, where the chart map takes no
+        # plane; that is near-divisor, not a fault
         sp = GrassmannSpace(n, m, 1)
         F = np.zeros((n + m, n), dtype=complex)
         F[np.arange(n - 1), np.arange(n - 1)] = 1.0
@@ -500,6 +500,21 @@ class TestDisjointUnion:
         out = disjoint_union_check(sp, coordinate_plane_frame(sp, (2, 3)))
         assert out.branch == "polar-divisor"
         assert out.chart_point is None
+
+    @pytest.mark.parametrize(
+        "c, branch",
+        [(5e-10, "polar-divisor"), (1.5e-9, "near-divisor"), (5e-9, "near-divisor"),
+         (1.5e-8, "chart"), (1e-3, "chart")],
+    )
+    def test_branch_on_the_smallest_cosine(self, c, branch):
+        # cosines (0.5, c) with O at the default tol 1e-9: below tol is the
+        # divisor, [tol, 10 tol) is flagged, and |det| = c / 2 decides nothing
+        sp = GrassmannSpace(2, 2, 1)
+        F = np.zeros((4, 2), dtype=complex)
+        F[0, 0], F[2, 0], F[1, 1], F[3, 1] = 0.5, np.sqrt(0.75), c, np.sqrt(1.0 - c * c)
+        out = disjoint_union_check(sp, Frame(sp, F))
+        assert out.branch == branch and (out.chart_point is None) == (branch != "chart")
+        assert out.det_modulus == pytest.approx(c / 2, rel=1e-12)
 
     def test_dual_rejected(self):
         # the dual has no polar divisor: there |det F_top| >= 1
@@ -597,6 +612,31 @@ class TestWongCutVariety:
             F = random_plane_rng(sp, rng)
             in_z, _ = schubert_membership(F, s, flag)
             assert in_z == cut_locus_test(sp, F)
+
+    @pytest.mark.parametrize(
+        "cosines",
+        [(c, c) for c in (1e-3, 1e-5, 1e-7)]
+        + [(c, c, c) for c in (1e-3, 1e-5, 1e-7)]
+        + [(1.0, c) for c in (1e-10, 1e-11)],
+        ids=lambda cosines: ",".join(f"{c:g}" for c in cosines),
+    )
+    def test_membership_matches_cut_test_on_small_cosines(self, cosines, rng):
+        # the cut locus is where some cosine with O vanishes, not where their
+        # product does: (1e-5, 1e-5) has |det F_top| = 1e-10 below the default
+        # tol, yet meets O-perp in no line
+        n = len(cosines)
+        for m in (n, n + 1):
+            sp = GrassmannSpace(n, m, 1)
+            F = np.zeros((n + m, n), dtype=complex)
+            F[np.arange(n), np.arange(n)] = cosines
+            F[n + np.arange(n), np.arange(n)] = np.sqrt(1.0 - np.square(cosines))
+            for _ in range(5):
+                # rotations inside O and inside O-perp keep the cosines
+                U = np.zeros((n + m, n + m), dtype=complex)
+                U[:n, :n], U[n:, n:] = random_unitary(rng, n), random_unitary(rng, m)
+                G = Frame(sp, U @ F @ random_unitary(rng, n))
+                in_z, _ = schubert_membership(G, wong_cut_symbol(sp), dual_flag(sp))
+                assert cut_locus_test(sp, G) == in_z == (min(cosines) < 1e-9)
 
     def test_generic_stratum_flag(self):
         # a plane meeting O-perp in exactly one line is a generic member

@@ -1,104 +1,80 @@
-"""Coherent-state geometry on complex Grassmann manifolds and their duals."""
+"""Coherent-state geometry on complex Grassmann manifolds and their duals.
 
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, origin_frame
-from .geometry import (
-    chart_of_frame,
-    chart_transition,
-    distance,
-    exp0,
-    exp0_frame,
-    frame_of_chart,
-    geodesic_ode,
-    log0,
-    transport_to_origin,
-)
-from .kernels import (
-    EnergySpec,
-    OverlapValue,
-    PluckerVector,
-    cayley_distance,
-    critical_points,
-    diastasis,
-    energy,
-    energy_gradient,
-    kernel,
-    normalized_overlap,
-    plucker_embed,
-    plucker_overlap_oracle,
-)
-from .linalg import apply_spectral, principal_angles, rank_tol, svd
-from .loci import (
-    CartanVector,
-    ConjugateTime,
-    SchubertSymbol,
-    cartan_to_tangent,
-    conjugate_stratum_I,
-    conjugate_stratum_W,
-    cut_locus_test,
-    dexp_min_singular,
-    disjoint_union_check,
-    is_conjugate,
-    isoclinic_test,
-    schubert_dims,
-    schubert_membership,
-    tangent_conjugate_times,
-)
-from .topology import (
-    CharacteristicReport,
-    characteristic_report,
-    euler_characteristic,
-    schubert_cells,
-)
+The public names load lazily (PEP 562): `import grassgeo` imports no submodule
+and no numpy, and the first access of a name imports the submodule that
+defines it.  The name is looked up in that submodule on every access and never
+stored here, so a name rebound in its submodule is seen through the package.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CartanVector",
-    "ChartPoint",
-    "CharacteristicReport",
-    "ConjugateTime",
-    "EnergySpec",
-    "Frame",
-    "GrassmannSpace",
-    "OverlapValue",
-    "PluckerVector",
-    "SchubertSymbol",
-    "TangentVector",
-    "apply_spectral",
-    "cartan_to_tangent",
-    "cayley_distance",
-    "characteristic_report",
-    "chart_of_frame",
-    "chart_transition",
-    "conjugate_stratum_I",
-    "conjugate_stratum_W",
-    "critical_points",
-    "cut_locus_test",
-    "dexp_min_singular",
-    "diastasis",
-    "disjoint_union_check",
-    "distance",
-    "energy",
-    "energy_gradient",
-    "euler_characteristic",
-    "exp0",
-    "exp0_frame",
-    "frame_of_chart",
-    "geodesic_ode",
-    "is_conjugate",
-    "isoclinic_test",
-    "kernel",
-    "log0",
-    "normalized_overlap",
-    "origin_frame",
-    "plucker_embed",
-    "plucker_overlap_oracle",
-    "principal_angles",
-    "rank_tol",
-    "schubert_cells",
-    "schubert_dims",
-    "schubert_membership",
-    "svd",
-    "tangent_conjugate_times",
-    "transport_to_origin",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "spaces": ("ChartPoint", "Frame", "GrassmannSpace", "TangentVector", "origin_frame"),
+    "geometry": (
+        "chart_of_frame",
+        "chart_transition",
+        "distance",
+        "exp0",
+        "exp0_frame",
+        "frame_of_chart",
+        "geodesic_ode",
+        "log0",
+        "transport_to_origin",
+    ),
+    "kernels": (
+        "EnergySpec",
+        "OverlapValue",
+        "PluckerVector",
+        "cayley_distance",
+        "critical_points",
+        "diastasis",
+        "energy",
+        "energy_gradient",
+        "kernel",
+        "normalized_overlap",
+        "plucker_embed",
+        "plucker_overlap_oracle",
+    ),
+    "linalg": ("apply_spectral", "principal_angles", "rank_tol", "svd"),
+    "loci": (
+        "CartanVector",
+        "ConjugateTime",
+        "SchubertSymbol",
+        "cartan_to_tangent",
+        "conjugate_stratum_I",
+        "conjugate_stratum_W",
+        "cut_locus_test",
+        "dexp_min_singular",
+        "disjoint_union_check",
+        "is_conjugate",
+        "isoclinic_test",
+        "schubert_dims",
+        "schubert_membership",
+        "tangent_conjugate_times",
+    ),
+    "topology": (
+        "CharacteristicReport",
+        "characteristic_report",
+        "euler_characteristic",
+        "schubert_cells",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "jsonio", "sampling"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

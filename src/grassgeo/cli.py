@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 domain/numerical errors (machine-readable error
 object on stdout), 2 usage errors.  GRASSGEO_TOL overrides the default cosine
 tolerance of cut-test and rank tolerance of schubert; their --tol overrides both.
+
+Each process runs one subcommand, so its cold start is mostly imports.  At
+module level this file imports only what every subcommand needs: geometry,
+jsonio, spaces, errors and linalg.  kernels, loci, topology and sampling are
+imported inside the handlers that use them, so exp, log, geodesic-check and
+distance load none of them.
 """
 
 from __future__ import annotations
@@ -17,11 +23,9 @@ import sys
 
 import numpy as np
 
-from . import geometry, jsonio, kernels, loci, topology
+from . import geometry, jsonio
 from .errors import GrassGeoError, PreconditionError, UnsupportedSpaceError
-from .kernels import EnergySpec
 from .linalg import ENTRY_LIMIT
-from .sampling import random_plane
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
 # points run in stacked chunks of bounded memory; on one core of a shared two-core x86-64 Xeon
@@ -34,7 +38,9 @@ _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan
 def _tol(args) -> float:
     raw = os.environ.get("GRASSGEO_TOL") if args.tol is None else args.tol
     if raw is None:
-        return loci.DEFAULT_DET_TOL
+        from .loci import DEFAULT_DET_TOL
+
+        return DEFAULT_DET_TOL
     try:
         return float(raw)
     except ValueError:
@@ -89,6 +95,8 @@ def _frame_arg(space: GrassmannSpace, args, attr="frame", seed_attr="seed") -> F
     if seed is not None:
         if seed < 0:
             _usage_error(f"--{seed_attr} must be non-negative, got {seed}")
+        from .sampling import random_plane
+
         return random_plane(space, seed)
     raise PreconditionError(f"provide --{attr} FILE or --{seed_attr} N")
 
@@ -138,6 +146,8 @@ def cmd_geodesic_check(space, args):
 
 
 def cmd_overlap(space, args):
+    from . import kernels
+
     z1 = _chart_arg(space, args, "z1")
     z2 = _chart_arg(space, args, "z2")
     ov = kernels.normalized_overlap(space, z1, z2)
@@ -161,15 +171,21 @@ def cmd_overlap(space, args):
 
 def cmd_pair(space, args):
     """distance, diastasis or cayley: one number from two chart points."""
-    key, measure = {
-        "distance": ("distance", geometry.distance),
-        "diastasis": ("diastasis", kernels.diastasis),
-        "cayley": ("cayley_distance", kernels.cayley_distance),
-    }[args.command]
+    if args.command == "distance":
+        key, measure = "distance", geometry.distance
+    else:
+        from . import kernels
+
+        key, measure = {
+            "diastasis": ("diastasis", kernels.diastasis),
+            "cayley": ("cayley_distance", kernels.cayley_distance),
+        }[args.command]
     _emit({key: measure(space, _chart_arg(space, args, "z1"), _chart_arg(space, args, "z2"))})
 
 
-def _cartan(args) -> loci.CartanVector:
+def _cartan(args):
+    from . import loci
+
     h = np.asarray(args.h, dtype=float)
     # checked before the norm, whose squares could overflow, and h / norm
     if not np.all(np.abs(h) <= ENTRY_LIMIT):
@@ -183,6 +199,8 @@ def _cartan(args) -> loci.CartanVector:
 
 
 def cmd_conjugate_times(space, args):
+    from . import loci
+
     times = loci.tangent_conjugate_times(space, _cartan(args), args.tmax)
     _emit(
         {
@@ -201,6 +219,8 @@ def cmd_conjugate_times(space, args):
 
 
 def cmd_conjugate_scan(space, args):
+    from . import loci
+
     if not 1 <= args.points <= MAX_SCAN_POINTS:
         _usage_error(f"--points must lie in [1, {MAX_SCAN_POINTS}], got {args.points}")
     h = _cartan(args)
@@ -220,6 +240,8 @@ def cmd_conjugate_scan(space, args):
 
 
 def cmd_cut_test(space, args):
+    from . import loci
+
     check = loci.disjoint_union_check(space, _frame_arg(space, args), tol=_tol(args))
     _emit(
         {
@@ -231,6 +253,8 @@ def cmd_cut_test(space, args):
 
 
 def cmd_schubert(space, args):
+    from . import loci
+
     F = _frame_arg(space, args)
     flag = loci.standard_flag(space) if args.flag == "standard" else loci.dual_flag(space)
     out = {"dims": loci.schubert_dims(F, flag, tol=_tol(args))}
@@ -246,6 +270,8 @@ def cmd_schubert(space, args):
 
 
 def cmd_strata(space, args):
+    from . import loci
+
     F = _frame_arg(space, args)
     angles, stratum_W, stratum_I = loci._conjugate_strata(space, F)
     _emit(
@@ -258,6 +284,8 @@ def cmd_strata(space, args):
 
 
 def cmd_isoclinic(space, args):
+    from . import loci
+
     F1 = _frame_arg(space, args, "frame1", "seed1")
     F2 = _frame_arg(space, args, "frame2", "seed2")
     angles, isoclinic = loci._isoclinic(F1, F2)
@@ -265,6 +293,8 @@ def cmd_isoclinic(space, args):
 
 
 def cmd_plucker(space, args):
+    from . import kernels
+
     F = _frame_arg(space, args)
     pv = kernels.plucker_embed(F)
     _emit(
@@ -276,15 +306,21 @@ def cmd_plucker(space, args):
 
 
 def cmd_energy(space, args):
+    from . import kernels
+
     F = _frame_arg(space, args)
-    _emit({"energy": kernels.energy(space, EnergySpec(args.eps), F)})
+    _emit({"energy": kernels.energy(space, kernels.EnergySpec(args.eps), F)})
 
 
-def _spec(space: GrassmannSpace, args) -> EnergySpec:
+def _spec(space: GrassmannSpace, args):
+    from .kernels import EnergySpec
+
     return EnergySpec(args.eps or np.arange(space.N, 0, -1, dtype=float))
 
 
 def cmd_critical_points(space, args):
+    from . import kernels
+
     pts = kernels.critical_points(space, _spec(space, args))
     _emit(
         {
@@ -302,6 +338,8 @@ def cmd_char_numbers(space, args):
             "characteristic numbers are defined for the compact space; "
             "the noncompact dual is a contractible domain"
         )
+    from . import topology
+
     report = topology.characteristic_report(space.n, space.m, _spec(space, args))
     _emit({**dataclasses.asdict(report), "all_equal": len(set(report.values())) == 1})
 

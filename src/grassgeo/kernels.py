@@ -97,7 +97,8 @@ def _kernels(space: GrassmannSpace, *pairs) -> list[complex]:
     (np.add if space.compact else np.subtract)(_eye(space.n), G, out=G)  # I + eps Z1 Z2^dagger
     with np.errstate(all="ignore"):
         dets = np.linalg.det(G)
-    if not np.isfinite(dets).all():
+    # the dual kernel is 1 / det, so a det that underflows to 0 is out of range too
+    if not np.isfinite(dets).all() or not (space.compact or dets.all()):
         raise PreconditionError("kernel determinant is outside the float64 range")
     return dets.tolist() if space.compact else [1.0 / d for d in dets.tolist()]
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from grassgeo import cli
+from grassgeo import cli, jsonio
 from grassgeo.sampling import (
     generator,
     random_chart_point_rng,
@@ -100,6 +101,12 @@ def run_main(argv, monkeypatch=None, stdin=None, env=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def write_doc(path, M):
+    """Write M as a MatrixDocument to the pathlib path; return it as a str."""
+    path.write_text(json.dumps(jsonio.matrix_to_doc(np.asarray(M, dtype=complex))))
+    return str(path)
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CLI = ["-m", "grassgeo.cli"]
 
@@ -130,4 +137,5 @@ __all__ = [
     "random_plane_rng",
     "random_tangent_rng",
     "random_unitary",
+    "write_doc",
 ]

@@ -1,6 +1,7 @@
 """Accuracy envelopes against 50-digit mpmath oracles: of `geometry.distance`,
 of `linalg.principal_angles`, of the RK4 integrator `geometry.geodesic_ode`, of
-`geometry.exp0` near tan poles and of the dual `kernels.diastasis` near the boundary;
+`geometry.exp0` near tan poles, of the dual `kernels.diastasis` and the dual
+`geometry.log0` near the boundary;
 and of `loci.dexp_min_singular` against its own central difference at 30 digits;
 and the dual chart round trip near the boundary of the bounded domain.
 
@@ -18,7 +19,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from grassgeo import kernels, linalg, loci
+from grassgeo import geometry, kernels, linalg, loci
 from grassgeo.errors import ConjugateToChartError, OnPolarDivisorError, PreconditionError
 from grassgeo.geometry import (
     CHART_SINGULAR_TOL,
@@ -35,6 +36,7 @@ from conftest import mp_chart_cosines, mp_matrix, mp_orthonormal, random_unitary
 
 SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 PAIRS_PER_SIZE = 5
+EPS = np.finfo(float).eps
 
 
 def distance_oracle(eps, Z1, Z2):
@@ -627,3 +629,55 @@ def test_dual_diastasis_of_the_diagonal_near_the_boundary():
     exact = dual_diastasis_oracle(np.zeros((3, 3)), Z2)
     assert float(abs(D - exact) / exact) < 1e-13
     assert mpmath.nstr(exact, 15) == "80.8136881720017"
+
+
+def dual_log0_oracle(Z):
+    """U diag(atanh s) V from the 50-digit SVD of the exact float Z, and its
+    largest singular value s_max."""
+    with mpmath.workdps(50):
+        U, s, V = mpmath.svd_c(mp_matrix(Z))
+        D = mpmath.zeros(U.cols, V.rows)
+        for i in range(len(s)):
+            D[i, i] = mpmath.atanh(s[i])
+        return U * D * V, s[0]
+
+
+# (u, observed worst relative Frobenius error of B, observed worst ratio of
+# that error to eps kappa)
+DUAL_LOG0_ACCURACY = [
+    (3, 4.4e-14, 1.50),
+    (6, 2.4e-11, 1.54),
+    (9, 1.8e-8, 1.76),
+    (12, 1.4e-5, 1.75),
+]
+
+
+@pytest.mark.parametrize(
+    "u, observed, ratio",
+    [pytest.param(*row, id=f"dual-1-minus-1e-{row[0]}") for row in DUAL_LOG0_ACCURACY],
+)
+def test_dual_log0_accuracy_near_the_boundary(u, observed, ratio):
+    # Z = U diag(s) W with s_max = 1 - 10^-u, the other singular values
+    # uniform below it, and random unitary U, W; 5 draws per shape, n, m <= 3.
+    # atanh amplifies the eps-sized absolute error of s_max by
+    # kappa = 1 / (2 (1 - s_max) atanh s_max) relative to atanh s_max, so the
+    # bound is 8 eps kappa per draw, not a fixed number
+    rng = np.random.default_rng(20240817)
+    worst = worst_ratio = 0.0
+    for n, m in SIZES:
+        space, k = GrassmannSpace(n, m, -1), min(n, m)
+        for _ in range(PAIRS_PER_SIZE):
+            s = np.sort(rng.uniform(0.0, 1.0, k))[::-1]
+            s[0] = 1.0 - 10.0**-u
+            Z = (random_unitary(rng, n)[:, :k] * s) @ random_unitary(rng, m)[:k]
+            B = geometry.log0(space, ChartPoint(space, Z)).B
+            exact, s_max = dual_log0_oracle(Z)
+            with mpmath.workdps(50):
+                error = mpmath.mnorm(mp_matrix(B) - exact, "f") / mpmath.atanh(s_max)
+                kappa = 1 / (2 * (1 - s_max) * mpmath.atanh(s_max))
+            worst = max(worst, float(error))
+            worst_ratio = max(worst_ratio, float(error / kappa) / EPS)
+    assert worst_ratio < 8.0, (
+        f"worst error {worst:.2e} is {worst_ratio:.2f} eps kappa "
+        f"(recorded {observed:.1e}, {ratio:.2f} eps kappa)"
+    )

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from grassgeo import jsonio
-from conftest import CLI, run_main, run_process
-
-
-def write_doc(path, M):
-    path.write_text(json.dumps(jsonio.matrix_to_doc(np.asarray(M, dtype=complex))))
-    return str(path)
+from conftest import CLI, run_main, run_process, write_doc
 
 
 class TestJsonIo:
@@ -778,6 +773,31 @@ class TestInputHoles:
         assert code == 1
         assert json.loads(out)["error"]["type"] == error
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            # det(I - Z2 Z2^dagger) = (2e-12)^40 underflows to 0, and the dual kernel is 1 / det
+            *(
+                pytest.param(
+                    command,
+                    (1, '{"error":{"message":"kernel determinant is outside the float64 range",'
+                        '"type":"PreconditionError"}}\n'),
+                    id=f"{command}-dual-det-underflow",
+                )
+                for command in ("overlap", "diastasis")
+            ),
+            # distance reads the chart SVDs and forms no kernel
+            pytest.param(
+                "distance", (0, '{"distance":89.568954602628551}\n'), id="distance-dual-g40",
+            ),
+        ],
+    )
+    def test_dual_kernel_det_underflow(self, tmp_path, command, expected):
+        docs = [write_doc(tmp_path / f"{name}.json", z)
+                for name, z in (("z1", np.zeros((40, 40))), ("z2", (1 - 1e-12) * np.eye(40)))]
+        argv = [command, "--space", "40", "40", "noncompact", "--z1", docs[0], "--z2", docs[1]]
+        assert run_main(argv) == (*expected, "")
 
     def test_distance_scales_apart(self, tmp_path):
         # the frame comes from the thin SVD of Z, so I + Z Z^dagger, which

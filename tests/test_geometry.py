@@ -40,7 +40,6 @@ from conftest import (
     random_plane_rng,
     random_tangent_rng,
     random_unitary,
-    run_process,
 )
 
 
@@ -527,16 +526,6 @@ class TestGeodesicOracleIndependence:
         monkeypatch.setattr(geometry, "JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(NumericalFailure, match="1 sweeps"):
             geometry._jacobi_eigh(C.tolist())
-
-    def test_geometry_does_not_import_scipy(self):
-        # the cli's cold start imports numpy and nothing heavier
-        code = (
-            "import sys, grassgeo.geometry, grassgeo.cli; "
-            "print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))"
-        )
-        result = run_process(["-c", code])
-        assert (result.returncode, result.stdout, result.stderr) == (0, b"[]\n", b"")
-
 
 SIZES = [(n, m) for n in range(1, 5) for m in range(1, 5)]
 

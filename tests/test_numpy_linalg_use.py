@@ -1,4 +1,5 @@
-"""A static scan of how src/grassgeo calls numpy.linalg, and numpy's arcsin.
+"""A static scan of how src/grassgeo calls numpy.linalg, and numpy's arcsin,
+and of what its package and CLI modules import at module level.
 
 The package takes no matrix inverse, linear solve, Hermitian eigensolver,
 least squares or Cholesky factor: every spectral step goes through one SVD
@@ -6,6 +7,10 @@ wrapper, linalg._svd, which turns a LAPACK failure into NumericalFailure.
 The one QR left orthonormalizes the Gaussian draw of a random compact plane.
 Every principal angle comes from one formula, linalg._angles, the only
 caller of numpy.arcsin.
+
+A cold start loads only what it uses: __init__ imports no submodule at module
+level (its names load lazily), and cli imports kernels, loci, topology and
+sampling only inside the handlers that need them.
 """
 
 import ast
@@ -19,6 +24,12 @@ CONFINED = {
     "svd": {("linalg", "_svd")},
     "qr": {("sampling", "random_plane_rng")},
     "numpy.arcsin": {("linalg", "_angles")},
+}
+# module -> the grassgeo submodules it must not import at module level
+NOT_AT_MODULE_LEVEL = {
+    "__init__": {"cli", "errors", "geometry", "jsonio", "kernels", "linalg", "loci",
+                 "sampling", "spaces", "topology"},
+    "cli": {"kernels", "loci", "topology", "sampling"},
 }
 
 
@@ -89,8 +100,32 @@ def _numpy_uses(sources):
     return uses
 
 
+def _module_level_imports(text):
+    """(grassgeo submodule, line) for each submodule that a statement at the
+    top level of the source imports, relatively or by the package name."""
+    found = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Import):
+            names = [a.name.removeprefix("grassgeo.") for a in node.names
+                     if a.name.startswith("grassgeo.")]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "grassgeo"
+        ):
+            module = (node.module or "").removeprefix("grassgeo").lstrip(".")
+            names = [module] if module else [a.name for a in node.names]
+        else:
+            continue
+        found += [(name.split(".")[0], node.lineno) for name in names]
+    return found
+
+
 def _violations(sources):
-    bad = []
+    bad = [
+        f"{module}.py:{line} module-level import of {name}"
+        for module, refused in NOT_AT_MODULE_LEVEL.items()
+        for name, line in _module_level_imports(sources[module])
+        if name in refused
+    ]
     for name, where, at in _numpy_uses(sources):
         if name in FORBIDDEN or name.startswith(("import ", "from ")):
             bad.append(f"{at} {name}")
@@ -101,13 +136,18 @@ def _violations(sources):
 
 def test_the_scan_sees_the_calls_it_confines():
     # a scan that finds nothing would pass the test below on its own
-    names = {name for name, _, _ in _numpy_uses(_sources())}
+    sources = _sources()
+    names = {name for name, _, _ in _numpy_uses(sources)}
     assert {"svd", "qr", "det", "numpy.arcsin"} <= names
+    imported = {name for name, _ in _module_level_imports(sources["cli"])}
+    assert imported == {"errors", "geometry", "jsonio", "linalg", "spaces"}
 
 
 def test_numpy_linalg_use_in_src():
     bad = _violations(_sources())
-    assert not bad, "numpy used where the package does not allow it: " + "; ".join(bad)
+    assert not bad, "numpy used or a module imported where the package does not allow it: " + (
+        "; ".join(bad)
+    )
 
 
 # (module, text, its replacement): each puts back a use that the scan refuses
@@ -116,6 +156,10 @@ MUTATIONS = [
     ("loci", "import numpy as np\n", "import numpy as np\nfrom numpy import arcsin\n"),
     ("kernels", "import numpy as np\n", "import numpy as np\n_inv = np.linalg.inv\n"),
     ("linalg", "return _svd(M, compute_uv=False)", "return np.linalg.svd(M, compute_uv=False)"),
+    ("cli", "from . import geometry, jsonio\n", "from . import geometry, jsonio, loci\n"),
+    ("cli", "import numpy as np\n", "import numpy as np\n\nfrom grassgeo.sampling import random_plane\n"),
+    ("cli", "import numpy as np\n", "import numpy as np\nimport grassgeo.topology\n"),
+    ("__init__", "import importlib\n", "import importlib\n\nfrom .spaces import Frame\n"),
 ]
 
 

@@ -145,9 +145,8 @@ def test_the_scan_sees_the_calls_it_confines():
 
 def test_numpy_linalg_use_in_src():
     bad = _violations(_sources())
-    assert not bad, "numpy used or a module imported where the package does not allow it: " + (
-        "; ".join(bad)
-    )
+    message = "numpy used or a module imported where the package does not allow it: "
+    assert not bad, message + "; ".join(bad)
 
 
 # (module, text, its replacement): each puts back a use that the scan refuses

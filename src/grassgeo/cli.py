@@ -1,8 +1,13 @@
 """Command-line front end exposing every operation over JSON matrix I/O.
 
 Exit codes: 0 success, 1 domain/numerical errors (machine-readable error
-object on stdout), 2 usage errors.  GRASSGEO_TOL overrides the default cosine
-tolerance of cut-test and rank tolerance of schubert; their --tol overrides both.
+object on stdout), 2 usage errors (a message on stderr).  GRASSGEO_TOL
+overrides the default cosine tolerance of cut-test and rank tolerance of
+schubert; their --tol overrides both.
+
+Each cmd_* handler returns its result: a document for jsonio.dumps, or the CSV
+text of conjugate-scan.  main alone writes stdout, once, after the command has
+finished, so a failed command prints only its error object.
 
 Each process runs one subcommand, so its cold start is mostly imports.  At
 module level this file imports only what every subcommand needs: geometry,
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import geometry, jsonio
 from .errors import GrassGeoError, PreconditionError, UnsupportedSpaceError
-from .linalg import ENTRY_LIMIT
+from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
 # points run in stacked chunks of bounded memory; on one core of a shared two-core x86-64 Xeon
@@ -35,12 +40,10 @@ MAX_SCAN_POINTS = 10_000
 _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
-def _tol(args) -> float:
+def _tol(args, default: float) -> float:
     raw = os.environ.get("GRASSGEO_TOL") if args.tol is None else args.tol
     if raw is None:
-        from .loci import DEFAULT_DET_TOL
-
-        return DEFAULT_DET_TOL
+        return default
     try:
         return float(raw)
     except ValueError:
@@ -106,10 +109,6 @@ def _chart_arg(space: GrassmannSpace, args, attr: str) -> ChartPoint:
     return ChartPoint(space, _read_doc(path, attr))
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(jsonio.dumps(obj) + "\n")
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -122,7 +121,7 @@ def _geodesic(space: GrassmannSpace, args, verify: bool):
     if not verify:
         return tB, Z, None, None
     ode = geometry.geodesic_ode(space, B, args.t, args.steps)
-    return tB, Z, ode, float(np.max(np.abs(ode.Z - Z.Z)))
+    return tB, Z, ode, np.max(np.abs(ode.Z - Z.Z))
 
 
 def cmd_exp(space, args):
@@ -130,19 +129,19 @@ def cmd_exp(space, args):
     out = {"Z": jsonio.matrix_to_doc(Z.Z), "arc_length": tB.norm}
     if args.verify:
         out["verify"] = {"steps": args.steps, "max_abs_diff": diff}
-    _emit(out)
+    return out
 
 
 def cmd_log(space, args):
     Z = ChartPoint(space, _read_doc(args.input, "input"))
     B = geometry.log0(space, Z)
-    _emit({"B": jsonio.matrix_to_doc(B.B), "norm": B.norm})
+    return {"B": jsonio.matrix_to_doc(B.B), "norm": B.norm}
 
 
 def cmd_geodesic_check(space, args):
     _, Z, ode, diff = _geodesic(space, args, verify=True)
     doc = jsonio.matrix_to_doc
-    _emit({"Z_exp": doc(Z.Z), "Z_ode": doc(ode.Z), "max_abs_diff": diff})
+    return {"Z_exp": doc(Z.Z), "Z_ode": doc(ode.Z), "max_abs_diff": diff}
 
 
 def cmd_overlap(space, args):
@@ -152,8 +151,8 @@ def cmd_overlap(space, args):
     z2 = _chart_arg(space, args, "z2")
     ov = kernels.normalized_overlap(space, z1, z2)
     out = {
-        "raw": complex(ov.raw),
-        "normalized": complex(ov.normalized),
+        "raw": ov.raw,
+        "normalized": ov.normalized,
         "modulus": ov.modulus,
     }
     if args.verify:
@@ -166,7 +165,7 @@ def cmd_overlap(space, args):
             "oracle_modulus": abs(oracle),
             "modulus_diff": abs(abs(oracle) - ov.modulus),
         }
-    _emit(out)
+    return out
 
 
 def cmd_pair(space, args):
@@ -180,7 +179,7 @@ def cmd_pair(space, args):
             "diastasis": ("diastasis", kernels.diastasis),
             "cayley": ("cayley_distance", kernels.cayley_distance),
         }[args.command]
-    _emit({key: measure(space, _chart_arg(space, args, "z1"), _chart_arg(space, args, "z2"))})
+    return {key: measure(space, _chart_arg(space, args, "z1"), _chart_arg(space, args, "z2"))}
 
 
 def _cartan(args):
@@ -202,20 +201,18 @@ def cmd_conjugate_times(space, args):
     from . import loci
 
     times = loci.tangent_conjugate_times(space, _cartan(args), args.tmax)
-    _emit(
-        {
-            "times": [
-                {
-                    "t": c.t,
-                    "family": c.family,
-                    "multiplicity": c.multiplicity,
-                    "indices": list(c.indices),
-                    "lambda": c.lam,
-                }
-                for c in times
-            ]
-        }
-    )
+    return {
+        "times": [
+            {
+                "t": c.t,
+                "family": c.family,
+                "multiplicity": c.multiplicity,
+                "indices": c.indices,
+                "lambda": c.lam,
+            }
+            for c in times
+        ]
+    }
 
 
 def cmd_conjugate_scan(space, args):
@@ -235,21 +232,20 @@ def cmd_conjugate_scan(space, args):
     rows = ["t,min_singular_normalized,predicted_flag\n"]
     for t, val, flag in zip(ts.tolist(), ratios.tolist(), flags.tolist()):
         rows.append(f"{t:.17g},{val:.17g},{int(flag)}\n")
-    # written only once every row is computed, so a failed scan prints only its error
-    sys.stdout.write("".join(rows))
+    # main writes the CSV only once every row is computed, so a failed scan prints only its error
+    return "".join(rows)
 
 
 def cmd_cut_test(space, args):
     from . import loci
 
-    check = loci.disjoint_union_check(space, _frame_arg(space, args), tol=_tol(args))
-    _emit(
-        {
-            "on_cut_locus": check.branch == "polar-divisor",
-            "branch": check.branch,
-            "det_modulus": check.det_modulus,
-        }
-    )
+    tol = _tol(args, loci.DEFAULT_CUT_COSINE_TOL)
+    check = loci.disjoint_union_check(space, _frame_arg(space, args), tol=tol)
+    return {
+        "on_cut_locus": check.branch == "polar-divisor",
+        "branch": check.branch,
+        "det_modulus": check.det_modulus,
+    }
 
 
 def cmd_schubert(space, args):
@@ -257,16 +253,16 @@ def cmd_schubert(space, args):
 
     F = _frame_arg(space, args)
     flag = loci.standard_flag(space) if args.flag == "standard" else loci.dual_flag(space)
-    out = {"dims": loci.schubert_dims(F, flag, tol=_tol(args))}
+    out = {"dims": loci.schubert_dims(F, flag, tol=_tol(args, DEFAULT_RANK_TOL))}
     if args.omega is not None:
         symbol = loci.SchubertSymbol(tuple(args.omega), space.m)
         in_z, generic = loci.schubert_membership(F, symbol, flag)
-        out["omega"] = list(symbol.omega)
-        out["sigma"] = list(symbol.sigma)
-        out["jumps"] = list(symbol.jumps)
+        out["omega"] = symbol.omega
+        out["sigma"] = symbol.sigma
+        out["jumps"] = symbol.jumps
         out["in_variety"] = in_z
         out["generic"] = generic
-    _emit(out)
+    return out
 
 
 def cmd_strata(space, args):
@@ -274,13 +270,11 @@ def cmd_strata(space, args):
 
     F = _frame_arg(space, args)
     angles, stratum_W, stratum_I = loci._conjugate_strata(space, F)
-    _emit(
-        {
-            "angles_with_origin": list(map(float, angles)),
-            "stratum_W": stratum_W,
-            "stratum_I": stratum_I,
-        }
-    )
+    return {
+        "angles_with_origin": angles,
+        "stratum_W": stratum_W,
+        "stratum_I": stratum_I,
+    }
 
 
 def cmd_isoclinic(space, args):
@@ -289,7 +283,7 @@ def cmd_isoclinic(space, args):
     F1 = _frame_arg(space, args, "frame1", "seed1")
     F2 = _frame_arg(space, args, "frame2", "seed2")
     angles, isoclinic = loci._isoclinic(F1, F2)
-    _emit({"isoclinic": isoclinic, "angles": list(map(float, angles))})
+    return {"isoclinic": isoclinic, "angles": angles}
 
 
 def cmd_plucker(space, args):
@@ -297,19 +291,17 @@ def cmd_plucker(space, args):
 
     F = _frame_arg(space, args)
     pv = kernels.plucker_embed(F)
-    _emit(
-        {
-            "subsets": [list(s) for s in pv.subsets()],
-            "components": [complex(c) for c in pv.components],
-        }
-    )
+    return {
+        "subsets": pv.subsets(),
+        "components": pv.components,
+    }
 
 
 def cmd_energy(space, args):
     from . import kernels
 
     F = _frame_arg(space, args)
-    _emit({"energy": kernels.energy(space, kernels.EnergySpec(args.eps), F)})
+    return {"energy": kernels.energy(space, kernels.EnergySpec(args.eps), F)}
 
 
 def _spec(space: GrassmannSpace, args):
@@ -322,14 +314,12 @@ def cmd_critical_points(space, args):
     from . import kernels
 
     pts = kernels.critical_points(space, _spec(space, args))
-    _emit(
-        {
-            "count": len(pts),
-            "points": [
-                {"subset": list(S), "value": value} for S, _, value in pts
-            ],
-        }
-    )
+    return {
+        "count": len(pts),
+        "points": [
+            {"subset": S, "value": value} for S, _, value in pts
+        ],
+    }
 
 
 def cmd_char_numbers(space, args):
@@ -341,7 +331,7 @@ def cmd_char_numbers(space, args):
     from . import topology
 
     report = topology.characteristic_report(space.n, space.m, _spec(space, args))
-    _emit({**dataclasses.asdict(report), "all_equal": len(set(report.values())) == 1})
+    return {**dataclasses.asdict(report), "all_equal": len(set(report.values())) == 1}
 
 
 # ---------------------------------------------------------------- parser
@@ -435,11 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.fn(_space(args), args)
+        out = args.fn(_space(args), args)
+        # conjugate-scan returns its CSV text, every other handler its JSON document
+        text = out if isinstance(out, str) else jsonio.dumps(out) + "\n"
+        code = 0
     except GrassGeoError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 1
-    return 0
+        text = jsonio.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
+        code = 1
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ kernel in the coherent-state module relies on this identity verbatim.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     PreconditionError,
     WrongChartError,
 )
-from .linalg import ENTRY_LIMIT, _angles, _eye, _svd, _svdvals, apply_spectral
+from .linalg import ENTRY_LIMIT, _angles, _eye, _svd, _svdvals, apply_spectral, check_bounded
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_rows, check_space
 
 CHART_SINGULAR_TOL = 1e-12
@@ -195,10 +196,15 @@ def geodesic_ode(
     LeftChartError when the steps resolve the pole; an under-resolved run
     can step over it and return, for every k, a point visibly off exp0.
     """
+    try:
+        steps = operator.index(steps)  # 100.5 or "400" is refused, not truncated
+    except TypeError:
+        raise PreconditionError("geodesic_ode steps must be an integer") from None
     if steps < 100:
         raise PreconditionError("geodesic_ode requires steps >= 100")
     if steps > MAX_ODE_STEPS:
         raise PreconditionError(f"geodesic_ode allows at most {MAX_ODE_STEPS} steps")
+    check_bounded(t, "t")
     check_space(space, B)
     flip = space.n > space.m
     V = B.B.T if flip else B.B

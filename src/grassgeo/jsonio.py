@@ -71,19 +71,19 @@ def _fmt_float(x: float) -> str:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON with 17-significant-digit floats and sorted keys."""
+    """Deterministic JSON with 17-significant-digit floats and sorted keys, of the types
+    the CLI emits: bool, int, float, str, complex as [re, im], dict, and list, tuple or
+    ndarray as a list.  Anything else, None included, raises PreconditionError."""
     return _dump(obj)
 
 
 def _dump(obj: Any) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):  # np.float64 too, a float subclass
+        return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, complex):

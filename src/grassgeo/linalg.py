@@ -128,9 +128,23 @@ def apply_spectral(B, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 
 
 def check_positive_finite(x: float, name: str) -> None:
-    """Raise unless 0 < x < inf; written so that NaN fails too."""
-    if not 0 < x < np.inf:
+    """Raise unless 0 < x < inf; written so that NaN fails too, and None or a string."""
+    try:
+        ok = 0 < x < np.inf
+    except TypeError:
+        ok = False
+    if not ok:
         raise PreconditionError(f"{name} must be positive and finite")
+
+
+def check_bounded(x: float, name: str) -> None:
+    """Raise unless |x| <= ENTRY_LIMIT; written so that NaN fails too, and None or a string."""
+    try:
+        ok = abs(x) <= ENTRY_LIMIT
+    except TypeError:
+        ok = False
+    if not ok:
+        raise PreconditionError(f"{name} must be finite and at most {ENTRY_LIMIT:g} in modulus")
 
 
 def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:

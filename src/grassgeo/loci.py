@@ -11,11 +11,12 @@ import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, PreconditionError
 from .geometry import CHART_SINGULAR_TOL, _chart_factors, _chart_of_rows
-from .linalg import ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles, as_matrix, check_gram
-from .linalg import _det, _eye, _numbers, _svd, _svdvals, check_positive_finite, rank_tol
+from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles
+from .linalg import _det, _eye, _numbers, _svd, _svdvals, as_matrix, check_bounded, check_gram
+from .linalg import check_positive_finite, rank_tol
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
-DEFAULT_DET_TOL = 1e-9
+DEFAULT_CUT_COSINE_TOL = 1e-9  # below it, the smallest cosine with O puts a plane on the cut locus
 DET_CROSS_CHECK_TOL = 1e-12  # |det F_top| vs the product of its singular values, both <= 1
 DEFAULT_EQUAL_ANGLE_TOL = 1e-6
 DEFAULT_CONJUGACY_TOL = 1e-3
@@ -105,7 +106,7 @@ class SchubertSymbol:
         return int(sum(self.omega))
 
 
-def cut_locus_test(space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL) -> bool:
+def cut_locus_test(space: GrassmannSpace, F: Frame, tol: float = DEFAULT_CUT_COSINE_TOL) -> bool:
     """True iff the plane lies on the polar divisor of the origin: its smallest cosine with O,
     the smallest singular value of F_O^dagger F = F_top, is below tol.  The compact space
     only; a det that disagrees with that SVD raises ConsistencyError (_top_block)."""
@@ -141,7 +142,7 @@ class DisjointUnionResult(NamedTuple):
 
 
 def disjoint_union_check(
-    space: GrassmannSpace, F: Frame, tol: float = DEFAULT_DET_TOL
+    space: GrassmannSpace, F: Frame, tol: float = DEFAULT_CUT_COSINE_TOL
 ) -> DisjointUnionResult:
     """Every plane of the compact space is exactly one of chart-representable or
     polar-divisor, decided on its smallest cosine with O, the smallest singular value
@@ -250,8 +251,7 @@ def dexp_min_singular(space: GrassmannSpace, B: TangentVector, t: float) -> floa
 
 def _scaled_direction(B: TangentVector, t: float) -> np.ndarray:
     """t B, checked as dexp_min_singular checks each point."""
-    if not abs(t) <= ENTRY_LIMIT:
-        raise PreconditionError(f"t must be finite and at most {ENTRY_LIMIT:g} in modulus")
+    check_bounded(t, "t")
     return as_matrix(t * B.B, "B")
 
 
@@ -357,7 +357,7 @@ def dual_flag(space: GrassmannSpace) -> np.ndarray:
     return np.eye(space.N, dtype=complex)[:, order]
 
 
-def schubert_dims(F: Frame, flag: np.ndarray, tol: float = DEFAULT_DET_TOL) -> list[int]:
+def schubert_dims(F: Frame, flag: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[int]:
     """dim(X intersect C^p) for p = 1..n+m via n + p - rank([F | basis of C^p])."""
     flag = as_matrix(flag, "flag basis")
     N, n = F.space.N, F.space.n

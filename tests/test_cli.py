@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from grassgeo import jsonio
+import cli_corpus
+from grassgeo import geometry, jsonio
 from conftest import CLI, run_main, run_process, write_doc
 
 
@@ -52,6 +53,16 @@ class TestEntryPoint:
         usage = run_process([*CLI, "exp", "--space", "1", "1", "compcat"])
         assert usage.returncode == 2
         assert b"usage" in usage.stderr
+
+
+    def test_unserializable_result_is_a_json_error(self, monkeypatch, tmp_path):
+        # main serializes inside its try: a nan result prints only the error
+        # object, with exit 1 and nothing on stderr, not a traceback
+        monkeypatch.setattr(geometry, "distance", lambda space, p1, p2: float("nan"))
+        z = write_doc(tmp_path / "z.json", [[0.5]])
+        argv = ["distance", "--space", "1", "1", "compact", "--z1", z, "--z2", z]
+        error = '{"message":"cannot serialize non-finite float","type":"PreconditionError"}'
+        assert run_main(argv) == (1, '{"error":' + error + "}\n", "")
 
 
 class TestExpCommand:
@@ -434,66 +445,23 @@ class TestDeterminism:
         assert json.loads(out.stdout)["on_cut_locus"] is True
 
 
-def golden_pair(n, m):
-    """Two fixed chart points at least 0.39 apart and of spectral norm below 0.61,
-    so in the bounded domain too, built from correctly rounded float64 steps."""
-    a, b = np.arange(n)[:, None], np.arange(m)[None, :]
-    z1 = (0.1 + 0.2 * a - 0.15 * b) + 1j * (0.05 * (a + b))
-    return z1, (0.1 * b - 0.2) + 1j * (0.25 - 0.1 * a)
+# the chart-pair commands on cli_corpus.golden_pair, once pinned here as literal
+# stdout and now corpus entries: a kernel change that moves their bytes fails here
+GOLDEN = [
+    (n, m, kind, command)
+    for n, m in ((1, 3), (2, 2), (3, 1))
+    for kind in ("compact", "noncompact")
+    for command in ("cayley", "diastasis", "distance", "overlap")
+    if (command, kind) != ("cayley", "noncompact")
+]
+CORPUS = {e.id: e for e in cli_corpus.entries()}
 
 
-# stdout of the chart-pair commands on golden_pair, recorded before the chart-pair
-# kernels were stacked; a kernel change that moves any of these bytes fails here
-GOLDEN_PAIR_STDOUT = {
-    (1, 3, "compact", "overlap"): (0,
-        '{"modulus":0.89111791935962226,"normalized":[0.89066812256716033,'
-        '0.028309744727073545],"raw":[1.0225,0.032499999999999987],"verify":{"modulus_diff":0,'
-        '"oracle_modulus":0.89111791935962226}}\n'),
-    (1, 3, "compact", "distance"): (0, '{"distance":0.4709934699793013}\n'),
-    (1, 3, "compact", "diastasis"): (0, '{"diastasis":0.23055703061571012}\n'),
-    (1, 3, "compact", "cayley"): (0, '{"cayley_distance":0.4709934699793013}\n'),
-    (1, 3, "noncompact", "overlap"): (0,
-        '{"modulus":0.86331453685542681,"normalized":[0.86283776307156235,'
-        '0.028687700562481596],"raw":[1.0218882718065991,0.033975824893825529]}\n'),
-    (1, 3, "noncompact", "distance"): (0, '{"distance":0.55554728914043539}\n'),
-    (1, 3, "noncompact", "diastasis"): (0, '{"diastasis":0.29395237035161492}\n'),
-    (2, 2, "compact", "overlap"): (0,
-        '{"modulus":0.78981907884156433,"normalized":[0.78495840601267142,'
-        '-0.087489874455180972],"raw":[0.94497500000000001,-0.10532500000000003],'
-        '"verify":{"modulus_diff":0,"oracle_modulus":0.78981907884156433}}\n'),
-    (2, 2, "compact", "distance"): (0, '{"distance":0.66112695845034564}\n'),
-    (2, 2, "compact", "diastasis"): (0, '{"diastasis":0.47190274774682212}\n'),
-    (2, 2, "compact", "cayley"): (0, '{"cayley_distance":0.66028236243234761}\n'),
-    (2, 2, "noncompact", "overlap"): (0,
-        '{"modulus":0.74789228459891499,"normalized":[0.74423786491760557,'
-        '-0.073843549382924117],"raw":[0.93864906081125887,-0.093133098358177707]}\n'),
-    (2, 2, "noncompact", "distance"): (0, '{"distance":0.79856219675538043}\n'),
-    (2, 2, "noncompact", "diastasis"): (0, '{"diastasis":0.58099263184843042}\n'),
-    (3, 1, "compact", "overlap"): (0,
-        '{"modulus":0.65631698870822119,"normalized":[0.64904142575932755,'
-        '-0.097453667531430574],"raw":[0.83249999999999991,-0.125],'
-        '"verify":{"modulus_diff":3.3306690738754696e-16,'
-        '"oracle_modulus":0.65631698870822153}}\n'),
-    (3, 1, "compact", "distance"): (0, '{"distance":0.85486948269955876}\n'),
-    (3, 1, "compact", "diastasis"): (0, '{"diastasis":0.84222278450867227}\n'),
-    (3, 1, "compact", "cayley"): (0, '{"cayley_distance":0.85486948269955876}\n'),
-    (3, 1, "noncompact", "overlap"): (0,
-        '{"modulus":0.60535174042656437,"normalized":[0.60191165112966372,'
-        '-0.064444502262276646],"raw":[0.84682373101106589,-0.090666352356645191]}\n'),
-    (3, 1, "noncompact", "distance"): (0, '{"distance":1.0874842314426671}\n'),
-    (3, 1, "noncompact", "diastasis"): (0, '{"diastasis":1.0038912015153285}\n'),
-}
-
-
-@pytest.mark.parametrize("n, m, kind, command", sorted(GOLDEN_PAIR_STDOUT))
-def test_golden_chart_pair_bytes(tmp_path, n, m, kind, command):
-    z1, z2 = golden_pair(n, m)
-    argv = [command, "--space", str(n), str(m), kind, "--z1", write_doc(tmp_path / "z1.json", z1)]
-    argv += ["--z2", write_doc(tmp_path / "z2.json", z2)]
-    if command == "overlap" and kind == "compact":
-        argv.append("--verify")
-    code, out, err = run_main(argv)
-    assert (code, out, err) == (*GOLDEN_PAIR_STDOUT[n, m, kind, command], "")
+@pytest.mark.parametrize("n, m, kind, command", GOLDEN)
+def test_golden_chart_pair_bytes(n, m, kind, command):
+    verify = " verify" * ((command, kind) == ("overlap", "compact"))
+    key = f"{command} {n}x{m} {kind} golden{verify}"
+    assert cli_corpus.digests([CORPUS[key]]) == {key: cli_corpus.recorded()[key]}
 
 
 POINT_DOC = '{"rows": 1, "cols": 1, "data": [[0.7, 0.0]]}'

@@ -181,6 +181,14 @@ class TestDexp:
         B = cartan_to_tangent(CP1, CartanVector([1.0]))
         assert dexp_min_singular(CP1, B, 0.1) > 0.9
 
+    def test_lost_perturbation_is_a_degenerate_jacobian(self):
+        # at t = 1e12 every FD_STEP perturbation of t B rounds away, so each
+        # difference of projections, and so the whole Jacobian, is zero
+        sp = GrassmannSpace(2, 2, 1)
+        B = TangentVector(sp, [[0.3 + 0.2j, -0.4 + 0.1j], [0.5 - 0.6j, 0.2 + 0.7j]])
+        with pytest.raises(PreconditionError, match="degenerate Jacobian"):
+            dexp_min_singular(sp, B, 1e12)
+
     def test_projective_line_antipode(self):
         B = cartan_to_tangent(CP1, CartanVector([1.0]))
         assert dexp_min_singular(CP1, B, np.pi / 2) < 1e-6

@@ -11,6 +11,9 @@ caller of numpy.arcsin.
 A cold start loads only what it uses: __init__ imports no submodule at module
 level (its names load lazily), and cli imports kernels, loci, topology and
 sampling only inside the handlers that need them.
+
+cli has one output boundary: nothing outside main touches sys.stdout, and no
+print goes anywhere but file=sys.stderr.
 """
 
 import ast
@@ -119,8 +122,41 @@ def _module_level_imports(text):
     return found
 
 
+def _is_sys(node, attr):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    )
+
+
+def _stdout_uses(text):
+    """(top-level function or None, line, what) for each sys.stdout and each print
+    call without file=sys.stderr in the source."""
+    found = []
+    for top in ast.parse(text).body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if _is_sys(node, "stdout"):
+                found.append((scope, node.lineno, "sys.stdout"))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+                and not any(k.arg == "file" and _is_sys(k.value, "stderr") for k in node.keywords)
+            ):
+                found.append((scope, node.lineno, "print to stdout"))
+    return found
+
+
 def _violations(sources):
     bad = [
+        f"cli.py:{line} {what} outside main"
+        for scope, line, what in _stdout_uses(sources["cli"])
+        if scope != "main"
+    ]
+    bad += [
         f"{module}.py:{line} module-level import of {name}"
         for module, refused in NOT_AT_MODULE_LEVEL.items()
         for name, line in _module_level_imports(sources[module])
@@ -141,11 +177,14 @@ def test_the_scan_sees_the_calls_it_confines():
     assert {"svd", "qr", "det", "numpy.arcsin"} <= names
     imported = {name for name, _ in _module_level_imports(sources["cli"])}
     assert imported == {"errors", "geometry", "jsonio", "linalg", "spaces"}
+    assert [(scope, what) for scope, _, what in _stdout_uses(sources["cli"])] == [
+        ("main", "sys.stdout")
+    ]
 
 
 def test_numpy_linalg_use_in_src():
     bad = _violations(_sources())
-    message = "numpy used or a module imported where the package does not allow it: "
+    message = "numpy used, a module imported or stdout written where the package forbids it: "
     assert not bad, message + "; ".join(bad)
 
 
@@ -159,6 +198,13 @@ MUTATIONS = [
     ("cli", "import numpy as np\n", "import numpy as np\n\nfrom grassgeo.sampling import random_plane\n"),
     ("cli", "import numpy as np\n", "import numpy as np\nimport grassgeo.topology\n"),
     ("__init__", "import importlib\n", "import importlib\n\nfrom .spaces import Frame\n"),
+    (
+        "cli",
+        '    return {"energy": kernels.energy(space, kernels.EnergySpec(args.eps), F)}',
+        '    out = {"energy": kernels.energy(space, kernels.EnergySpec(args.eps), F)}\n'
+        '    sys.stdout.write(jsonio.dumps(out) + "\\n")',
+    ),
+    ("cli", 'print(f"usage error: {message}", file=sys.stderr)', 'print(f"error: {message}")'),
 ]
 
 

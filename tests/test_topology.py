@@ -137,6 +137,12 @@ class TestCharacteristicReport:
         monkeypatch.setattr(topology, "MAX_ORTHOGONAL_PLANES", 6)
         assert orthogonal_coherent_count(GrassmannSpace(2, 2, 1)) == 6
 
+    def test_poincare_check_fails_on_a_missing_cell(self, monkeypatch):
+        cells = topology.schubert_cells
+        monkeypatch.setattr(topology, "schubert_cells", lambda n, m: cells(n, m)[1:])
+        with pytest.raises(ConsistencyError, match="Poincare check"):
+            characteristic_report(2, 2, EnergySpec([4.0, 3.0, 2.0, 1.0]))
+
     def test_report_rejects_disagreement(self):
         with pytest.raises(ConsistencyError):
             CharacteristicReport(6, 6, 6, 6, 6, 5, 6)

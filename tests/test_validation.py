@@ -6,13 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from grassgeo import cli, kernels, linalg, loci
+from grassgeo import cli, jsonio, kernels, linalg, loci, topology
 from grassgeo.errors import NumericalFailure, PreconditionError
 from grassgeo.geometry import (
     chart_of_frame,
     chart_transition,
     distance,
     exp0_frame,
+    geodesic_ode,
     transport_to_origin,
 )
 from grassgeo.sampling import (
@@ -177,6 +178,20 @@ def test_row_subsets_are_read_once_and_exactly(rows, match):
     assert np.array_equal(coordinate_plane_frame(G24, [np.int64(3), 0]).F[[0, 3]], np.eye(2))
 
 
+# a call per scalar parameter that reads a float: t, t_max or a tol
+SCALAR_READERS = {
+    "dexp_min_singular": lambda t: loci.dexp_min_singular(G24, B24, t),
+    "is_conjugate": lambda t: loci.is_conjugate(G24, B24, t),
+    "tangent_conjugate_times": lambda t: loci.tangent_conjugate_times(
+        G24, loci.CartanVector([0.6, 0.8]), t
+    ),
+    "cut_locus_test": lambda tol: loci.cut_locus_test(G24, F24, tol),
+    "disjoint_union_check": lambda tol: loci.disjoint_union_check(G24, F24, tol),
+    "schubert_dims": lambda tol: loci.schubert_dims(F24, np.eye(4), tol),
+    "rank_tol": lambda tol: linalg.rank_tol(np.eye(2), tol),
+}
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -196,12 +211,50 @@ def test_row_subsets_are_read_once_and_exactly(rows, match):
         pytest.param(
             lambda: loci.schubert_dims(F24, [["x"] * 4] * 4), id="schubert_dims-string-flag"
         ),
+        *[
+            pytest.param(lambda read=read, bad=bad: read(bad), id=f"{name}-{bad!r}")
+            for name, read in SCALAR_READERS.items()
+            for bad in ("0.5", None)
+        ],
+        pytest.param(lambda: geodesic_ode(G24, B24, 1.0, 100.5), id="geodesic_ode-steps-100.5"),
+        pytest.param(lambda: geodesic_ode(G24, B24, 1.0, "400"), id="geodesic_ode-steps-'400'"),
+        pytest.param(lambda: geodesic_ode(G24, B24, "1", 400), id="geodesic_ode-t-'1'"),
+        # refused as input, not blamed on the integration as LeftChartError
+        pytest.param(lambda: geodesic_ode(G24, B24, np.nan, 400), id="geodesic_ode-t-nan"),
+        pytest.param(lambda: geodesic_ode(G24, B24, -np.inf, 400), id="geodesic_ode-t-inf"),
     ],
 )
 def test_unreadable_input_is_a_typed_error(call):
     # refused at the constructor or the raw-array boundary, not passed on as a
     # bare ValueError or TypeError, and not truncated (0.5 read as 0, 1j as 0)
     with pytest.raises(PreconditionError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: linalg.as_matrix(np.zeros(3)), "2-dimensional", id="as_matrix-1-D"),
+        pytest.param(
+            lambda: linalg.as_matrix(np.zeros((0, 2))), "positive dimensions", id="as_matrix-empty"
+        ),
+        pytest.param(
+            lambda: linalg.principal_angles(np.eye(3)[:, :1], np.eye(3)[:, :2]),
+            "equal shapes",
+            id="principal_angles-shapes",
+        ),
+        pytest.param(lambda: loci.SchubertSymbol((), 2), "nonempty", id="SchubertSymbol-empty"),
+        pytest.param(
+            lambda: loci.schubert_dims(F24, np.eye(3)), "must be 4x4", id="schubert_dims-flag-shape"
+        ),
+        pytest.param(lambda: GrassmannSpace(2, 2, 0), "epsilon", id="GrassmannSpace-epsilon-0"),
+        pytest.param(lambda: topology.weyl_group_ratio(0, 1), ">= 1", id="weyl_group_ratio-0"),
+        pytest.param(lambda: jsonio.dumps(None), "NoneType", id="dumps-None"),
+    ],
+)
+def test_library_only_typed_errors(call, match):
+    # no CLI command reaches these checks
+    with pytest.raises(PreconditionError, match=match):
         call()
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import geometry, jsonio
 from .errors import GrassGeoError, PreconditionError, UnsupportedSpaceError
-from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT
+from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, check_bounded
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
 
 # points run in stacked chunks of bounded memory; on one core of a shared two-core x86-64 Xeon
@@ -48,15 +48,6 @@ def _tol(args, default: float) -> float:
         return float(raw)
     except ValueError:
         raise PreconditionError(f"GRASSGEO_TOL is not a number: {raw!r}")
-
-
-def _t(args) -> float:
-    # checked before t * B, where inf * 0 or an overflow would warn
-    if not abs(args.t) <= ENTRY_LIMIT:
-        raise PreconditionError(
-            f"--t must be finite and at most {ENTRY_LIMIT:g} in modulus, got {args.t!r}"
-        )
-    return args.t
 
 
 def _usage_error(message: str):
@@ -116,7 +107,8 @@ def _geodesic(space: GrassmannSpace, args, verify: bool):
     """(t B, exp0(t B), RK4 endpoint, max |RK4 - exp0|) for the --input
     tangent B and --t; the last two are None unless verify."""
     B = TangentVector(space, _read_doc(args.input, "input"))
-    tB = TangentVector(space, _t(args) * B.B)
+    check_bounded(args.t, "--t")  # before t * B, where inf * 0 or an overflow would warn
+    tB = TangentVector(space, args.t * B.B)
     Z = geometry.exp0(space, tB)
     if not verify:
         return tB, Z, None, None

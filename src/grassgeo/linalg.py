@@ -144,7 +144,9 @@ def check_bounded(x: float, name: str) -> None:
     except TypeError:
         ok = False
     if not ok:
-        raise PreconditionError(f"{name} must be finite and at most {ENTRY_LIMIT:g} in modulus")
+        raise PreconditionError(
+            f"{name} must be finite and at most {ENTRY_LIMIT:g} in modulus, got {x!r}"
+        )
 
 
 def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import ConsistencyError, EnumerationSizeError, PreconditionError
 from .geometry import CHART_SINGULAR_TOL, _chart_factors, _chart_of_rows
-from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, ORTHONORMALITY_TOL, _principal_angles
-from .linalg import _det, _eye, _numbers, _svd, _svdvals, as_matrix, check_bounded, check_gram
+from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, ORTHONORMALITY_TOL, _angles, _principal_angles
+from .linalg import _det, _numbers, _svd, _svdvals, as_matrix, check_bounded, check_gram
 from .linalg import check_positive_finite, rank_tol
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
 
@@ -394,31 +394,30 @@ def wong_cut_symbol(space: GrassmannSpace) -> SchubertSymbol:
 
 
 def conjugate_stratum_W(space: GrassmannSpace, F: Frame) -> bool:
-    """Angle-based test for the Wong stratum of the conjugate locus: more
-    zero angles with O than the generic forced count max(0, n - m), or at
-    least one right angle."""
+    """Angle-based test for the Wong stratum of the conjugate locus: one of the r = min(n, m)
+    genuine angles with O is zero or a right angle; the forced zeros of n > m do not count."""
     return _conjugate_strata(space, F)[1]
 
 
 def conjugate_stratum_I(space: GrassmannSpace, F: Frame) -> bool:
-    """Necessary-condition stratum test: some pair of stationary angles with
-    O coincide within tolerance.  Not claimed sufficient for membership."""
+    """Necessary-condition stratum test: two of the r = min(n, m) genuine angles with O
+    coincide within tolerance, the forced zeros of n > m aside.  Not claimed sufficient."""
     return _conjugate_strata(space, F)[2]
 
 
 def _conjugate_strata(space: GrassmannSpace, F: Frame) -> tuple[np.ndarray, bool, bool]:
-    """The angles of F with O = span(e_1, ..., e_n), taken once, and both stratum tests
-    on them; the dual is rejected before any angle is taken.  The cross matrix is F.top
-    and the residual [0 ; F.bottom], both exact, so O needs no check."""
+    """The angles of F with O = span(e_1, ..., e_n), taken once off F's own blocks, and
+    both stratum tests on them; the dual is rejected before any angle is taken.  The
+    cosines are the singular values of F.top and the sines those of F.bottom, so r =
+    min(n, m) angles are genuine; the n - m others of n > m come first as exact zeros."""
     if not space.compact:
         raise PreconditionError("conjugate strata apply to the compact space")
     check_space(space, F)
-    ang = _principal_angles(_eye(space.N)[:, : space.n], F.F)
-    zeros = int(np.count_nonzero(ang < DEFAULT_EQUAL_ANGLE_TOL))
-    rights = int(np.count_nonzero(ang > np.pi / 2 - DEFAULT_EQUAL_ANGLE_TOL))
-    stratum_W = zeros > max(0, space.n - space.m) or rights >= 1
-    stratum_I = ang.size >= 2 and bool(np.min(np.diff(np.sort(ang))) < DEFAULT_EQUAL_ANGLE_TOL)
-    return ang, stratum_W, stratum_I
+    n, r, tol = space.n, space.rank, DEFAULT_EQUAL_ANGLE_TOL
+    ang = _angles(_svdvals(F.bottom), _svdvals(F.top)[n - r :])[::-1]
+    stratum_W = bool(ang[0] < tol or ang[-1] > np.pi / 2 - tol)
+    stratum_I = bool((np.diff(ang) < tol).any())
+    return np.concatenate([np.zeros(n - r), ang]), stratum_W, stratum_I
 
 
 def isoclinic_test(F1: Frame, F2: Frame) -> bool:

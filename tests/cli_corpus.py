@@ -5,9 +5,11 @@ subcommand.  `entries()` lists a fixed set of commands over all 17
 subcommands, both signs and n, m <= 3: compact chart norms from 0 to 1e100,
 dual radii up to 1 - 1e-6 and Z2 = (1 - 1e-12) I, pairs 1e-8 apart, seeds and
 built frames with small cosines at several tols, dual scans past
-DEXP_DUAL_LIMIT, and the typed-error and usage-error cases.  Inputs come from
-numpy's own seeded Generator, not from grassgeo.sampling, so the builder also
-runs against an older grassgeo.  Each command runs in process through
+DEXP_DUAL_LIMIT, and the typed-error and usage-error cases.  `strata` runs also
+on (4, 1) and (4, 2), where n - m angles with O are forced to zero, and on the
+shapes (1, 4) and (2, 4) of their complements.
+Inputs come from numpy's own seeded Generator, not from grassgeo.sampling, so
+the builder also runs against an older grassgeo.  Each command runs in process through
 cli.main, in a scratch working directory that holds its documents under
 relative names, so no temporary path enters an id or an output.
 
@@ -36,6 +38,7 @@ import numpy as np
 
 DIGESTS = Path(__file__).with_name("cli_corpus.json")
 SHAPES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+STRATA_SHAPES = [(4, 1), (4, 2), (1, 4), (2, 4)]
 KINDS = ("compact", "noncompact")
 # argparse wraps its usage text at the terminal width
 FIXED_ENV = {"COLUMNS": "80", "LINES": "24", "GRASSGEO_TOL": None}
@@ -214,6 +217,19 @@ def _frame_entries(n, m, kind, sp, tag):
         yield Entry(f"isoclinic {tag} {label}", argv, files)
 
 
+def _strata_entries(n, m):
+    """strata on a shape outside SHAPES: seeds, and built frames with small cosines with O
+    and, where r = min(n, m) >= 2, two equal ones."""
+    sp, tag = ("--space", str(n), str(m), "compact"), f"{n}x{m} compact"
+    for seed in ("0", "1"):
+        yield Entry(f"strata {tag} seed={seed}", ("strata", *sp, "--seed", seed))
+    rng = _rng("strata", n, m)
+    for cosines in [(1e-3,), (3e-9,), (0.0,)] + [(0.5, 0.5)] * (min(n, m) >= 2):
+        label = f"built cosines={','.join(f'{c:g}' for c in cosines)}"
+        files = {"F.json": doc(built_frame(rng, n, m, cosines))}
+        yield Entry(f"strata {tag} {label}", ("strata", *sp, "--frame", "F.json"), files)
+
+
 def _algebra_entries(n, m, kind, sp, tag):
     rng = _rng("algebra", n, m, kind)
     eps = [repr(float(x)) for x in rng.standard_normal(n + m)]
@@ -280,6 +296,8 @@ def entries() -> list[Entry]:
             for group in (_tangent_entries, _chart_entries, _flat_entries, _frame_entries,
                           _algebra_entries):
                 out += group(n, m, kind, sp, tag)
+    for n, m in STRATA_SHAPES:
+        out += _strata_entries(n, m)
     out += BAD_INPUTS
     assert len({e.id for e in out}) == len(out), "corpus ids must be distinct"
     return out

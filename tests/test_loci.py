@@ -28,7 +28,9 @@ from grassgeo.loci import (
     tangent_conjugate_times,
     wong_cut_symbol,
 )
+from grassgeo.sampling import random_plane
 from grassgeo.spaces import Frame, GrassmannSpace, TangentVector, origin_frame
+from cli_corpus import built_frame
 from conftest import random_chart_point_rng, random_plane_rng, random_unitary, run_main
 
 
@@ -662,6 +664,17 @@ class TestWongCutVariety:
             schubert_membership(origin_frame(sp), SchubertSymbol((1,), 2), dual_flag(sp))
 
 
+SMALL_SHAPES = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+
+
+def _perp(F):
+    """The complement of span(F), from a full numpy SVD, as a frame (n+m, m) with its rows
+    reordered to [bottom ; top]: its origin, the first m coordinates, is then O-perp."""
+    n = F.shape[1]
+    perp = np.linalg.svd(F)[0][:, n:]
+    return np.vstack([perp[n:], perp[:n]])
+
+
 class TestStrata:
     def test_wong_stratum_partial_plane(self):
         sp = GrassmannSpace(2, 2, 1)
@@ -696,6 +709,52 @@ class TestStrata:
         sp = GrassmannSpace(1, 1, -1)
         with pytest.raises(PreconditionError):
             conjugate_stratum_W(sp, origin_frame(sp))
+
+    @pytest.mark.parametrize("n, m", SMALL_SHAPES)
+    def test_complement_duality(self, n, m):
+        # F and its complement make the same r = min(n, m) genuine angles with O and
+        # O-perp, so they lie in the same strata; the oracle uses numpy alone
+        rng, r = np.random.default_rng([n, m]), min(n, m)
+        sp, sp_perp = GrassmannSpace(n, m, 1), GrassmannSpace(m, n, 1)
+        for k in range(60):
+            if k < 30:
+                A = rng.standard_normal((n + m, n)) + 1j * rng.standard_normal((n + m, n))
+                F = np.linalg.qr(A)[0]
+            else:
+                angles = rng.uniform(0.1, 1.4, r)
+                if k % 3 == 0 and r >= 2:
+                    angles[1] = angles[0]  # in I
+                elif k % 3 == 1:
+                    angles[0] = 0.0  # in W
+                else:
+                    angles[-1] = np.pi / 2  # in W
+                F = built_frame(rng, n, m, np.cos(angles))
+            ang, W, I = loci._conjugate_strata(sp, Frame(sp, F))
+            ang_perp, W_perp, I_perp = loci._conjugate_strata(sp_perp, Frame(sp_perp, _perp(F)))
+            assert (W, I) == (W_perp, I_perp)
+            np.testing.assert_allclose(ang[n - r :], ang_perp[m - r :], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, m", SMALL_SHAPES)
+    def test_predicted_conjugate_times_land_in_their_stratum(self, n, m):
+        # at a T1 time two genuine angles coincide; at a T2 or T3 time one is 0 or pi/2;
+        # a random time on the same direction lands in neither stratum
+        sp, rng = GrassmannSpace(n, m, 1), np.random.default_rng([3, n, m])
+        for _ in range(15):
+            h = rng.standard_normal(sp.rank)
+            h = CartanVector(h / np.linalg.norm(h))
+            B = cartan_to_tangent(sp, h).B
+            for c in tangent_conjugate_times(sp, h, 12.0):
+                _, W, I = loci._conjugate_strata(sp, exp0_frame(sp, TangentVector(sp, c.t * B)))
+                assert W or (I and c.family == "T1"), c
+            for t in rng.uniform(0.0, 12.0, 4):
+                strata = loci._conjugate_strata(sp, exp0_frame(sp, TangentVector(sp, t * B)))
+                assert strata[1:] == (False, False), t
+
+    @pytest.mark.parametrize("n, m", SMALL_SHAPES)
+    def test_random_planes_lie_in_neither_stratum(self, n, m):
+        sp = GrassmannSpace(n, m, 1)
+        for seed in range(200):
+            assert loci._conjugate_strata(sp, random_plane(sp, seed))[1:] == (False, False)
 
 
 class TestIsoclinic:

@@ -75,11 +75,12 @@ def test_gram_checks_per_call(gram_checks, monkeypatch):
         assert _count(gram_checks, lambda: loci.dexp_min_singular(space, B, 1.0)) == 0
         grid = np.linspace(0.1, 2.0, 7)
         assert _count(gram_checks, lambda: loci._dexp_scan(space, B, grid)) == 0
-    # strata: its own frame only, and the angles taken once
-    angles = _record_calls(monkeypatch, "_principal_angles")
+    # strata: its own frame only, and the angles taken once, off its blocks
+    angles = _record_calls(monkeypatch, "_angles")
+    two_frames = _record_calls(monkeypatch, "_principal_angles")
     strata = ["strata", "--space", "2", "2", "compact", "--seed", "5"]
     assert _count(gram_checks, lambda: cli.main(strata)) == 1
-    assert len(angles) == 1
+    assert len(angles) == 1 and two_frames == []
 
 
 G14 = GrassmannSpace(1, 3)

@@ -41,8 +41,8 @@ class WrongChartError(GrassGeoError):
 
 
 class DiastasisUndefinedError(DomainError):
-    """The overlap vanishes, so the diastasis is undefined (second argument
-    on the polar divisor of the first)."""
+    """The diastasis is undefined: the second plane leaves the chart of the first, on its
+    polar divisor, where the smallest cosine of their angles is below 1e-12."""
 
 
 class UnsupportedSpaceError(GrassGeoError):

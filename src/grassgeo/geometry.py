@@ -349,30 +349,32 @@ def transport_to_origin(space: GrassmannSpace, p: ChartPoint) -> np.ndarray:
 
 
 def distance(space: GrassmannSpace, p1: ChartPoint, p2: ChartPoint) -> float:
-    """Geodesic distance: the 2-norm of the principal angles theta_i (compact)
-    or of the hyperbolic angles tau_i (noncompact) between the two planes.
-
-    sin theta_i, or sinh tau_i, are the singular values of S = eps G1^dagger J F2
-    = D1 (Z2 - Z1)^dagger A2, for F2 the frame of p2 and G1 = [-eps Z1 ; I] D1
-    that of p1's complement; Z2 - Z1 is exact, so d(p, p) = 0.  With n <= m
-    (complements make the same angles), S = diag(co1, 1) vh1 (Z2 - Z1)^dagger u2 diag(co2)
-    up to unitary factors, vh1 full, so no sum cancels; both chart SVDs are one stacked
-    call.  Role 2, where A2 damps Z2 - Z1, goes to the larger si[0] (norm), p2 on a tie.
-    Compact cosines are the singular values of A1 (I + Z1 Z2^dagger) A2; _angles takes both.
-    """
+    """Geodesic distance: the 2-norm of the principal angles theta_i (compact), which
+    _angles takes from both readings of _pair_angles, or of the hyperbolic angles tau_i."""
     check_space(space, p1, p2)
-    Z = np.stack([p1.Z, p2.Z] if space.n <= space.m else [p1.Z.T, p2.Z.T])
+    s, c = _pair_angles(space.epsilon, p1.Z, p2.Z)
+    theta = _angles(s, c) if space.compact else np.arcsinh(s)
+    return math.sqrt(theta.dot(theta))
+
+
+def _pair_angles(eps: int, Z1: np.ndarray, Z2: np.ndarray) -> tuple:
+    """(s, c), nonincreasing, of the planes of two chart points: s = sin theta_i, or sinh tau_i,
+    the singular values of S = eps G1^dagger J F2 = D1 (Z2 - Z1)^dagger A2, for F2 the frame
+    of Z2 and G1 = [-eps Z1 ; I] D1 that of Z1's complement; Z2 - Z1 is exact, so d(p, p) = 0.
+    With n <= m (complements make the same angles), S = diag(co1, 1) vh1 (Z2 - Z1)^dagger u2
+    diag(co2) up to unitary factors, vh1 full, so no sum cancels; both chart SVDs are one
+    stacked call.  Role 2, where A2 damps Z2 - Z1, goes to the larger si[0] (norm), Z2 on a
+    tie.  c = cos theta_i, the singular values of A1 (I + Z1 Z2^dagger) A2, or None (dual)."""
+    Z = np.stack([Z1, Z2] if Z1.shape[0] <= Z1.shape[1] else [Z1.T, Z2.T])
     (Z1, u1, co1, si1, vh1), (Z2, u2, co2, si2, vh2) = sorted(
-        zip(Z, *_chart_svd(space.epsilon, Z, True)), key=lambda row: row[3][0])
+        zip(Z, *_chart_svd(eps, Z, True)), key=lambda row: row[3][0])
     k, X = len(co1), vh1 @ ((Z2 - Z1).conj().T @ u2 * co2)
     s = _svdvals(np.concatenate([co1[:, None] * X[:k], X[k:]]))
-    if not space.compact:
-        tau = np.arcsinh(s)
-        return math.sqrt(tau.dot(tau))
+    if eps < 0:
+        return s, None
     # formed for every compact pair, so that the work does not depend on the data
     C = co1[:, None] * (u1.conj().T @ u2) * co2 + si1[:, None] * (vh1[:k] @ vh2[:k].conj().T) * si2
-    theta = _angles(s, _svdvals(C))
-    return math.sqrt(theta.dot(theta))
+    return s, _svdvals(C)
 
 
 def chart_transition(

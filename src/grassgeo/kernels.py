@@ -24,12 +24,11 @@ from .errors import (
     PreconditionError,
     UnsupportedSpaceError,
 )
-from .geometry import _chart_svd, raw_frame
+from .geometry import CHART_SINGULAR_TOL, _chart_svd, _pair_angles, raw_frame
 from .linalg import _det, _eye, _numbers
 from .spaces import ChartPoint, Frame, GrassmannSpace, check_space
 from .spaces import check_enumeration_size, coordinate_plane_frame
 
-ZERO_OVERLAP_TOL = 1e-15
 CRITICAL_GRAD_TOL = 1e-8
 DISTINCT_REL_GAP = 1e-6
 # plucker_embed stacks C(N, n) blocks of n x n entries: 1e7 complex entries
@@ -133,14 +132,19 @@ def diastasis(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> float:
 
     The modulus is at most 1 by Cauchy-Schwarz, but rounding can put it above 1
     for nearby points; it is clamped there, so D is never negative, and D = 0.0,
-    never -0.0.  Compact: undefined exactly where the overlap vanishes, when Z2 is on
-    the polar divisor of Z1; the dual has none, and there a tiny overlap is a large D.
+    never -0.0.  Compact: undefined exactly where Z2's plane leaves Z1's chart, on Z1's polar
+    divisor, where the smallest cosine of their angles (_pair_angles) is below 1e-12, as the
+    chart map refuses a plane; the modulus is their product, so only one below that reads them,
+    and D = -2 sum log cos theta_i stays finite where the product underflows.  The dual has
+    no divisor: a tiny overlap is a large D.
     """
     modulus = normalized_overlap(space, Z1, Z2).modulus
-    if space.compact and modulus < ZERO_OVERLAP_TOL:
-        raise DiastasisUndefinedError(
-            "overlap vanishes: second point lies on the polar divisor of the first"
-        )
+    if space.compact and modulus < CHART_SINGULAR_TOL:
+        cosines = _pair_angles(1, Z1.Z, Z2.Z)[1]
+        if cosines[-1] < CHART_SINGULAR_TOL:
+            raise DiastasisUndefinedError(
+                "overlap vanishes: second point lies on the polar divisor of the first")
+        return float(-2.0 * np.log(cosines).sum())
     return float(-2.0 * np.log(modulus)) if modulus < 1.0 else 0.0
 
 

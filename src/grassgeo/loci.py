@@ -14,7 +14,8 @@ from .geometry import CHART_SINGULAR_TOL, _chart_factors, _chart_of_rows
 from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, ORTHONORMALITY_TOL, _angles, _principal_angles
 from .linalg import _det, _numbers, _svd, _svdvals, as_matrix, check_bounded, check_gram
 from .linalg import check_positive_finite, rank_tol
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_space
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_enumeration_size
+from .spaces import check_space
 
 DEFAULT_CUT_COSINE_TOL = 1e-9  # below it, the smallest cosine with O puts a plane on the cut locus
 DET_CROSS_CHECK_TOL = 1e-12  # |det F_top| vs the product of its singular values, both <= 1
@@ -281,7 +282,8 @@ def _dexp_scan(space: GrassmannSpace, B: TangentVector, ts: np.ndarray) -> np.nd
 def _perturbations(n: int, m: int) -> np.ndarray:
     """The 4nm central-difference offsets (+dB, then -dB), read-only since
     shared: entry 2 idx + {0, 1} of dB moves entry divmod(idx, m) by FD_STEP,
-    1j FD_STEP."""
+    1j FD_STEP.  Refused where one point's 4nm projections, (n+m)^2 entries each, pass MAX_CELLS."""
+    check_enumeration_size(4 * n * m * (n + m) ** 2, "dexp projection entries per point")
     E = np.eye(n * m).reshape(n * m, n, m)
     dB = np.stack([E * FD_STEP, E * (1j * FD_STEP)], axis=1).reshape(-1, n, m)
     both = np.concatenate([dB, -dB])
@@ -347,14 +349,16 @@ def is_conjugate(space: GrassmannSpace, B: TangentVector, t: float) -> bool:
 
 
 def standard_flag(space: GrassmannSpace) -> np.ndarray:
-    """Flag preset with C^p spanned by the first p standard basis vectors."""
+    """Flag preset with C^p spanned by the first p standard basis vectors; refused where the
+    N rank tests of schubert_dims, of at most N x (n+N) entries each, pass MAX_CELLS in all."""
+    check_enumeration_size(space.N**2 * (space.N + space.n), "schubert_dims stack entries")
     return np.eye(space.N, dtype=complex)
 
 
 def dual_flag(space: GrassmannSpace) -> np.ndarray:
     """Flag preset adapted to the origin: C^m equals the orthocomplement of O."""
     order = list(range(space.n, space.N)) + list(range(space.n))
-    return np.eye(space.N, dtype=complex)[:, order]
+    return standard_flag(space)[:, order]
 
 
 def schubert_dims(F: Frame, flag: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import _svdvals
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_enumeration_size
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -31,6 +31,7 @@ def random_plane(space: GrassmannSpace, seed: int) -> Frame:
 
 
 def random_plane_rng(space: GrassmannSpace, rng: np.random.Generator) -> Frame:
+    check_enumeration_size(space.N * space.n, "random frame entries")
     if space.compact:
         A = _complex_gaussian(rng, (space.N, space.n))
         q, r = np.linalg.qr(A)

@@ -7,7 +7,8 @@ dual radii up to 1 - 1e-6 and Z2 = (1 - 1e-12) I, pairs 1e-8 apart, seeds and
 built frames with small cosines at several tols, dual scans past
 DEXP_DUAL_LIMIT, and the typed-error and usage-error cases.  `strata` runs also
 on (4, 1) and (4, 2), where n - m angles with O are forced to zero, and on the
-shapes (1, 4) and (2, 4) of their complements.
+shapes (1, 4) and (2, 4) of their complements.  Compact pairs whose overlap is
+below 1e-12 run off, just off and on the polar divisor.
 Inputs come from numpy's own seeded Generator, not from grassgeo.sampling, so
 the builder also runs against an older grassgeo.  Each command runs in process through
 cli.main, in a scratch working directory that holds its documents under
@@ -239,6 +240,26 @@ def _algebra_entries(n, m, kind, sp, tag):
             yield Entry(f"{command} {tag} {label}", (command, *sp, *extra))
 
 
+# compact pairs with an overlap below 1e-12: 0 against c I, whose n cosines 1 / sqrt(1 + c^2)
+# are far from 0; I against (-1 + 1e-11) I, two cosines of 5e-12, just off the polar divisor;
+# and 2 I against -I / 2, on it
+DIVISOR_PAIRS = [
+    ("Z1=0 Z2=1e8I", 2, np.zeros((2, 2)), 1e8 * np.eye(2)),
+    ("Z1=0 Z2=3e5I", 3, np.zeros((3, 3)), 3e5 * np.eye(3)),
+    ("Z1=I Z2=(-1+1e-11)I", 2, np.eye(2), (-1 + 1e-11) * np.eye(2)),
+    ("Z1=2I Z2=-I/2", 2, 2 * np.eye(2), -0.5 * np.eye(2)),
+]
+
+
+def _divisor_entries():
+    for label, n, Z1, Z2 in DIVISOR_PAIRS:
+        sp, tag = ("--space", str(n), str(n), "compact"), f"{n}x{n} compact"
+        files = {"z1.json": doc(Z1), "z2.json": doc(Z2)}
+        for command in ("overlap", "distance", "diastasis", "cayley"):
+            argv = (command, *sp, "--z1", "z1.json", "--z2", "z2.json")
+            yield Entry(f"{command} {tag} {label}", argv, files)
+
+
 # typed errors (exit 1) and usage errors (exit 2) outside the per-space grid
 G22 = ("--space", "2", "2", "compact")
 BAD_INPUTS = [
@@ -298,6 +319,7 @@ def entries() -> list[Entry]:
                 out += group(n, m, kind, sp, tag)
     for n, m in STRATA_SHAPES:
         out += _strata_entries(n, m)
+    out += _divisor_entries()
     out += BAD_INPUTS
     assert len({e.id for e in out}) == len(out), "corpus ids must be distinct"
     return out

@@ -1,7 +1,7 @@
 """Accuracy envelopes against 50-digit mpmath oracles: of `geometry.distance`,
 of `linalg.principal_angles`, of the RK4 integrator `geometry.geodesic_ode`, of
-`geometry.exp0` near tan poles, of the dual `kernels.diastasis` and the dual
-`geometry.log0` near the boundary;
+`geometry.exp0` near tan poles, of the compact `kernels.diastasis` where the overlap
+underflows, of the dual `kernels.diastasis` and the dual `geometry.log0` near the boundary;
 and of `loci.dexp_min_singular` against its own central difference at 30 digits;
 and the dual chart round trip near the boundary of the bounded domain.
 
@@ -14,6 +14,8 @@ angles above pi/4 come from the same cosines, but taken with n <= m from the
 float64 chart SVDs, where the oracle forms 50-digit inverse square roots; so
 the two routes share no rounding.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -629,6 +631,33 @@ def test_dual_diastasis_of_the_diagonal_near_the_boundary():
     exact = dual_diastasis_oracle(np.zeros((3, 3)), Z2)
     assert float(abs(D - exact) / exact) < 1e-13
     assert mpmath.nstr(exact, 15) == "80.8136881720017"
+
+
+@pytest.mark.parametrize("n, c", [(2, 1e8), (3, 3e5), (4, 1e4)])
+def test_compact_diastasis_off_the_divisor_where_the_overlap_is_tiny(n, c):
+    # Z1 = 0, Z2 = c I on G_n(C^2n): n cosines 1 / sqrt(1 + c^2), none near 0, whose product,
+    # the overlap, is 1e-16, 3.7e-17 or 1e-16; D = n log1p(c^2) = 73.68, 75.67 or 73.68
+    space = GrassmannSpace(n, n, 1)
+    zero, far = ChartPoint(space, np.zeros((n, n))), ChartPoint(space, c * np.eye(n))
+    exact = n * math.log1p(c * c)
+    for a, b in ((zero, far), (far, zero)):
+        assert abs(kernels.diastasis(space, a, b) - exact) <= 1e-14 * exact
+
+
+def test_compact_diastasis_where_the_overlap_underflows():
+    # G_32(C^64), Z1 = 0.5 I, Z2 = (-2 + 1e-10) I: 32 cosines of 2.0e-11, whose product
+    # underflows to 0.0; D = 1576.66 from each scalar cosine |1 + a b| / sqrt((1 + a^2)
+    # (1 + b^2)) at 50 digits.  Observed relative error 1.6e-12
+    space = GrassmannSpace(32, 32, 1)
+    a, b = 0.5, -2 + 1e-10
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(a), mpmath.mpf(b)
+        exact = -64 * mpmath.log(abs(1 + x * y) / mpmath.sqrt((1 + x * x) * (1 + y * y)))
+    z1, z2 = ChartPoint(space, a * np.eye(32)), ChartPoint(space, b * np.eye(32))
+    assert kernels.normalized_overlap(space, z1, z2).modulus == 0.0
+    for p, q in ((z1, z2), (z2, z1)):
+        D = kernels.diastasis(space, p, q)
+        assert float(abs(D - exact) / exact) < 1e-11, f"D = {D!r}, exact {mpmath.nstr(exact, 17)}"
 
 
 def dual_log0_oracle(Z):

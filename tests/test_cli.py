@@ -54,6 +54,25 @@ class TestEntryPoint:
         assert usage.returncode == 2
         assert b"usage" in usage.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schubert", "--space", "1", "100000", "compact", "--seed", "0"],
+            ["conjugate-scan", "--space", "1", "3000", "compact", "--h", "1", "--tmax", "1",
+             "--points", "1"],
+            ["cut-test", "--space", "1", "1000000000000", "compact", "--seed", "0"],
+        ],
+        ids=["schubert-flag-basis", "conjugate-scan-dexp-stack", "cut-test-random-frame"],
+    )
+    def test_arrays_that_only_the_space_sizes_are_refused(self, argv):
+        # they would take 149 GiB, 1.57 TiB and 7.3 TiB; the child has 2 GiB of address
+        # space, so an allocation that is not refused fails at once with a traceback
+        limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+                   "from grassgeo.cli import main; sys.exit(main(sys.argv[1:]))")
+        out = run_process(["-c", limited, *argv])
+        assert (out.returncode, out.stderr) == (1, b"")
+        assert json.loads(out.stdout)["error"]["type"] == "EnumerationSizeError"
+
 
     def test_unserializable_result_is_a_json_error(self, monkeypatch, tmp_path):
         # main serializes inside its try: a nan result prints only the error

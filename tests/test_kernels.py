@@ -15,6 +15,7 @@ from grassgeo.errors import (
     PreconditionError,
     UnsupportedSpaceError,
 )
+from grassgeo.geometry import CHART_SINGULAR_TOL, _pair_angles, chart_of_frame
 from grassgeo.geometry import frame_of_chart, transport_to_origin
 from grassgeo.kernels import (
     EnergySpec,
@@ -213,6 +214,47 @@ class TestCayleyDiastasis:
         z2 = ChartPoint(g24, np.array([[-1e-9, 0.0], [0.0, -1e-9]]))
         with pytest.raises(DiastasisUndefinedError):
             diastasis(g24, z1, z2)
+
+
+def _pair_at_cosine(rng, space, cosine):
+    """Chart points of two compact planes whose smallest cosine is `cosine`, the other
+    min(n, m) - 1 cosines drawn in [1/2, 1], so their product stays above 1e-12 when
+    `cosine` does: O and a plane built with those cosines with O, both turned by one
+    random unitary of C^{n+m}, which keeps the angles."""
+    n, m, r = space.n, space.m, space.rank
+    c = np.ones(n)
+    c[:r] = np.concatenate([[cosine], rng.uniform(0.5, 1.0, r - 1)])
+    U, Vh, Q = random_unitary(rng, n), random_unitary(rng, n), random_unitary(rng, m)
+    F2 = np.vstack([(U * c) @ Vh, (Q[:, :r] * np.sqrt(1.0 - c[:r] ** 2)) @ Vh[:r]])
+    g = random_unitary(rng, space.N)
+    return [chart_of_frame(Frame(space, g @ F)) for F in (origin_frame(space).F, F2)]
+
+
+class TestDiastasisDomain:
+    """Compact D(Z1, Z2) is undefined exactly where Z2's plane leaves Z1's chart: where the
+    smallest cosine of their angles is below CHART_SINGULAR_TOL, as for the chart map."""
+
+    def test_undefined_iff_smallest_cosine_iff_plucker_oracle(self):
+        rng = np.random.default_rng(32)
+        for n in range(1, 4):
+            for m in range(1, 4):
+                space = GrassmannSpace(n, m, 1)
+                # I + Z1 Z2^dagger = I - E E^dagger, E = eye(n, m): min(n, m) zero cosines
+                polar = [ChartPoint(space, s * np.eye(n, m)) for s in (2.0, -0.5)]
+                cases = [(0.0, polar)] + [(c, _pair_at_cosine(rng, space, c))
+                                          for c in (0.0, 1e-13, 1e-11) for _ in range(3)]
+                for cosine, pair in cases:
+                    oracle = abs(plucker_overlap_oracle(*map(frame_of_chart, pair)))
+                    for z1, z2 in (pair, pair[::-1]):
+                        try:
+                            D = diastasis(space, z1, z2)
+                        except DiastasisUndefinedError:
+                            D = None
+                        smallest = _pair_angles(1, z1.Z, z2.Z)[1][-1]
+                        found = (D is None, smallest < CHART_SINGULAR_TOL,
+                                 oracle < CHART_SINGULAR_TOL)
+                        assert found == (cosine < 1e-12,) * 3, (n, m, cosine)
+                        assert D is None or D > 50.0  # -2 log 1e-11 = 50.66
 
 
 class TestPlucker:

@@ -190,7 +190,7 @@ def test_numpy_linalg_use_in_src():
 
 # (module, text, its replacement): each puts back a use that the scan refuses
 MUTATIONS = [
-    ("geometry", "theta = _angles(s, _svdvals(C))", "theta = np.arcsin(np.minimum(s, 1.0))"),
+    ("geometry", "theta = _angles(s, c)", "theta = np.arcsin(np.minimum(s, 1.0))"),
     ("loci", "import numpy as np\n", "import numpy as np\nfrom numpy import arcsin\n"),
     ("kernels", "import numpy as np\n", "import numpy as np\n_inv = np.linalg.inv\n"),
     ("linalg", "return _svd(M, compute_uv=False)", "return np.linalg.svd(M, compute_uv=False)"),

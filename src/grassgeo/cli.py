@@ -7,7 +7,8 @@ schubert; their --tol overrides both.
 
 Each cmd_* handler returns its result: a document for jsonio.dumps, or the CSV
 text of conjugate-scan.  main alone writes stdout, once, after the command has
-finished, so a failed command prints only its error object.
+finished, so a failed command prints only its error object.  main is the in-process
+API; a process (`python -m grassgeo.cli`, the grassgeo script) ends through run.
 
 Each process runs one subcommand, so its cold start is mostly imports.  At
 module level this file imports only what every subcommand needs: geometry,
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import os
 import re
@@ -31,11 +33,14 @@ import numpy as np
 from . import geometry, jsonio
 from .errors import GrassGeoError, PreconditionError, UnsupportedSpaceError
 from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, check_bounded
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_enumeration_size
 
 # points run in stacked chunks of bounded memory; on one core of a shared two-core x86-64 Xeon
 # a G_3(C^6) point costs 0.17 to 0.29 ms, so 10000 points take 1.7 to 2.9 s there
 MAX_SCAN_POINTS = 10_000
+# points times 4nm (n+m)^2 projection entries a point, 1296 on G_3(C^6); on that core each scan
+# at this bound, from 14 points of G_15(C^31) to 10000 of G_3(C^6), took 1.0 to 1.4 s as a process
+MAX_SCAN_ENTRIES = MAX_SCAN_POINTS * 1296
 # every negative float (-6e-1, -inf, -nan) is a value, not an option; 3.13's argparse takes digits
 _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
@@ -212,6 +217,8 @@ def cmd_conjugate_scan(space, args):
 
     if not 1 <= args.points <= MAX_SCAN_POINTS:
         _usage_error(f"--points must lie in [1, {MAX_SCAN_POINTS}], got {args.points}")
+    work = args.points * 4 * space.n * space.m * space.N**2
+    check_enumeration_size(work, "conjugate-scan projection entries", MAX_SCAN_ENTRIES)
     h = _cartan(args)
     B = loci.cartan_to_tangent(space, h)
     times = loci.tangent_conjugate_times(space, h, args.tmax)
@@ -299,6 +306,8 @@ def cmd_energy(space, args):
 def _spec(space: GrassmannSpace, args):
     from .kernels import EnergySpec
 
+    if not args.eps:
+        check_enumeration_size(space.N, "default eps weights")
     return EnergySpec(args.eps or np.arange(space.N, 0, -1, dtype=float))
 
 
@@ -428,5 +437,13 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    try:
+        sys.exit(main())
+    finally:
+        # the process ends next, so teardown need not traverse what the run built
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -219,6 +219,7 @@ def cartan_to_tangent(space: GrassmannSpace, h: CartanVector) -> TangentVector:
     r = space.rank
     if h.h.size != r:
         raise PreconditionError(f"h must have length r = {r}")
+    check_enumeration_size(space.n * space.m, "tangent entries")
     B = np.zeros((space.n, space.m), dtype=complex)
     B[np.arange(r), np.arange(r)] = h.h
     return TangentVector(space, B)

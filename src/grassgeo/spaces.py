@@ -163,9 +163,10 @@ def origin_frame(space: GrassmannSpace) -> Frame:
     return coordinate_plane_frame(space, range(space.n))
 
 
-def check_enumeration_size(count: int, what: str) -> None:
+def check_enumeration_size(count: int, what: str, limit: int | None = None) -> None:
     """Raise EnumerationSizeError when an enumeration of count coordinate
     planes, cells or minors, or a dense array of count entries that the size of
-    the space alone sets, not yet built, would exceed MAX_CELLS."""
-    if count > MAX_CELLS:
-        raise EnumerationSizeError(f"{what} of size {count} exceeds {MAX_CELLS}")
+    the space alone sets, not yet built, would exceed limit, MAX_CELLS by default."""
+    limit = MAX_CELLS if limit is None else limit
+    if count > limit:
+        raise EnumerationSizeError(f"{what} of size {count} exceeds {limit}")

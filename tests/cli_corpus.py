@@ -7,8 +7,9 @@ dual radii up to 1 - 1e-6 and Z2 = (1 - 1e-12) I, pairs 1e-8 apart, seeds and
 built frames with small cosines at several tols, dual scans past
 DEXP_DUAL_LIMIT, and the typed-error and usage-error cases.  `strata` runs also
 on (4, 1) and (4, 2), where n - m angles with O are forced to zero, and on the
-shapes (1, 4) and (2, 4) of their complements.  Compact pairs whose overlap is
-below 1e-12 run off, just off and on the polar divisor.
+shapes (1, 4) and (2, 4) of their complements.  On (4, 4), (1, 4) and (4, 1)
+one entry of each pointwise command runs on both signs.  Compact pairs whose
+overlap is below 1e-12 run off, just off and on the polar divisor.
 Inputs come from numpy's own seeded Generator, not from grassgeo.sampling, so
 the builder also runs against an older grassgeo.  Each command runs in process through
 cli.main, in a scratch working directory that holds its documents under
@@ -40,6 +41,7 @@ import numpy as np
 DIGESTS = Path(__file__).with_name("cli_corpus.json")
 SHAPES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
 STRATA_SHAPES = [(4, 1), (4, 2), (1, 4), (2, 4)]
+FOUR_SHAPES = [(4, 4), (1, 4), (4, 1)]
 KINDS = ("compact", "noncompact")
 # argparse wraps its usage text at the terminal width
 FIXED_ENV = {"COLUMNS": "80", "LINES": "24", "GRASSGEO_TOL": None}
@@ -231,6 +233,26 @@ def _strata_entries(n, m):
         yield Entry(f"strata {tag} {label}", ("strata", *sp, "--frame", "F.json"), files)
 
 
+def _four_entries(n, m, kind):
+    """One of each pointwise command on a shape with n or m = 4, as pair-sweep runs them."""
+    sp, tag = ("--space", str(n), str(m), kind), f"{n}x{m} {kind}"
+    rng = _rng("four", n, m, kind)
+    files = {"B.json": doc(_with_norm(rng, n, m, 0.9))}
+    yield Entry(f"exp {tag}", ("exp", *sp, "--input", "B.json"), files)
+    files = {"Z.json": doc(_with_norm(rng, n, m, 0.5))}
+    yield Entry(f"log {tag}", ("log", *sp, "--input", "Z.json"), files)
+    files = {"z1.json": doc(_with_norm(rng, n, m, 0.5)), "z2.json": doc(_with_norm(rng, n, m, 0.6))}
+    compact = kind == "compact"  # cayley, plucker and cut-test refuse the dual
+    for command in ("overlap", "distance", "diastasis") + ("cayley",) * compact:
+        yield Entry(f"{command} {tag}", (command, *sp, "--z1", "z1.json", "--z2", "z2.json"), files)
+    for command in ("plucker", "cut-test") * compact:
+        yield Entry(f"{command} {tag} seed=0", (command, *sp, "--seed", "0"))
+    h = ("--h", *(repr(float(x)) for x in rng.standard_normal(min(n, m))))
+    yield Entry(f"conjugate-times {tag}", ("conjugate-times", *sp, *h, "--tmax", "3"))
+    argv = ("conjugate-scan", *sp, *h, "--tmax", "3", "--points", "5")
+    yield Entry(f"conjugate-scan {tag}", argv)
+
+
 def _algebra_entries(n, m, kind, sp, tag):
     rng = _rng("algebra", n, m, kind)
     eps = [repr(float(x)) for x in rng.standard_normal(n + m)]
@@ -319,6 +341,9 @@ def entries() -> list[Entry]:
                 out += group(n, m, kind, sp, tag)
     for n, m in STRATA_SHAPES:
         out += _strata_entries(n, m)
+    for n, m in FOUR_SHAPES:
+        for kind in KINDS:
+            out += _four_entries(n, m, kind)
     out += _divisor_entries()
     out += BAD_INPUTS
     assert len({e.id for e in out}) == len(out), "corpus ids must be distinct"

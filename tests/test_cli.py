@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cli_corpus
-from grassgeo import geometry, jsonio
+from grassgeo import geometry, jsonio, loci
 from conftest import CLI, run_main, run_process, write_doc
 
 
@@ -61,12 +61,19 @@ class TestEntryPoint:
             ["conjugate-scan", "--space", "1", "3000", "compact", "--h", "1", "--tmax", "1",
              "--points", "1"],
             ["cut-test", "--space", "1", "1000000000000", "compact", "--seed", "0"],
+            ["critical-points", "--space", "1", "1000000000000", "compact"],
+            ["char-numbers", "--space", "1", "1000000000000", "compact"],
+            ["conjugate-scan", "--space", "1", "1000000000000", "compact", "--h", "1",
+             "--tmax", "1", "--points", "1"],
         ],
-        ids=["schubert-flag-basis", "conjugate-scan-dexp-stack", "cut-test-random-frame"],
+        ids=["schubert-flag-basis", "conjugate-scan-dexp-stack", "cut-test-random-frame",
+             "critical-points-default-eps", "char-numbers-default-eps",
+             "conjugate-scan-cartan-tangent"],
     )
     def test_arrays_that_only_the_space_sizes_are_refused(self, argv):
-        # they would take 149 GiB, 1.57 TiB and 7.3 TiB; the child has 2 GiB of address
-        # space, so an allocation that is not refused fails at once with a traceback
+        # they would take 149 GiB, 1.57 TiB, 7.3 TiB, 7.3 TiB, 7.3 TiB and 14.6 TiB; the child
+        # has 2 GiB of address space, so an allocation that is not refused fails at once with
+        # a traceback
         limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
                    "from grassgeo.cli import main; sys.exit(main(sys.argv[1:]))")
         out = run_process(["-c", limited, *argv])
@@ -874,6 +881,21 @@ class TestInputHoles:
         )
         assert (got[0], '"PreconditionError"' in got[1]) == (1, True)
         assert got == want
+
+
+def test_a_scan_is_refused_on_its_total_work(monkeypatch):
+    # a G_4(C^8) point has 4nm (n+m)^2 = 4096 projection entries: 3164 points fit in the
+    # work of 10000 G_3(C^6) points of 1296 each, and 3165 are refused before any point runs
+    ran = []
+    monkeypatch.setattr(loci, "_dexp_scan", lambda space, B, ts: ran.append(len(ts)) or ts)
+    assert run_main(["conjugate-scan", "--space", "3", "3", "compact", "--h", "1", "1", "1",
+                     "--tmax", "1", "--points", "10000"])[0] == 0
+    g48 = ["conjugate-scan", "--space", "4", "4", "compact", "--h", "1", "1", "1", "1",
+           "--tmax", "1", "--points"]
+    assert run_main([*g48, "3164"])[0] == 0
+    code, out, err = run_main([*g48, "3165"])
+    assert (code, err, json.loads(out)["error"]["type"]) == (1, "", "EnumerationSizeError")
+    assert ran == [10000, 3164]
 
 
 def test_scan_flags_every_point_near_a_predicted_time():

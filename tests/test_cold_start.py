@@ -6,11 +6,15 @@ only what every subcommand needs (geometry, jsonio, spaces, errors, linalg),
 and each handler imports the rest of what it uses.  A fresh child per command
 shows what that command loads by itself: in one test process a handler could
 pass only because an earlier test loaded its module.  Each child runs the
-cli module as `python -m` does and, at exit, writes the names in sys.modules to
+cli module as `python -m` does and, at exit, writes the number of objects
+gc.freeze moved out of the collector's reach and the names in sys.modules to
 stderr after a NUL byte, the only byte of stderr the test does not expect.
+A process ends through cli.run, which freezes its heap so that teardown does
+not collect it; cli.main, the in-process API, never touches gc.
 """
 
 import contextlib
+import gc
 import importlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +24,7 @@ import numpy as np
 import pytest
 
 import grassgeo
-from grassgeo import geometry
+from grassgeo import cli, geometry
 from conftest import run_main, run_process, write_doc
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -29,10 +33,12 @@ try:
     workloads = importlib.import_module("workloads")  # the benchmark's cli-cold mix
 finally:
     sys.path.remove(PERFBENCH)
-# at exit, a child lists its modules on stderr after a NUL byte
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# at exit, a child writes its freeze count and its modules on stderr after a NUL byte
 LIST_MODULES = (
-    "import atexit, sys\n"
-    "atexit.register(lambda: sys.stderr.write('\\0' + ' '.join(sorted(sys.modules))))\n"
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write("
+    "'\\0' + ' '.join([str(gc.get_freeze_count()), *sorted(sys.modules)])))\n"
 )
 RUN_CLI = "import runpy\nrunpy.run_module('grassgeo.cli', run_name='__main__', alter_sys=True)\n"
 # no cold start loads scipy or the test tools
@@ -100,12 +106,14 @@ def _subcommand_argvs(docs):
 
 def _child(code, args=()):
     """(exit code, stdout, stderr before the module list, grassgeo submodules
-    loaded, every top-level package loaded) of a fresh `python -c code *args`."""
+    loaded, every top-level package loaded, objects frozen at exit) of a fresh
+    `python -c code *args`."""
     out = run_process(["-c", LIST_MODULES + code, *args])
-    stderr, _, modules = out.stderr.rpartition(b"\0")
-    modules = modules.decode().split()
+    stderr, _, listing = out.stderr.rpartition(b"\0")
+    frozen, *modules = listing.decode().split()
     ours = {m.split(".", 1)[1] for m in modules if m.startswith("grassgeo.")}
-    return out.returncode, out.stdout, stderr, ours, {m.split(".")[0] for m in modules}
+    packages = {m.split(".")[0] for m in modules}
+    return out.returncode, out.stdout, stderr, ours, packages, int(frozen)
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +144,34 @@ CASE_IDS = sorted(NEEDS) + [f"cli-cold-{label}" for label in workloads.CLI_LABEL
 
 @pytest.mark.parametrize("case", CASE_IDS)
 def test_a_cold_command_loads_only_what_its_handler_needs(cases, case):
-    argv, (code, stdout, stderr, ours, packages) = cases[case]
+    argv, (code, stdout, stderr, ours, packages, frozen) = cases[case]
     assert ours == _needs(argv), argv
     assert not HEAVY & packages
     assert stderr == b""
     # the bytes of an in-process run, where every module may already be loaded
     assert (code, stdout.decode()) == run_main(argv)[:2]
+    assert frozen > 0  # the process ended through cli.run, exit 1 included
+
+
+def test_a_usage_error_ends_through_run_too():
+    argv = ["exp", "--space", "1", "1", "compcat"]
+    code, stdout, stderr, _, _, frozen = _child(RUN_CLI, argv)
+    assert (code, stdout.decode(), stderr.decode()) == run_main(argv)
+    assert code == 2 and stderr.startswith(b"usage error:") and frozen > 0
+
+
+def test_an_in_process_run_leaves_the_collector_as_it_was(tmp_path):
+    before = gc.get_freeze_count(), gc.isenabled()
+    for label, argv, expected in workloads._cli_command_list(1, tmp_path, contextlib.nullcontext):
+        assert run_main(argv)[0] == expected, label
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_script_runs_the_same_entry_as_python_m():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    target = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]["grassgeo"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 def test_every_subcommand_is_covered(cases):
@@ -164,11 +194,12 @@ def test_every_subcommand_is_covered(cases):
     ids=["grassgeo", "grassgeo.cli", "exp0", "submodule"],
 )
 def test_a_cold_import_loads_only_what_it_names(statement, loaded):
-    code, stdout, stderr, ours, packages = _child(statement)
+    code, stdout, stderr, ours, packages, frozen = _child(statement)
     assert (code, stdout, stderr) == (0, b"", b"")
     assert ours == loaded
     assert not HEAVY & packages
     assert ("numpy" in packages) == bool(loaded)
+    assert frozen == 0  # only cli.run freezes; importing cli does not
 
 
 # ---------------------------------------------------------------- package contract

@@ -177,6 +177,11 @@ class TestCartanEmbedding:
         B = cartan_to_tangent(sp, CartanVector([0.8, 0.6]))
         assert B.norm == pytest.approx(1.0)
 
+    def test_size_refused_before_the_zeros(self):
+        # 10^12 complex entries would take 14.6 TiB
+        with pytest.raises(EnumerationSizeError, match="tangent entries"):
+            cartan_to_tangent(GrassmannSpace(1, 10**12, 1), CartanVector([1.0]))
+
 
 class TestDexp:
     def test_identity_like_near_zero(self):

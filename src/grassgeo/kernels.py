@@ -19,7 +19,6 @@ from .errors import (
     ConsistencyError,
     DegenerateSpectrumError,
     DiastasisUndefinedError,
-    EnumerationSizeError,
     NumericalFailure,
     PreconditionError,
     UnsupportedSpaceError,
@@ -155,11 +154,7 @@ def plucker_embed(F: Frame) -> PluckerVector:
     n, N = F.space.n, F.space.N
     count = math.comb(N, n)
     check_enumeration_size(count, "Plucker embedding")
-    if count * n * n > MAX_PLUCKER_ENTRIES:
-        raise EnumerationSizeError(
-            f"Plucker embedding: {count} minors of size {n} need {count * n * n} "
-            f"entries, more than {MAX_PLUCKER_ENTRIES}"
-        )
+    check_enumeration_size(count * n * n, "Plucker minor entries", MAX_PLUCKER_ENTRIES)
     return PluckerVector(n, N, _det(F.F[_subset_rows(N, n)], "Plucker minors are not finite"))
 
 
@@ -186,9 +181,9 @@ def plucker_overlap_oracle(F1: Frame, F2: Frame) -> complex:
     return ip / (np.linalg.norm(p1) * np.linalg.norm(p2))
 
 
-def _check_energy(space: GrassmannSpace, spec: EnergySpec) -> None:
+def _check_energy(space: GrassmannSpace, spec: EnergySpec, what: str = "energy function") -> None:
     if not space.compact:
-        raise UnsupportedSpaceError("energy function implemented for the compact space")
+        raise UnsupportedSpaceError(f"{what} implemented for the compact space")
     if spec.eps.size != space.N:
         raise PreconditionError(f"eps must have length {space.N}")
 
@@ -245,10 +240,7 @@ def critical_points(space: GrassmannSpace, spec: EnergySpec):
     A = diag(eps): the residual A F - F (F^dagger A F) must vanish, i.e. A
     maps the plane into itself.
     """
-    if not space.compact:
-        raise UnsupportedSpaceError("critical points implemented for the compact space")
-    if spec.eps.size != space.N:
-        raise PreconditionError(f"eps must have length {space.N}")
+    _check_energy(space, spec, "critical points")
     spec.require_distinct()
     check_enumeration_size(math.comb(space.N, space.n), "critical point enumeration")
     out = []

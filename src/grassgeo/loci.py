@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, EnumerationSizeError, PreconditionError
+from .errors import ConsistencyError, PreconditionError
 from .geometry import CHART_SINGULAR_TOL, _chart_factors, _chart_of_rows
 from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, ORTHONORMALITY_TOL, _angles, _principal_angles
 from .linalg import _det, _numbers, _svd, _svdvals, as_matrix, check_bounded, check_gram
@@ -159,6 +159,14 @@ def disjoint_union_check(
     return DisjointUnionResult("chart", det_val, _chart_of_rows(space, top_svd, F.bottom))
 
 
+def _cartan_rank(space: GrassmannSpace, h: CartanVector) -> int:
+    """The rank r = min(n, m) of space, which must be the length of h."""
+    r = space.rank
+    if h.h.size != r:
+        raise PreconditionError(f"h must have length r = {r}")
+    return r
+
+
 def tangent_conjugate_times(
     space: GrassmannSpace, h: CartanVector, t_max: float
 ) -> list[ConjugateTime]:
@@ -171,9 +179,7 @@ def tangent_conjugate_times(
     curvature, so its list is empty.
     """
     check_positive_finite(t_max, "t_max")
-    r = space.rank
-    if h.h.size != r:
-        raise PreconditionError(f"h must have length r = {r}")
+    r = _cartan_rank(space, h)
     if not space.compact:
         return []
     hv = h.h
@@ -186,13 +192,9 @@ def tangent_conjugate_times(
         series += [(abs(hv[p]), "T3", 2 * abs(space.m - space.n), (p,)) for p in range(r)]
     series = [s for s in series if s[0] >= 1e-14]
 
-    # Python floats: an overflowing product is inf without a warning
-    count = sum(np.floor(t_max * float(s[0]) / np.pi) for s in series)
-    if count > MAX_CONJUGATE_TIMES:
-        raise EnumerationSizeError(
-            f"about {count:.3g} conjugate times up to t_max; "
-            f"at most {MAX_CONJUGATE_TIMES} are listed"
-        )
+    # each denominator is at most 2, so t_max / pi times it stays finite and floors to an int
+    count = sum(int(t_max / np.pi * float(s[0])) for s in series)
+    check_enumeration_size(count, "conjugate time list", MAX_CONJUGATE_TIMES)
     raw = []
     for denom, family, mult, indices in series:
         lam = 1
@@ -216,9 +218,7 @@ def tangent_conjugate_times(
 
 def cartan_to_tangent(space: GrassmannSpace, h: CartanVector) -> TangentVector:
     """Diagonal embedding of a Cartan vector: B_ii = h_i, zeros elsewhere."""
-    r = space.rank
-    if h.h.size != r:
-        raise PreconditionError(f"h must have length r = {r}")
+    r = _cartan_rank(space, h)
     check_enumeration_size(space.n * space.m, "tangent entries")
     B = np.zeros((space.n, space.m), dtype=complex)
     B[np.arange(r), np.arange(r)] = h.h

@@ -54,10 +54,6 @@ class GrassmannSpace:
     def compact(self) -> bool:
         return self.epsilon == 1
 
-    def j_matrix(self) -> np.ndarray:
-        """Indefinite metric J = diag(I_n, -I_m) of the noncompact realization."""
-        return np.diag(np.concatenate([np.ones(self.n), -np.ones(self.m)]))
-
 
 def _store_matrix(obj, attr: str, name: str, shape: tuple) -> np.ndarray:
     """Replace obj.attr by as_matrix(obj.attr, name), which must have the given shape."""
@@ -164,9 +160,11 @@ def origin_frame(space: GrassmannSpace) -> Frame:
 
 
 def check_enumeration_size(count: int, what: str, limit: int | None = None) -> None:
-    """Raise EnumerationSizeError when an enumeration of count coordinate
-    planes, cells or minors, or a dense array of count entries that the size of
-    the space alone sets, not yet built, would exceed limit, MAX_CELLS by default."""
+    """Raise EnumerationSizeError, and the only place that does, when an
+    enumeration of count coordinate planes, cells, minors or conjugate times,
+    or a dense array of count entries, not yet built, would exceed limit,
+    MAX_CELLS by default.  The size of the space sets most counts; t_max sets
+    the conjugate times, and --points the conjugate-scan entries."""
     limit = MAX_CELLS if limit is None else limit
     if count > limit:
         raise EnumerationSizeError(f"{what} of size {count} exceeds {limit}")

@@ -12,7 +12,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .errors import ConsistencyError, EnumerationSizeError, PreconditionError
+from .errors import ConsistencyError
 from .kernels import EnergySpec, critical_points, plucker_embed
 from .loci import SchubertSymbol
 from .spaces import GrassmannSpace, check_enumeration_size, coordinate_plane_frame
@@ -46,16 +46,14 @@ class CharacteristicReport:
 
 def euler_characteristic(n: int, m: int) -> int:
     """Weyl group order ratio (n+m)! / (n! m!) for the Grassmannian."""
-    if n < 1 or m < 1:
-        raise PreconditionError("n and m must be >= 1")
-    return math.comb(n + m, n)
+    space = GrassmannSpace(n, m)
+    return math.comb(space.N, space.n)
 
 
 def weyl_group_ratio(n: int, m: int) -> int:
     """The same number computed as the explicit factorial quotient."""
-    if n < 1 or m < 1:
-        raise PreconditionError("n and m must be >= 1")
-    return math.factorial(n + m) // (math.factorial(n) * math.factorial(m))
+    space = GrassmannSpace(n, m)
+    return math.factorial(space.N) // (math.factorial(space.n) * math.factorial(space.m))
 
 
 def fundamental_rep_dim(n: int, m: int) -> int:
@@ -63,9 +61,10 @@ def fundamental_rep_dim(n: int, m: int) -> int:
     dimension formula prod_{i<j} (l_i - l_j + j - i) / (j - i) for its highest
     weight l = (1^n, 0^m), in exact integers: only the pairs i < n <= j have
     l_i != l_j, and each gives (j - i + 1) / (j - i)."""
+    space = GrassmannSpace(n, m)
     num = den = 1
-    for i in range(n):
-        for j in range(n, n + m):
+    for i in range(space.n):
+        for j in range(space.n, space.N):
             num *= j - i + 1
             den *= j - i
     return num // den
@@ -98,10 +97,7 @@ def orthogonal_coherent_count(space: GrassmannSpace) -> int:
 
 def _check_orthogonal_count(space: GrassmannSpace) -> None:
     count = math.comb(space.N, space.n)
-    if count > MAX_ORTHOGONAL_PLANES:
-        raise EnumerationSizeError(
-            f"orthogonal coherent states: {count} planes exceed {MAX_ORTHOGONAL_PLANES}"
-        )
+    check_enumeration_size(count, "orthogonal coherent planes", MAX_ORTHOGONAL_PLANES)
 
 
 def characteristic_report(n: int, m: int, spec: EnergySpec) -> CharacteristicReport:

@@ -5,9 +5,10 @@ subcommand.  `entries()` lists a fixed set of commands over all 17
 subcommands, both signs and n, m <= 3: compact chart norms from 0 to 1e100,
 dual radii up to 1 - 1e-6 and Z2 = (1 - 1e-12) I, pairs 1e-8 apart, seeds and
 built frames with small cosines at several tols, dual scans past
-DEXP_DUAL_LIMIT, and the typed-error and usage-error cases.  `strata` runs also
-on (4, 1) and (4, 2), where n - m angles with O are forced to zero, and on the
-shapes (1, 4) and (2, 4) of their complements.  On (4, 4), (1, 4) and (4, 1)
+DEXP_DUAL_LIMIT, the typed-error and usage-error cases, and one refusal of
+each size cap.  `strata` runs also on (4, 1) and (4, 2), where n - m angles
+with O are forced to zero, and on the shapes (1, 4) and (2, 4) of their
+complements.  On (4, 4), (1, 4) and (4, 1)
 one entry of each pointwise command runs on both signs.  Compact pairs whose
 overlap is below 1e-12 run off, just off and on the polar divisor.
 Inputs come from numpy's own seeded Generator, not from grassgeo.sampling, so
@@ -327,6 +328,20 @@ BAD_INPUTS = [
     Entry("missing --z2", ("distance", *G22, "--z1", "z1.json")),
     Entry("cayley on the dual", ("cayley", "--space", "1", "1", "noncompact", "--z1", "z1.json",
                                  "--z2", "z1.json"), {"z1.json": doc([[0.5]])}),
+    # one refusal of each size cap, before what it caps is built
+    Entry("plucker 9x11 over MAX_PLUCKER_ENTRIES",
+          ("plucker", "--space", "9", "11", "compact", "--seed", "0")),
+    Entry("char-numbers 7x7 over MAX_ORTHOGONAL_PLANES",
+          ("char-numbers", "--space", "7", "7", "compact")),
+    Entry("conjugate-times tmax=1e7 over MAX_CONJUGATE_TIMES",
+          ("conjugate-times", *G22, "--h", "0.6", "0.8", "--tmax", "1e7")),
+    Entry("conjugate-scan 3x4 points=10000 over MAX_SCAN_ENTRIES",
+          ("conjugate-scan", "--space", "3", "4", "compact", "--h", "1", "1", "1", "--tmax", "3",
+           "--points", "10000")),
+    Entry("schubert 100x100 flag stack over MAX_CELLS",
+          ("schubert", "--space", "100", "100", "compact", "--seed", "0")),
+    Entry("cut-test 1000x1000 seed frame over MAX_CELLS",
+          ("cut-test", "--space", "1000", "1000", "compact", "--seed", "0")),
 ]
 
 

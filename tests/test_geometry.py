@@ -617,7 +617,7 @@ class TestTransport:
     def test_noncompact_is_j_unitary(self, g24_dual, rng):
         p = random_chart_point_rng(g24_dual, rng)
         g = transport_to_origin(g24_dual, p)
-        J = g24_dual.j_matrix()
+        J = np.diag([1.0, 1.0, -1.0, -1.0])
         assert np.max(np.abs(g.conj().T @ J @ g - J)) < 1e-9
         moved = Frame(g24_dual, g @ frame_of_chart(p).F)
         assert np.max(np.abs(moved.F[2:] @ np.linalg.inv(moved.F[:2]))) < 1e-9

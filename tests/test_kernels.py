@@ -270,7 +270,7 @@ class TestPlucker:
         monkeypatch.setattr(kernels, "MAX_PLUCKER_ENTRIES", 24)
         assert plucker_embed(origin_frame(g24)).components.size == 6
         monkeypatch.setattr(kernels, "MAX_PLUCKER_ENTRIES", 23)
-        with pytest.raises(EnumerationSizeError, match="24 entries"):
+        with pytest.raises(EnumerationSizeError, match="entries of size 24 exceeds 23"):
             plucker_embed(origin_frame(g24))
 
     def test_origin_components(self, g24):

@@ -1,5 +1,6 @@
 """A static scan of how src/grassgeo calls numpy.linalg, and numpy's arcsin,
-and of what its package and CLI modules import at module level.
+of what its package and CLI modules import at module level, and of where it
+raises its size refusal and three of its precondition messages.
 
 The package takes no matrix inverse, linear solve, Hermitian eigensolver,
 least squares or Cholesky factor: every spectral step goes through one SVD
@@ -14,6 +15,9 @@ sampling only inside the handlers that need them.
 
 cli has one output boundary: nothing outside main touches sys.stdout, and no
 print goes anywhere but file=sys.stderr.
+
+Each contract has one check: spaces.check_enumeration_size alone raises
+EnumerationSizeError, and each message of ONE_RAISE is raised by one function.
 """
 
 import ast
@@ -34,13 +38,21 @@ NOT_AT_MODULE_LEVEL = {
                  "sampling", "spaces", "topology"},
     "cli": {"kernels", "loci", "topology", "sampling"},
 }
+# the only function that raises EnumerationSizeError
+SIZE_REFUSAL = ("spaces", "check_enumeration_size")
+# message -> the one (module, function) that raises it, at one site
+ONE_RAISE = {
+    "n and m must be >= 1": ("spaces", "GrassmannSpace.__post_init__"),
+    "eps must have length": ("kernels", "_check_energy"),
+    "h must have length r": ("loci", "_cartan_rank"),
+}
 
 
-class _Uses(ast.NodeVisitor):
-    """Every numpy.linalg.<name> of one module, with the function it sits in."""
+class _Scoped(ast.NodeVisitor):
+    """Records what one module does, with the function it sits in."""
 
     def __init__(self, module):
-        self.module, self.scope, self.numpy, self.found = module, [], set(), []
+        self.module, self.scope, self.found = module, [], []
 
     def _record(self, name, node):
         self.found.append((name, (self.module, ".".join(self.scope)), node.lineno))
@@ -51,6 +63,27 @@ class _Uses(ast.NodeVisitor):
         self.scope.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+
+class _Raises(_Scoped):
+    """Every raise of one module, as (exception name, the constant text of its
+    first argument); an f-string's placeholders are left out."""
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        args = node.exc.args if isinstance(node.exc, ast.Call) else []
+        parts = args[0].values if args and isinstance(args[0], ast.JoinedStr) else args[:1]
+        text = "".join(str(p.value) for p in parts if isinstance(p, ast.Constant))
+        self._record((getattr(exc, "id", getattr(exc, "attr", None)), text), node)
+        self.generic_visit(node)
+
+
+class _Uses(_Scoped):
+    """Every numpy.linalg.<name> of one module, with the function it sits in."""
+
+    def __init__(self, module):
+        super().__init__(module)
+        self.numpy = set()
 
     def visit_Import(self, node):
         for alias in node.names:
@@ -94,13 +127,34 @@ def _sources():
     }
 
 
-def _numpy_uses(sources):
-    uses = []
+def _found(visitor, sources):
+    """(what, (module, function), "module.py:line") of every record of visitor over sources."""
+    found = []
     for module, text in sources.items():
-        visitor = _Uses(module)
-        visitor.visit(ast.parse(text))
-        uses += [(name, where, f"{module}.py:{line}") for name, where, line in visitor.found]
-    return uses
+        scan = visitor(module)
+        scan.visit(ast.parse(text))
+        found += [(what, where, f"{module}.py:{line}") for what, where, line in scan.found]
+    return found
+
+
+def _numpy_uses(sources):
+    return _found(_Uses, sources)
+
+
+def _raise_violations(sources):
+    raises = _found(_Raises, sources)
+    bad = [
+        f"{at} raise EnumerationSizeError outside {'.'.join(SIZE_REFUSAL)}"
+        for (name, _), where, at in raises
+        if name == "EnumerationSizeError" and where != SIZE_REFUSAL
+    ]
+    for message, home in ONE_RAISE.items():
+        sites = [(where, at) for (_, text), where, at in raises if message in text]
+        bad += [f"{at} raises {message!r} outside {'.'.join(home)}"
+                for where, at in sites if where != home]
+        if [where for where, _ in sites].count(home) != 1:
+            bad.append(f"{home[0]}.py: {'.'.join(home)} must raise {message!r} once")
+    return bad
 
 
 def _module_level_imports(text):
@@ -167,7 +221,7 @@ def _violations(sources):
             bad.append(f"{at} {name}")
         elif name in CONFINED and where not in CONFINED[name]:
             bad.append(f"{at} {name} outside {sorted(CONFINED[name])}")
-    return bad
+    return bad + _raise_violations(sources)
 
 
 def test_the_scan_sees_the_calls_it_confines():
@@ -180,11 +234,18 @@ def test_the_scan_sees_the_calls_it_confines():
     assert [(scope, what) for scope, _, what in _stdout_uses(sources["cli"])] == [
         ("main", "sys.stdout")
     ]
+    raises = _found(_Raises, sources)
+    assert [where for (name, _), where, _ in raises if name == "EnumerationSizeError"] == [
+        SIZE_REFUSAL
+    ]
 
 
 def test_numpy_linalg_use_in_src():
     bad = _violations(_sources())
-    message = "numpy used, a module imported or stdout written where the package forbids it: "
+    message = (
+        "numpy used, a module imported, stdout written or an error raised "
+        "where the package forbids it: "
+    )
     assert not bad, message + "; ".join(bad)
 
 
@@ -205,6 +266,30 @@ MUTATIONS = [
         '    sys.stdout.write(jsonio.dumps(out) + "\\n")',
     ),
     ("cli", 'print(f"usage error: {message}", file=sys.stderr)', 'print(f"error: {message}")'),
+    (
+        "kernels",
+        '    check_enumeration_size(count * n * n, "Plucker minor entries", MAX_PLUCKER_ENTRIES)\n',
+        "    if count * n * n > MAX_PLUCKER_ENTRIES:\n"
+        '        raise EnumerationSizeError(f"{count * n * n} entries")\n',
+    ),
+    (
+        "topology",
+        "    space = GrassmannSpace(n, m)\n    return math.comb(space.N, space.n)\n",
+        '    if n < 1 or m < 1:\n        raise PreconditionError("n and m must be >= 1")\n'
+        "    return math.comb(n + m, n)\n",
+    ),
+    (
+        "kernels",
+        '    _check_energy(space, spec, "critical points")\n',
+        "    if spec.eps.size != space.N:\n"
+        '        raise PreconditionError(f"eps must have length {space.N}")\n',
+    ),
+    (
+        "loci",
+        "    r = _cartan_rank(space, h)\n    check_enumeration_size",
+        "    r = space.rank\n    if h.h.size != r:\n"
+        '        raise PreconditionError(f"h must have length r = {r}")\n    check_enumeration_size',
+    ),
 ]
 
 

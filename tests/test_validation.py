@@ -250,6 +250,21 @@ def test_unreadable_input_is_a_typed_error(call):
         ),
         pytest.param(lambda: GrassmannSpace(2, 2, 0), "epsilon", id="GrassmannSpace-epsilon-0"),
         pytest.param(lambda: topology.weyl_group_ratio(0, 1), ">= 1", id="weyl_group_ratio-0"),
+        # topology reads (n, m) through GrassmannSpace: 0 and floats never reach math.comb
+        pytest.param(
+            lambda: topology.fundamental_rep_dim(0, 1), ">= 1", id="fundamental_rep_dim-0"
+        ),
+        pytest.param(
+            lambda: topology.fundamental_rep_dim(2.0, 3), "integers",
+            id="fundamental_rep_dim-float",
+        ),
+        pytest.param(
+            lambda: topology.euler_characteristic(2.0, 3), "integers",
+            id="euler_characteristic-float",
+        ),
+        pytest.param(
+            lambda: topology.schubert_cells(1.5, 2), "integers", id="schubert_cells-float"
+        ),
         pytest.param(lambda: jsonio.dumps(None), "NoneType", id="dumps-None"),
     ],
 )

@@ -252,16 +252,13 @@ def cmd_schubert(space, args):
 
     F = _frame_arg(space, args)
     flag = loci.standard_flag(space) if args.flag == "standard" else loci.dual_flag(space)
-    out = {"dims": loci.schubert_dims(F, flag, tol=_tol(args, DEFAULT_RANK_TOL))}
-    if args.omega is not None:
-        symbol = loci.SchubertSymbol(tuple(args.omega), space.m)
-        in_z, generic = loci.schubert_membership(F, symbol, flag)
-        out["omega"] = symbol.omega
-        out["sigma"] = symbol.sigma
-        out["jumps"] = symbol.jumps
-        out["in_variety"] = in_z
-        out["generic"] = generic
-    return out
+    dims = loci.schubert_dims(F, flag, tol=_tol(args, DEFAULT_RANK_TOL))
+    if args.omega is None:
+        return {"dims": dims}
+    symbol = loci.SchubertSymbol(tuple(args.omega), space.m)
+    in_z, generic = loci.schubert_membership(space, dims, symbol)
+    return {"dims": dims, "omega": symbol.omega, "sigma": symbol.sigma, "jumps": symbol.jumps,
+            "in_variety": in_z, "generic": generic}
 
 
 def cmd_strata(space, args):

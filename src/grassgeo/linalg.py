@@ -9,6 +9,7 @@ functions never return them.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,9 +129,9 @@ def apply_spectral(B, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 
 
 def check_positive_finite(x: float, name: str) -> None:
-    """Raise unless 0 < x < inf; written so that NaN fails too, and None or a string."""
+    """Raise unless 0 < x <= the largest float; NaN, None, a string or a larger int fail too."""
     try:
-        ok = 0 < x < np.inf
+        ok = 0 < x <= sys.float_info.max
     except TypeError:
         ok = False
     if not ok:
@@ -152,7 +153,11 @@ def check_bounded(x: float, name: str) -> None:
 def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values exceeding tol * max(1, largest singular value)."""
     check_positive_finite(tol, "rank tolerance")
-    s = _svdvals(as_matrix(M))
+    return _rank(_svdvals(as_matrix(M)), tol)
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """The rank rule of rank_tol on singular values s, nonincreasing, and a tol already checked."""
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 

@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ConsistencyError, PreconditionError
 from .geometry import CHART_SINGULAR_TOL, _chart_factors, _chart_of_rows
 from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, ORTHONORMALITY_TOL, _angles, _principal_angles
-from .linalg import _det, _numbers, _svd, _svdvals, as_matrix, check_bounded, check_gram
-from .linalg import check_positive_finite, rank_tol
+from .linalg import _det, _numbers, _rank, _svd, _svdvals, as_matrix, check_bounded, check_gram
+from .linalg import check_positive_finite
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_enumeration_size
 from .spaces import check_space
 
@@ -363,32 +363,30 @@ def dual_flag(space: GrassmannSpace) -> np.ndarray:
 
 
 def schubert_dims(F: Frame, flag: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[int]:
-    """dim(X intersect C^p) for p = 1..n+m via n + p - rank([F | basis of C^p])."""
+    """dim(X intersect C^p) for p = 1..n+m, n + p - rank([F | basis of C^p]) by rank_tol's
+    rule at tol: the flag and tol are checked once, then each rank is one SVD of leading
+    columns of [F | flag].  schubert_membership decides a symbol on these dims."""
     flag = as_matrix(flag, "flag basis")
     N, n = F.space.N, F.space.n
     if flag.shape != (N, N):
         raise PreconditionError(f"flag basis must be {N}x{N}")
     check_gram(flag, 1, ORTHONORMALITY_TOL, "flag basis")
-    dims = []
-    for p in range(1, N + 1):
-        stacked = np.hstack([F.F, flag[:, :p]])
-        dims.append(n + p - rank_tol(stacked, tol))
-    return dims
+    check_positive_finite(tol, "rank tolerance")
+    stacked = np.concatenate([F.F, flag], axis=1)
+    return [n + p - _rank(_svdvals(stacked[:, : n + p]), tol) for p in range(1, N + 1)]
 
 
-def schubert_membership(
-    F: Frame, symbol: SchubertSymbol, flag: np.ndarray
-) -> tuple[bool, bool]:
-    """(in_Z, generic): the intersection-dimension conditions of Z(omega) and
-    their equalities at the jump indices."""
-    if symbol.n != F.space.n or symbol.m_bound != F.space.m:
+def schubert_membership(space: GrassmannSpace, dims: list, symbol: SchubertSymbol) -> tuple:
+    """(in_Z, generic) of a plane of space with schubert_dims dims against a flag: the
+    conditions dims[sigma(i)] >= i of Z(omega) for that flag, and their equalities at the
+    jump indices.  It reads no plane, so the tol the dims were read at decides."""
+    if symbol.n != space.n or symbol.m_bound != space.m:
         raise PreconditionError("symbol does not match the space dimensions")
-    dims = schubert_dims(F, flag)
+    if len(dims) != space.N:
+        raise PreconditionError(f"dims must list {space.N} dimensions, one per C^p")
     sigma = symbol.sigma
     in_z = all(dims[sigma[i] - 1] >= i + 1 for i in range(symbol.n))
-    generic = in_z and all(
-        dims[sigma[ih - 1] - 1] == ih for ih in symbol.jumps if ih > 0
-    )
+    generic = in_z and all(dims[sigma[ih - 1] - 1] == ih for ih in symbol.jumps if ih > 0)
     return in_z, generic
 
 

@@ -10,7 +10,9 @@ each size cap.  `strata` runs also on (4, 1) and (4, 2), where n - m angles
 with O are forced to zero, and on the shapes (1, 4) and (2, 4) of their
 complements.  On (4, 4), (1, 4) and (4, 1)
 one entry of each pointwise command runs on both signs.  Compact pairs whose
-overlap is below 1e-12 run off, just off and on the polar divisor.
+overlap is below 1e-12 run off, just off and on the polar divisor.  `schubert
+--omega` runs on a plane whose dims turn on the tol, at the default tol and at 1e-3
+through `--tol` and `GRASSGEO_TOL`, and every option of every subcommand is passed.
 Inputs come from numpy's own seeded Generator, not from grassgeo.sampling, so
 the builder also runs against an older grassgeo.  Each command runs in process through
 cli.main, in a scratch working directory that holds its documents under
@@ -345,6 +347,35 @@ BAD_INPUTS = [
 ]
 
 
+def _near_e1_entries():
+    """The plane of (e1 + 1e-5 e4) / |.| and (e2 + e3) / sqrt 2 meets C^1 = span(e1) at tol
+    1e-3 but not at the default 1e-9, so --omega 0 1 turns on the tol of the dims beside it."""
+    F = np.zeros((4, 2))
+    F[0, 0], F[3, 0] = 1.0, 1e-5
+    F[:, 0] /= np.linalg.norm(F[:, 0])
+    F[1, 1] = F[2, 1] = np.sqrt(0.5)
+    files = {"F.json": doc(F)}
+    argv = ("schubert", *G22, "--frame", "F.json", "--omega", "0", "1")
+    yield Entry("schubert near e1 omega=0.1", argv, files)
+    yield Entry("schubert near e1 omega=0.1 tol=1e-3", argv + ("--tol", "1e-3"), files)
+    yield Entry("schubert near e1 omega=0.1 GRASSGEO_TOL=1e-3", argv, files,
+                env={"GRASSGEO_TOL": "1e-3"})
+
+
+def _option_entries():
+    """One entry for each option that no other entry passes to its subcommand."""
+    rng = _rng("options")
+    files = {"B.json": doc(_with_norm(rng, 2, 2, 0.8))}
+    argv = ("geodesic-check", *G22, "--input", "B.json", "--t", "1.5", "--steps", "200")
+    yield Entry("geodesic-check 2x2 compact t=1.5", argv, files)
+    argv = ("conjugate-scan", *G22, "--h", "0.6", "0.8", "--tmax", "3", "--points", "5",
+            "--no-normalize")
+    yield Entry("conjugate-scan 2x2 compact no-normalize", argv)
+    files = {"F.json": doc(built_frame(rng, 2, 2, (0.5,)))}
+    argv = ("energy", *G22, "--frame", "F.json", "--eps", "4.0", "3.0", "2.0", "1.0")
+    yield Entry("energy 2x2 compact built frame", argv, files)
+
+
 def entries() -> list[Entry]:
     """Every corpus command, in a fixed order, with distinct ids."""
     out = []
@@ -360,6 +391,8 @@ def entries() -> list[Entry]:
         for kind in KINDS:
             out += _four_entries(n, m, kind)
     out += _divisor_entries()
+    out += _near_e1_entries()
+    out += _option_entries()
     out += BAD_INPUTS
     assert len({e.id for e in out}) == len(out), "corpus ids must be distinct"
     return out

@@ -386,6 +386,34 @@ class TestLociCommands:
         assert payload["in_variety"] is True
         assert payload["sigma"] == [2, 4]
 
+    @pytest.mark.parametrize("flag", ["standard", "dual"])
+    @pytest.mark.parametrize(
+        "tol, via",
+        [(None, None)] + [(tol, via) for tol in ("1e-6", "1e-3") for via in ("option", "env")],
+    )
+    def test_schubert_decides_on_the_printed_dims(self, tmp_path, monkeypatch, flag, tol, via):
+        # the corpus's plane of (e1 + 1e-5 e4) / |.| and (e2 + e3) / sqrt 2 meets C^1 = span(e1)
+        # at tol 1e-3 but not at 1e-9: --omega must decide at the tol of the dims it prints,
+        # and the command reads its plane once, in N = 4 SVDs
+        F = tmp_path / "F.json"
+        F.write_text(CORPUS["schubert near e1 omega=0.1"].files["F.json"])
+        argv = ["schubert", "--space", "2", "2", "compact", "--frame", str(F),
+                "--omega", "0", "1", "--flag", flag]
+        argv += ["--tol", tol] if via == "option" else []
+        monkeypatch.delenv("GRASSGEO_TOL", raising=False)
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        env = {"GRASSGEO_TOL": tol} if via == "env" else {}
+        code, out, _ = run_main(argv, monkeypatch, env=env)
+        doc = json.loads(out)
+        dims, sigma, jumps = doc["dims"], doc["sigma"], doc["jumps"]
+        in_z = all(dims[s - 1] >= i for i, s in enumerate(sigma, start=1))
+        generic = in_z and all(dims[sigma[j - 1] - 1] == j for j in jumps[1:])
+        assert (code, len(calls)) == (0, 4)
+        assert (doc["in_variety"], doc["generic"]) == (in_z, generic)
+        if (flag, tol) == ("standard", "1e-3"):
+            assert (dims, in_z, generic) == ([1, 1, 2, 2], True, True)
+
     def test_strata_output(self, tmp_path):
         F = np.zeros((4, 2), dtype=complex)
         F[0, 0] = F[2, 1] = 1.0

@@ -29,6 +29,18 @@ def test_the_corpus_covers_every_subcommand_on_both_signs(results):
     assert all(err == "" for code, _, err in results.values() if code != 2)
 
 
+def test_the_corpus_passes_every_option_of_every_subcommand():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    passed = {(e.argv[0], a) for e in cli_corpus.entries() for a in e.argv[1:]}
+    missing = [
+        (name, action.option_strings)
+        for name, parser in subparsers.items()
+        for action in parser._actions
+        if action.dest != "help" and not any((name, o) in passed for o in action.option_strings)
+    ]
+    assert missing == []
+
+
 def test_a_moved_byte_is_reported(monkeypatch):
     # 16 significant digits instead of 17 moves the golden pairs' distances
     golden = [e for e in cli_corpus.entries() if e.id.endswith(("golden", "golden verify"))]

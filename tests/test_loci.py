@@ -607,7 +607,7 @@ class TestWongCutVariety:
         flag = dual_flag(sp)
         for subset in ((2, 3), (0, 2), (1, 3)):
             F = coordinate_plane_frame(sp, subset)
-            in_z, _ = schubert_membership(F, s, flag)
+            in_z, _ = schubert_membership(sp, schubert_dims(F, flag), s)
             assert in_z
 
     def test_generic_planes_do_not(self, rng):
@@ -616,7 +616,7 @@ class TestWongCutVariety:
         flag = dual_flag(sp)
         for _ in range(20):
             F = frame_of_chart(random_chart_point_rng(sp, rng))
-            in_z, _ = schubert_membership(F, s, flag)
+            in_z, _ = schubert_membership(sp, schubert_dims(F, flag), s)
             assert not in_z
 
     def test_membership_matches_cut_test(self, rng):
@@ -625,7 +625,7 @@ class TestWongCutVariety:
         flag = dual_flag(sp)
         for _ in range(200):
             F = random_plane_rng(sp, rng)
-            in_z, _ = schubert_membership(F, s, flag)
+            in_z, _ = schubert_membership(sp, schubert_dims(F, flag), s)
             assert in_z == cut_locus_test(sp, F)
 
     @pytest.mark.parametrize(
@@ -650,23 +650,27 @@ class TestWongCutVariety:
                 U = np.zeros((n + m, n + m), dtype=complex)
                 U[:n, :n], U[n:, n:] = random_unitary(rng, n), random_unitary(rng, m)
                 G = Frame(sp, U @ F @ random_unitary(rng, n))
-                in_z, _ = schubert_membership(G, wong_cut_symbol(sp), dual_flag(sp))
+                dims = schubert_dims(G, dual_flag(sp))
+                in_z, _ = schubert_membership(sp, dims, wong_cut_symbol(sp))
                 assert cut_locus_test(sp, G) == in_z == (min(cosines) < 1e-9)
 
     def test_generic_stratum_flag(self):
         # a plane meeting O-perp in exactly one line is a generic member
         sp = GrassmannSpace(2, 2, 1)
+        s, flag = wong_cut_symbol(sp), dual_flag(sp)
         F = coordinate_plane_frame(sp, (0, 2))
-        in_z, generic = schubert_membership(F, wong_cut_symbol(sp), dual_flag(sp))
+        in_z, generic = schubert_membership(sp, schubert_dims(F, flag), s)
         assert in_z and generic
         G = coordinate_plane_frame(sp, (2, 3))
-        in_z2, generic2 = schubert_membership(G, wong_cut_symbol(sp), dual_flag(sp))
+        in_z2, generic2 = schubert_membership(sp, schubert_dims(G, flag), s)
         assert in_z2 and not generic2
 
     def test_symbol_space_mismatch(self):
         sp = GrassmannSpace(2, 2, 1)
-        with pytest.raises(PreconditionError):
-            schubert_membership(origin_frame(sp), SchubertSymbol((1,), 2), dual_flag(sp))
+        with pytest.raises(PreconditionError, match="symbol does not match"):
+            schubert_membership(sp, [0, 0, 1, 2], SchubertSymbol((1,), 2))
+        with pytest.raises(PreconditionError, match="dims must list 4"):
+            schubert_membership(sp, [0, 0, 1], wong_cut_symbol(sp))
 
 
 SMALL_SHAPES = [(n, m) for n in range(1, 5) for m in range(1, 5)]

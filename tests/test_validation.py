@@ -266,6 +266,14 @@ def test_unreadable_input_is_a_typed_error(call):
             lambda: topology.schubert_cells(1.5, 2), "integers", id="schubert_cells-float"
         ),
         pytest.param(lambda: jsonio.dumps(None), "NoneType", id="dumps-None"),
+        # an int past the float range is refused, not left to a bare OverflowError
+        *[
+            pytest.param(
+                lambda read=SCALAR_READERS[name]: read(10**400), "must be positive and finite",
+                id=f"{name}-10**400",
+            )
+            for name in ("tangent_conjugate_times", "cut_locus_test", "schubert_dims", "rank_tol")
+        ],
     ],
 )
 def test_library_only_typed_errors(call, match):

@@ -23,7 +23,8 @@ from .errors import (
     WrongChartError,
 )
 from .linalg import ENTRY_LIMIT, _angles, _eye, _svd, _svdvals, apply_spectral, check_bounded
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_rows, check_space
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, _built_frame, check_rows
+from .spaces import check_space
 
 CHART_SINGULAR_TOL = 1e-12
 TANH_LIMIT_TOL = 16 * np.finfo(float).eps
@@ -39,8 +40,9 @@ def raw_frame(p: ChartPoint) -> np.ndarray:
 
 
 def frame_of_chart(p: ChartPoint) -> Frame:
-    """(J-)orthonormal frame [I_n ; Z^dagger] (I + eps Z Z^dagger)^{-1/2} of Z, via _frame."""
-    return Frame(p.space, _frame(*_chart_svd(p.space.epsilon, p.Z)))
+    """(J-)orthonormal frame [I_n ; Z^dagger] (I + eps Z Z^dagger)^{-1/2} of Z, via _frame:
+    built from the SVD of a checked chart point, so not checked again."""
+    return _built_frame(p.space, _frame(*_chart_svd(p.space.epsilon, p.Z)))
 
 
 def _chart_svd(eps: int, Z: np.ndarray, full: bool = False) -> tuple:

@@ -150,9 +150,20 @@ def check_bounded(x: float, name: str) -> None:
         )
 
 
+def check_rank_tol(tol: float) -> None:
+    """Raise unless 0 < tol < 1: from tol = 1 on, the rank rule of rank_tol counts no
+    singular value at all; NaN, None, a string or a huge int fail too."""
+    try:
+        ok = 0 < tol < 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise PreconditionError("rank tolerance must be positive and finite, and below 1")
+
+
 def rank_tol(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values exceeding tol * max(1, largest singular value)."""
-    check_positive_finite(tol, "rank tolerance")
+    check_rank_tol(tol)
     return _rank(_svdvals(as_matrix(M)), tol)
 
 

@@ -13,7 +13,7 @@ from .errors import ConsistencyError, PreconditionError
 from .geometry import CHART_SINGULAR_TOL, _chart_factors, _chart_of_rows
 from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, ORTHONORMALITY_TOL, _angles, _principal_angles
 from .linalg import _det, _numbers, _rank, _svd, _svdvals, as_matrix, check_bounded, check_gram
-from .linalg import check_positive_finite
+from .linalg import check_positive_finite, check_rank_tol
 from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_enumeration_size
 from .spaces import check_space
 
@@ -365,15 +365,23 @@ def dual_flag(space: GrassmannSpace) -> np.ndarray:
 def schubert_dims(F: Frame, flag: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[int]:
     """dim(X intersect C^p) for p = 1..n+m, n + p - rank([F | basis of C^p]) by rank_tol's
     rule at tol: the flag and tol are checked once, then each rank is one SVD of leading
-    columns of [F | flag].  schubert_membership decides a symbol on these dims."""
+    columns of [F | flag].  schubert_membership decides a symbol on these dims.  A dim
+    outside [max(0, n + p - N), min(n, p)], which a tol near 1 gives, is a ConsistencyError."""
     flag = as_matrix(flag, "flag basis")
     N, n = F.space.N, F.space.n
     if flag.shape != (N, N):
         raise PreconditionError(f"flag basis must be {N}x{N}")
     check_gram(flag, 1, ORTHONORMALITY_TOL, "flag basis")
-    check_positive_finite(tol, "rank tolerance")
+    check_rank_tol(tol)
     stacked = np.concatenate([F.F, flag], axis=1)
-    return [n + p - _rank(_svdvals(stacked[:, : n + p]), tol) for p in range(1, N + 1)]
+    dims = [n + p - _rank(_svdvals(stacked[:, : n + p]), tol) for p in range(1, N + 1)]
+    for p, dim in enumerate(dims, 1):
+        if not max(0, n + p - N) <= dim <= min(n, p):
+            raise ConsistencyError(
+                f"dim(X intersect C^{p}) = {dim} at rank tolerance {tol:g} lies outside "
+                f"[{max(0, n + p - N)}, {min(n, p)}]; the tolerance is too large"
+            )
+    return dims
 
 
 def schubert_membership(space: GrassmannSpace, dims: list, symbol: SchubertSymbol) -> tuple:

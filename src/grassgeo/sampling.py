@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import _svdvals
-from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_enumeration_size
+from .spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, _built_frame
+from .spaces import check_enumeration_size
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -31,13 +32,15 @@ def random_plane(space: GrassmannSpace, seed: int) -> Frame:
 
 
 def random_plane_rng(space: GrassmannSpace, rng: np.random.Generator) -> Frame:
+    """random_plane from rng: compact, the Q factor of a Gaussian draw with its column
+    phases fixed; dual, frame_of_chart of a random chart point.  Neither is checked again."""
     check_enumeration_size(space.N * space.n, "random frame entries")
     if space.compact:
         A = _complex_gaussian(rng, (space.N, space.n))
         q, r = np.linalg.qr(A)
         # fix column phases so the result is independent of LAPACK sign choices
         phases = np.diag(r) / np.abs(np.diag(r))
-        return Frame(space, q * phases.conj())
+        return _built_frame(space, q * phases.conj())
     from .geometry import frame_of_chart
 
     return frame_of_chart(random_chart_point_rng(space, rng))

@@ -103,7 +103,8 @@ class Frame:
 
     Compact: orthonormal columns.  Noncompact: J-orthonormal columns with
     J = diag(I_n, -I_m), i.e. F^dagger J F = I_n.  Chart-free, so it also
-    covers the polar divisor.
+    covers the polar divisor.  Frame(space, F) checks a caller's array once;
+    the frames the package builds (J-)orthonormal come from _built_frame unchecked.
     """
 
     space: GrassmannSpace
@@ -133,11 +134,22 @@ def check_space(space: GrassmannSpace, *items) -> None:
 _KINDS = {ChartPoint: "chart point", TangentVector: "tangent vector", Frame: "frame"}
 
 
+def _built_frame(space: GrassmannSpace, F: np.ndarray) -> Frame:
+    """Frame of an (N, n) complex array that the package built (J-)orthonormal from checked
+    data, such as the SVD factors of a chart point: Frame's entry and Gram checks are not run."""
+    frame = object.__new__(Frame)
+    object.__setattr__(frame, "space", space)
+    object.__setattr__(frame, "F", F)
+    return frame
+
+
 def coordinate_plane_frame(space: GrassmannSpace, subset) -> Frame:
-    """Frame of the coordinate plane spanned by the selected standard axes."""
+    """Frame of the coordinate plane spanned by the selected standard axes: exact unit
+    vectors at the rows check_rows reads, orthonormal, so a compact frame is not checked
+    again; on the dual an axis past row n has J-norm -1, and Frame refuses that plane."""
     F = np.zeros((space.N, space.n), dtype=complex)
     F[check_rows(space, subset, "subset"), range(space.n)] = 1.0
-    return Frame(space, F)
+    return _built_frame(space, F) if space.compact else Frame(space, F)
 
 
 def check_rows(space: GrassmannSpace, rows, name: str) -> list[int]:

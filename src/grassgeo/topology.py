@@ -21,6 +21,10 @@ ORTHOGONALITY_TOL = 1e-14
 # orthogonal_coherent_count holds two k x k complex arrays for k = C(n+m, n)
 # planes: 2000 admits (6, 7) with 1716 planes and refuses (7, 7) with 3432
 MAX_ORTHOGONAL_PLANES = 2000
+# fundamental_rep_dim multiplies n m factor pairs into exact integers that grow with them,
+# and weyl_group_ratio takes (n + m)!; on one core of a shared two-core x86-64 Xeon the
+# slowest admitted call, fundamental_rep_dim(40000, 1), takes 0.66 s, and (200, 200) 0.33 s
+MAX_WEYL_FACTORS = 40_000
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,10 @@ def euler_characteristic(n: int, m: int) -> int:
 
 
 def weyl_group_ratio(n: int, m: int) -> int:
-    """The same number computed as the explicit factorial quotient."""
+    """The same number computed as the explicit factorial quotient; refused when n m
+    passes MAX_WEYL_FACTORS, which also bounds the n + m of (n + m)!."""
     space = GrassmannSpace(n, m)
+    check_enumeration_size(space.n * space.m, "Weyl group ratio n m", MAX_WEYL_FACTORS)
     return math.factorial(space.N) // (math.factorial(space.n) * math.factorial(space.m))
 
 
@@ -60,8 +66,10 @@ def fundamental_rep_dim(n: int, m: int) -> int:
     """Dimension of the GL(n+m) representation Lambda^n C^{n+m}, by the Weyl
     dimension formula prod_{i<j} (l_i - l_j + j - i) / (j - i) for its highest
     weight l = (1^n, 0^m), in exact integers: only the pairs i < n <= j have
-    l_i != l_j, and each gives (j - i + 1) / (j - i)."""
+    l_i != l_j, and each gives (j - i + 1) / (j - i); refused when these n m pairs pass
+    MAX_WEYL_FACTORS."""
     space = GrassmannSpace(n, m)
+    check_enumeration_size(space.n * space.m, "Weyl dimension factor pairs", MAX_WEYL_FACTORS)
     num = den = 1
     for i in range(space.n):
         for j in range(space.n, space.N):

@@ -324,6 +324,9 @@ BAD_INPUTS = [
     Entry("GRASSGEO_TOL abc", ("schubert", *G22, "--seed", "7"), env={"GRASSGEO_TOL": "abc"}),
     Entry("--tol over GRASSGEO_TOL", ("cut-test", *G22, "--seed", "7", "--tol", "1e-3"),
           env={"GRASSGEO_TOL": "abc"}),
+    Entry("schubert --tol 0.9 dims out of range",
+          ("schubert", *G22, "--seed", "0", "--tol", "0.9", "--omega", "0", "1")),
+    Entry("schubert GRASSGEO_TOL 2", ("schubert", *G22, "--seed", "0"), env={"GRASSGEO_TOL": "2"}),
     Entry("frame not orthonormal", ("strata", *G22, "--frame", "F.json"),
           {"F.json": doc(np.ones((4, 2)))}),
     Entry("unknown subcommand", ("frobnicate", *G22)),

@@ -585,6 +585,17 @@ class TestInputHoles:
                 SCHUBERT, {"GRASSGEO_TOL": "nan"}, None, 1, "PreconditionError",
                 id="env-tol-nan",
             ),
+            # a rank tolerance at or above 1 counts no singular value, and 0.9 drops the
+            # flag's own directions: dims [2, 3, 3, 4] were printed with "in_variety": true
+            pytest.param(
+                SCHUBERT, {"GRASSGEO_TOL": "2"}, None, 1, "PreconditionError",
+                id="env-tol-2",
+            ),
+            pytest.param(
+                ["schubert", "--space", "2", "2", "compact", "--seed", "0", "--tol", "0.9",
+                 "--omega", "0", "1"], {}, None, 1, "ConsistencyError",
+                id="schubert-tol-0.9",
+            ),
             pytest.param(
                 [*CUT, "--tol", "inf"], {}, None, 1, "PreconditionError",
                 id="cut-tol-inf",

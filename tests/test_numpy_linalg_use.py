@@ -18,6 +18,9 @@ print goes anywhere but file=sys.stderr.
 
 Each contract has one check: spaces.check_enumeration_size alone raises
 EnumerationSizeError, and each message of ONE_RAISE is raised by one function.
+A caller's array becomes a Frame only through Frame's own checks:
+spaces._built_frame, which skips them, is named only by the three builders
+whose frames are orthonormal by construction.
 """
 
 import ast
@@ -26,11 +29,19 @@ import pathlib
 import grassgeo
 
 FORBIDDEN = {"inv", "solve", "eigh", "eigvalsh", "pinv", "lstsq", "cholesky"}
-# numpy.linalg function, or numpy.<function>, -> the only (module, function) allowed to call it
+# the unchecked Frame constructor, confined below like a numpy function
+BUILT_FRAME = "_built_frame"
+# numpy.linalg function, numpy.<function> or BUILT_FRAME -> the only (module, function) allowed
+# to call it
 CONFINED = {
     "svd": {("linalg", "_svd")},
     "qr": {("sampling", "random_plane_rng")},
     "numpy.arcsin": {("linalg", "_angles")},
+    BUILT_FRAME: {
+        ("geometry", "frame_of_chart"),
+        ("spaces", "coordinate_plane_frame"),
+        ("sampling", "random_plane_rng"),
+    },
 }
 # module -> the grassgeo submodules it must not import at module level
 NOT_AT_MODULE_LEVEL = {
@@ -79,7 +90,8 @@ class _Raises(_Scoped):
 
 
 class _Uses(_Scoped):
-    """Every numpy.linalg.<name> of one module, with the function it sits in."""
+    """Every numpy.linalg.<name>, confined numpy.<name> and use of BUILT_FRAME of one
+    module, with the function it sits in."""
 
     def __init__(self, module):
         super().__init__(module)
@@ -116,7 +128,13 @@ class _Uses(_Scoped):
             and "numpy." + node.attr in CONFINED
         ):
             self._record("numpy." + node.attr, node)
+        elif node.attr == BUILT_FRAME:
+            self._record(BUILT_FRAME, node)
         self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == BUILT_FRAME:
+            self._record(BUILT_FRAME, node)
 
 
 def _sources():
@@ -228,7 +246,7 @@ def test_the_scan_sees_the_calls_it_confines():
     # a scan that finds nothing would pass the test below on its own
     sources = _sources()
     names = {name for name, _, _ in _numpy_uses(sources)}
-    assert {"svd", "qr", "det", "numpy.arcsin"} <= names
+    assert {"svd", "qr", "det", "numpy.arcsin", BUILT_FRAME} <= names
     imported = {name for name, _ in _module_level_imports(sources["cli"])}
     assert imported == {"errors", "geometry", "jsonio", "linalg", "spaces"}
     assert [(scope, what) for scope, _, what in _stdout_uses(sources["cli"])] == [
@@ -266,6 +284,11 @@ MUTATIONS = [
         '    sys.stdout.write(jsonio.dumps(out) + "\\n")',
     ),
     ("cli", 'print(f"usage error: {message}", file=sys.stderr)', 'print(f"error: {message}")'),
+    (
+        "cli",
+        "        return Frame(space, _read_doc(path, attr))\n",
+        "        return _built_frame(space, _read_doc(path, attr))\n",
+    ),
     (
         "kernels",
         '    check_enumeration_size(count * n * n, "Plucker minor entries", MAX_PLUCKER_ENTRIES)\n',

@@ -1,13 +1,20 @@
-"""Validate once: each object is checked when it is built, and every public
-call checks its arguments' space before it works on their raw arrays."""
+"""Validate once: each object built from a caller's array is checked when it is
+built, the frames the package builds orthonormal are not checked again, and every
+public call checks its arguments' space before it works on their raw arrays."""
 
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
 from grassgeo import cli, jsonio, kernels, linalg, loci, topology
-from grassgeo.errors import NumericalFailure, PreconditionError
+from grassgeo.errors import (
+    ConsistencyError,
+    EnumerationSizeError,
+    NumericalFailure,
+    PreconditionError,
+)
 from grassgeo.geometry import (
     chart_of_frame,
     chart_transition,
@@ -55,7 +62,7 @@ def _count(gram_checks, call):
     return len(gram_checks)
 
 
-def test_gram_checks_per_call(gram_checks, monkeypatch):
+def test_gram_checks_per_call(gram_checks, monkeypatch, tmp_path):
     rng = generator(11)
     p1, p2 = random_chart_point_rng(G24, rng), random_chart_point_rng(G24, rng)
     F = random_plane_rng(G24, rng)
@@ -75,12 +82,17 @@ def test_gram_checks_per_call(gram_checks, monkeypatch):
         assert _count(gram_checks, lambda: loci.dexp_min_singular(space, B, 1.0)) == 0
         grid = np.linspace(0.1, 2.0, 7)
         assert _count(gram_checks, lambda: loci._dexp_scan(space, B, grid)) == 0
-    # strata: its own frame only, and the angles taken once, off its blocks
+    # strata: no check of its seeded frame, built orthonormal, one of a --frame
+    # document, and the angles taken once, off its blocks
     angles = _record_calls(monkeypatch, "_angles")
     two_frames = _record_calls(monkeypatch, "_principal_angles")
     strata = ["strata", "--space", "2", "2", "compact", "--seed", "5"]
-    assert _count(gram_checks, lambda: cli.main(strata)) == 1
+    assert _count(gram_checks, lambda: cli.main(strata)) == 0
     assert len(angles) == 1 and two_frames == []
+    doc = tmp_path / "F.json"
+    doc.write_text(jsonio.dumps(jsonio.matrix_to_doc(F.F)))
+    strata = ["strata", "--space", "2", "2", "compact", "--frame", str(doc)]
+    assert _count(gram_checks, lambda: cli.main(strata)) == 1
 
 
 G14 = GrassmannSpace(1, 3)
@@ -136,6 +148,71 @@ BIG_P24 = ChartPoint(G24, 1e100 * np.eye(2))
 def test_float64_range_ends_in_a_typed_error(call):
     with pytest.raises(PreconditionError):
         call()
+
+
+def _built_frames():
+    """(space, frame) from each of the three builders whose frames Frame does not check:
+    frame_of_chart of compact chart points of norm 1e-8 to 1e150 and of dual ones of radius
+    up to the largest float below 1, random_plane of seeds 0 to 199 on both signs, and
+    every compact coordinate plane of n, m <= 3."""
+    from grassgeo.geometry import frame_of_chart
+    from grassgeo.sampling import random_plane
+
+    rng = generator(29)
+    for n, m in ((1, 1), (1, 3), (2, 2), (3, 2)):
+        sp, dual = GrassmannSpace(n, m), GrassmannSpace(n, m, -1)
+        G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        for norm in 10.0 ** np.arange(-8, 151, 2):
+            yield sp, frame_of_chart(ChartPoint(sp, norm / np.linalg.norm(G) * G))
+        # a diagonal Z has its radius exactly; a rotated one up to 1 - 1e-9
+        for radius in (0.5, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, np.nextafter(1.0, 0.0)):
+            yield dual, frame_of_chart(ChartPoint(dual, radius * np.eye(n, m)))
+            if radius <= 1 - 1e-9:
+                Z = radius / np.linalg.svd(G, compute_uv=False)[0] * G
+                yield dual, frame_of_chart(ChartPoint(dual, Z))
+        for space in (sp, dual):
+            for seed in range(200):
+                yield space, random_plane(space, seed)
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            space = GrassmannSpace(n, m)
+            for rows in itertools.combinations(range(n + m), n):
+                yield space, coordinate_plane_frame(space, rows)
+
+
+def test_built_frames_pass_the_frame_check():
+    # the builders skip Frame's Gram check: what they build would pass it, bit for bit
+    count = 0
+    for space, built in _built_frames():
+        assert built.F.dtype == complex and built.F.shape == (space.N, space.n)
+        assert np.array_equal(Frame(space, built.F).F, built.F)
+        count += 1
+    assert count > 1700
+
+
+def test_builders_run_no_frame_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PreconditionError("refused")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("grassgeo") and "check_gram" in vars(module):
+            monkeypatch.setattr(module, "check_gram", refuse)
+    assert all(built.space is space for space, built in _built_frames())
+    # a caller's array, the exp0_frame of a tangent vector and a dual coordinate
+    # plane are still checked
+    for call in (
+        lambda: Frame(G24, np.eye(4)[:, :2]),
+        lambda: exp0_frame(G24, B24),
+        lambda: coordinate_plane_frame(G24_DUAL, [0, 1]),
+    ):
+        with pytest.raises(PreconditionError, match="refused"):
+            call()
+
+
+def test_a_dual_coordinate_plane_past_the_origin_is_refused():
+    # e_3 has J-norm -1 on the dual of G_2(C^4): the plane of e_1, e_3 is not a point of it
+    with pytest.raises(PreconditionError, match="J-orthonormality deviation 2.000e"):
+        coordinate_plane_frame(G24_DUAL, [0, 2])
 
 
 def test_frame_gram_bound_scales_with_the_frame():
@@ -232,54 +309,96 @@ def test_unreadable_input_is_a_typed_error(call):
         call()
 
 
+P = PreconditionError
+
+
 @pytest.mark.parametrize(
-    "call, match",
+    "call, error, match",
     [
-        pytest.param(lambda: linalg.as_matrix(np.zeros(3)), "2-dimensional", id="as_matrix-1-D"),
         pytest.param(
-            lambda: linalg.as_matrix(np.zeros((0, 2))), "positive dimensions", id="as_matrix-empty"
+            lambda: linalg.as_matrix(np.zeros(3)), P, "2-dimensional", id="as_matrix-1-D"
         ),
         pytest.param(
-            lambda: linalg.principal_angles(np.eye(3)[:, :1], np.eye(3)[:, :2]),
+            lambda: linalg.as_matrix(np.zeros((0, 2))), P, "positive dimensions",
+            id="as_matrix-empty",
+        ),
+        pytest.param(
+            lambda: linalg.principal_angles(np.eye(3)[:, :1], np.eye(3)[:, :2]), P,
             "equal shapes",
             id="principal_angles-shapes",
         ),
-        pytest.param(lambda: loci.SchubertSymbol((), 2), "nonempty", id="SchubertSymbol-empty"),
         pytest.param(
-            lambda: loci.schubert_dims(F24, np.eye(3)), "must be 4x4", id="schubert_dims-flag-shape"
+            lambda: loci.SchubertSymbol((), 2), P, "nonempty", id="SchubertSymbol-empty"
         ),
-        pytest.param(lambda: GrassmannSpace(2, 2, 0), "epsilon", id="GrassmannSpace-epsilon-0"),
-        pytest.param(lambda: topology.weyl_group_ratio(0, 1), ">= 1", id="weyl_group_ratio-0"),
+        pytest.param(
+            lambda: loci.schubert_dims(F24, np.eye(3)), P, "must be 4x4",
+            id="schubert_dims-flag-shape",
+        ),
+        pytest.param(
+            lambda: GrassmannSpace(2, 2, 0), P, "epsilon", id="GrassmannSpace-epsilon-0"
+        ),
+        pytest.param(lambda: topology.weyl_group_ratio(0, 1), P, ">= 1", id="weyl_group_ratio-0"),
         # topology reads (n, m) through GrassmannSpace: 0 and floats never reach math.comb
         pytest.param(
-            lambda: topology.fundamental_rep_dim(0, 1), ">= 1", id="fundamental_rep_dim-0"
+            lambda: topology.fundamental_rep_dim(0, 1), P, ">= 1", id="fundamental_rep_dim-0"
         ),
         pytest.param(
-            lambda: topology.fundamental_rep_dim(2.0, 3), "integers",
+            lambda: topology.fundamental_rep_dim(2.0, 3), P, "integers",
             id="fundamental_rep_dim-float",
         ),
         pytest.param(
-            lambda: topology.euler_characteristic(2.0, 3), "integers",
+            lambda: topology.euler_characteristic(2.0, 3), P, "integers",
             id="euler_characteristic-float",
         ),
         pytest.param(
-            lambda: topology.schubert_cells(1.5, 2), "integers", id="schubert_cells-float"
+            lambda: topology.schubert_cells(1.5, 2), P, "integers", id="schubert_cells-float"
         ),
-        pytest.param(lambda: jsonio.dumps(None), "NoneType", id="dumps-None"),
+        pytest.param(lambda: jsonio.dumps(None), P, "NoneType", id="dumps-None"),
         # an int past the float range is refused, not left to a bare OverflowError
         *[
             pytest.param(
-                lambda read=SCALAR_READERS[name]: read(10**400), "must be positive and finite",
+                lambda read=SCALAR_READERS[name]: read(10**400), P, "must be positive and finite",
                 id=f"{name}-10**400",
             )
             for name in ("tangent_conjugate_times", "cut_locus_test", "schubert_dims", "rank_tol")
         ],
+        # exact integers that grow with n m: refused before the products, not left to run
+        # for seconds (fundamental_rep_dim(400, 400) took 6.9 s)
+        *[
+            pytest.param(
+                lambda route=route: route(400, 400), EnumerationSizeError,
+                "of size 160000 exceeds 40000",
+                id=f"{route.__name__}-400",
+            )
+            for route in (topology.fundamental_rep_dim, topology.weyl_group_ratio)
+        ],
     ],
 )
-def test_library_only_typed_errors(call, match):
+def test_library_only_typed_errors(call, error, match):
     # no CLI command reaches these checks
-    with pytest.raises(PreconditionError, match=match):
+    with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.0, np.inf])
+def test_rank_tolerance_lies_below_one(tol):
+    # from tol = 1 on, s > tol max(1, s_0) counts no singular value: rank_tol(I_3, 2) was 0
+    for call in (
+        lambda: linalg.rank_tol(np.eye(3), tol),
+        lambda: loci.schubert_dims(F24, np.eye(4), tol),
+    ):
+        with pytest.raises(PreconditionError, match="below 1"):
+            call()
+
+
+def test_schubert_dims_outside_their_range_are_refused():
+    # at tol 0.9 the flag's own directions drop out of the ranks: dims [2, 3, 3, 4]
+    # on G_2(C^4), where dim(X intersect C^1) is at most 1
+    F = random_plane_rng(G24, generator(0))
+    assert loci.schubert_dims(F, np.eye(4)) == [0, 0, 1, 2]
+    message = r"C\^1\) = 2 at rank tolerance 0.9 lies outside \[0, 1\]"
+    with pytest.raises(ConsistencyError, match=message):
+        loci.schubert_dims(F, np.eye(4), 0.9)
 
 
 def test_isoclinic_takes_angles_once(monkeypatch, capsys):

@@ -20,7 +20,6 @@ distance load none of them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
 import json
@@ -329,7 +328,7 @@ def cmd_char_numbers(space, args):
     from . import topology
 
     report = topology.characteristic_report(space.n, space.m, _spec(space, args))
-    return {**dataclasses.asdict(report), "all_equal": len(set(report.values())) == 1}
+    return {**report.as_dict(), "all_equal": len(set(report.values())) == 1}
 
 
 # ---------------------------------------------------------------- parser

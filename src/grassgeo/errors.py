@@ -1,4 +1,34 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and Frozen, the base of its value classes."""
+
+
+class Frozen:
+    """Base of the package's value classes, written out by hand so that importing a module
+    generates no code.  A subclass lists its fields in __slots__ and sets them in its own
+    __init__ through object.__setattr__; assigning or deleting a field afterwards raises
+    AttributeError, and ==, hash and repr run over the field values in slot order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class GrassGeoError(Exception):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (
     ConsistencyError,
     DegenerateSpectrumError,
     DiastasisUndefinedError,
+    Frozen,
     NumericalFailure,
     PreconditionError,
     UnsupportedSpaceError,
@@ -35,23 +35,28 @@ DISTINCT_REL_GAP = 1e-6
 MAX_PLUCKER_ENTRIES = 10**7
 
 
-@dataclass(frozen=True)
-class OverlapValue:
+class OverlapValue(Frozen):
     """Kernel value and its normalization to modulus <= 1."""
 
-    raw: complex
-    normalized: complex
+    __slots__ = ("raw", "normalized")
+
+    def __init__(self, raw: complex, normalized: complex):
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "normalized", normalized)
 
     @property
     def modulus(self) -> float:
         return abs(self.normalized)
 
 
-@dataclass(frozen=True)
-class EnergySpec:
+class EnergySpec(Frozen):
     """Diagonal Hamiltonian weights, one real coefficient per ambient axis."""
 
-    eps: np.ndarray
+    __slots__ = ("eps",)
+
+    def __init__(self, eps):
+        object.__setattr__(self, "eps", eps)
+        self.__post_init__()
 
     def __post_init__(self):
         e = _numbers(self.eps, "eps", real=True)
@@ -71,13 +76,15 @@ class EnergySpec:
             )
 
 
-@dataclass(frozen=True)
-class PluckerVector:
+class PluckerVector(Frozen):
     """Minors of a frame, indexed by size-n row subsets in lexicographic order."""
 
-    n: int
-    N: int
-    components: np.ndarray
+    __slots__ = ("n", "N", "components")
+
+    def __init__(self, n: int, N: int, components: np.ndarray):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "components", components)
 
     def subsets(self):
         return list(combinations(range(self.N), self.n))
@@ -152,8 +159,7 @@ def plucker_embed(F: Frame) -> PluckerVector:
     if not F.space.compact:
         raise UnsupportedSpaceError("Plucker embedding implemented for the compact space")
     n, N = F.space.n, F.space.N
-    count = math.comb(N, n)
-    check_enumeration_size(count, "Plucker embedding")
+    count = check_enumeration_size(N, "Plucker embedding", choose=n)
     check_enumeration_size(count * n * n, "Plucker minor entries", MAX_PLUCKER_ENTRIES)
     return PluckerVector(n, N, _det(F.F[_subset_rows(N, n)], "Plucker minors are not finite"))
 
@@ -242,7 +248,7 @@ def critical_points(space: GrassmannSpace, spec: EnergySpec):
     """
     _check_energy(space, spec, "critical points")
     spec.require_distinct()
-    check_enumeration_size(math.comb(space.N, space.n), "critical point enumeration")
+    check_enumeration_size(space.N, "critical point enumeration", choose=space.n)
     out = []
     for S in combinations(range(space.N), space.n):
         F = coordinate_plane_frame(space, S)

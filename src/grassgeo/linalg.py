@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailure, PreconditionError, SingularityError
+from .errors import Frozen, NumericalFailure, PreconditionError, SingularityError
 
 DEFAULT_RANK_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-8
@@ -61,13 +60,15 @@ def _eye(n: int, dtype=float) -> np.ndarray:
     return eye
 
 
-@dataclass(frozen=True)
-class SvdResult:
+class SvdResult(Frozen):
     """Thin SVD M = u @ diag(s) @ vh with s nonincreasing and nonnegative."""
 
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
+    __slots__ = ("u", "s", "vh")
+
+    def __init__(self, u: np.ndarray, s: np.ndarray, vh: np.ndarray):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "vh", vh)
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.s) @ self.vh

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, Frozen, PreconditionError
 from .geometry import CHART_SINGULAR_TOL, _chart_factors, _chart_of_rows
 from .linalg import DEFAULT_RANK_TOL, ENTRY_LIMIT, ORTHONORMALITY_TOL, _angles, _principal_angles
 from .linalg import _det, _numbers, _rank, _svd, _svdvals, as_matrix, check_bounded, check_gram
@@ -31,12 +30,15 @@ MAX_CONJUGATE_TIMES = 100_000
 _DEXP_CHUNK_ENTRIES = 2**20
 
 
-@dataclass(frozen=True)
-class CartanVector:
+class CartanVector(Frozen):
     """Normalized direction in the maximal flat: r = min(n, m) reals with
     unit Euclidean norm."""
 
-    h: np.ndarray
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        object.__setattr__(self, "h", h)
+        self.__post_init__()
 
     def __post_init__(self):
         h = _numbers(self.h, "h", real=True)
@@ -49,8 +51,7 @@ class CartanVector:
         object.__setattr__(self, "h", h)
 
 
-@dataclass(frozen=True)
-class ConjugateTime:
+class ConjugateTime(Frozen):
     """Predicted conjugate parameter along the geodesic with direction h.
 
     family T1 comes from pairs (p, q) with denominator |h_p +/- h_q|
@@ -59,19 +60,25 @@ class ConjugateTime:
     are coalesced with summed multiplicity.
     """
 
-    t: float
-    family: str
-    multiplicity: int
-    indices: tuple
-    lam: int
+    __slots__ = ("t", "family", "multiplicity", "indices", "lam")
+
+    def __init__(self, t: float, family: str, multiplicity: int, indices: tuple, lam: int):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class SchubertSymbol:
+class SchubertSymbol(Frozen):
     """Nondecreasing sequence omega with derived sigma(i) = omega(i) + i."""
 
-    omega: tuple
-    m_bound: int
+    __slots__ = ("omega", "m_bound")
+
+    def __init__(self, omega, m_bound: int):
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "m_bound", m_bound)
+        self.__post_init__()
 
     def __post_init__(self):
         try:
@@ -209,11 +216,12 @@ def tangent_conjugate_times(
             groups[-1].append(c)
         else:
             groups.append([c])
-    return [
-        replace(max(g, key=lambda c: c.multiplicity), t=g[0].t,
-                multiplicity=sum(c.multiplicity for c in g)) if len(g) > 1 else g[0]
-        for g in groups
-    ]
+    coalesced = []
+    for g in groups:
+        top = max(g, key=lambda c: c.multiplicity)
+        mult = sum(c.multiplicity for c in g)
+        coalesced.append(ConjugateTime(g[0].t, top.family, mult, top.indices, top.lam))
+    return coalesced
 
 
 def cartan_to_tangent(space: GrassmannSpace, h: CartanVector) -> TangentVector:

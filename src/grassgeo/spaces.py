@@ -3,31 +3,37 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EnumerationSizeError, PreconditionError
+from .errors import DomainError, EnumerationSizeError, Frozen, PreconditionError
 from .linalg import _svdvals, as_matrix, check_gram
 
 FRAME_GRAM_TOL = 1e-10
 # also bounds the dense arrays that --space alone sizes: cut-test --seed at its costliest,
 # 816 x 409, takes 2.2 s as one CLI process on a shared two-core x86-64 Xeon
 MAX_CELLS = 10**6
+# a size refusal prints its count in full up to Python's default bound on the digits of an
+# int turned to text; a longer count is neither printed nor, for a binomial, computed
+MAX_COUNT_DIGITS = 4300
+_LONG_COUNT = 10**MAX_COUNT_DIGITS
 
 
-@dataclass(frozen=True)
-class GrassmannSpace:
+class GrassmannSpace(Frozen):
     """G_n(C^{n+m}) when epsilon = +1, its noncompact dual when epsilon = -1.
 
     n is the plane dimension, m the codimension.  Points are n-planes in
     C^{n+m}; the noncompact dual is realized as the bounded domain of n x m
-    matrices with all singular values < 1.
+    matrices with all singular values < 1.  Equal (n, m, epsilon) give equal spaces.
     """
 
-    n: int
-    m: int
-    epsilon: int = 1
+    __slots__ = ("n", "m", "epsilon")
+
+    def __init__(self, n: int, m: int, epsilon: int = 1):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "epsilon", epsilon)
+        self.__post_init__()
 
     def __post_init__(self):
         # Python ints, so that no numpy scalar reaches the Python-float loops
@@ -64,12 +70,15 @@ def _store_matrix(obj, attr: str, name: str, shape: tuple) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(Frozen):
     """Local coordinates Z (n x m) in the maximal chart around the origin plane."""
 
-    space: GrassmannSpace
-    Z: np.ndarray
+    __slots__ = ("space", "Z")
+
+    def __init__(self, space: GrassmannSpace, Z):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "Z", Z)
+        self.__post_init__()
 
     def __post_init__(self):
         Z = _store_matrix(self, "Z", "Z", (self.space.n, self.space.m))
@@ -82,12 +91,15 @@ class ChartPoint:
                 )
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(Frozen):
     """Normal coordinates B (n x m) at the origin plane."""
 
-    space: GrassmannSpace
-    B: np.ndarray
+    __slots__ = ("space", "B")
+
+    def __init__(self, space: GrassmannSpace, B):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "B", B)
+        self.__post_init__()
 
     def __post_init__(self):
         _store_matrix(self, "B", "B", (self.space.n, self.space.m))
@@ -97,8 +109,7 @@ class TangentVector:
         return float(np.linalg.norm(self.B))
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Frozen):
     """(n+m) x n matrix whose column span is the plane.
 
     Compact: orthonormal columns.  Noncompact: J-orthonormal columns with
@@ -107,8 +118,12 @@ class Frame:
     the frames the package builds (J-)orthonormal come from _built_frame unchecked.
     """
 
-    space: GrassmannSpace
-    F: np.ndarray
+    __slots__ = ("space", "F")
+
+    def __init__(self, space: GrassmannSpace, F):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "F", F)
+        self.__post_init__()
 
     def __post_init__(self):
         F = _store_matrix(self, "F", "frame", (self.space.N, self.space.n))
@@ -171,12 +186,34 @@ def origin_frame(space: GrassmannSpace) -> Frame:
     return coordinate_plane_frame(space, range(space.n))
 
 
-def check_enumeration_size(count: int, what: str, limit: int | None = None) -> None:
+def check_enumeration_size(
+    count: int, what: str, limit: int | None = None, choose: int | None = None
+) -> int:
     """Raise EnumerationSizeError, and the only place that does, when an
     enumeration of count coordinate planes, cells, minors or conjugate times,
     or a dense array of count entries, not yet built, would exceed limit,
-    MAX_CELLS by default.  The size of the space sets most counts; t_max sets
-    the conjugate times, and --points the conjugate-scan entries."""
+    MAX_CELLS by default; return the count it admits.  The size of the space
+    sets most counts; t_max sets the conjugate times, and --points the
+    conjugate-scan entries.  With choose = k the count is the binomial
+    C(count, k), for 0 <= k <= count, the number of k-subsets of count axes.
+    A refusal prints its count in full up to MAX_COUNT_DIGITS digits, and a
+    binomial is computed no further than that."""
     limit = MAX_CELLS if limit is None else limit
+    if choose is not None:
+        count = _binomial_capped(count, choose, _LONG_COUNT)
     if count > limit:
-        raise EnumerationSizeError(f"{what} of size {count} exceeds {limit}")
+        size = count if count < _LONG_COUNT else f"over {MAX_COUNT_DIGITS} digits"
+        raise EnumerationSizeError(f"{what} of size {size} exceeds {limit}")
+    return count
+
+
+def _binomial_capped(N: int, k: int, cap: int) -> int:
+    """min(C(N, k), cap).  The partial products C(N - k + i, i), k the smaller of k
+    and N - k, grow with i, so the first that reaches cap stops them."""
+    k = min(k, N - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (N - k + i) // i
+        if c >= cap:
+            return cap
+    return c

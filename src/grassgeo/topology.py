@@ -7,12 +7,11 @@ path overflow-free.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, Frozen
 from .kernels import EnergySpec, critical_points, plucker_embed
 from .loci import SchubertSymbol
 from .spaces import GrassmannSpace, check_enumeration_size, coordinate_plane_frame
@@ -27,20 +26,32 @@ MAX_ORTHOGONAL_PLANES = 2000
 MAX_WEYL_FACTORS = 40_000
 
 
-@dataclass(frozen=True)
-class CharacteristicReport:
+class CharacteristicReport(Frozen):
     """The seven characteristic numbers, all provably equal."""
 
-    euler: int
-    weyl_ratio: int
-    cell_count: int
-    fundamental_rep_dim: int
-    kodaira_N: int
-    critical_count: int
-    max_orthogonal_coherent: int
+    __slots__ = (
+        "euler", "weyl_ratio", "cell_count", "fundamental_rep_dim", "kodaira_N",
+        "critical_count", "max_orthogonal_coherent",
+    )
+
+    def __init__(
+        self, euler: int, weyl_ratio: int, cell_count: int, fundamental_rep_dim: int,
+        kodaira_N: int, critical_count: int, max_orthogonal_coherent: int,
+    ):
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "weyl_ratio", weyl_ratio)
+        object.__setattr__(self, "cell_count", cell_count)
+        object.__setattr__(self, "fundamental_rep_dim", fundamental_rep_dim)
+        object.__setattr__(self, "kodaira_N", kodaira_N)
+        object.__setattr__(self, "critical_count", critical_count)
+        object.__setattr__(self, "max_orthogonal_coherent", max_orthogonal_coherent)
+        self.__post_init__()
 
     def values(self) -> tuple:
-        return astuple(self)
+        return self._values()
+
+    def as_dict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
 
     def __post_init__(self):
         vals = self.values()
@@ -80,7 +91,8 @@ def fundamental_rep_dim(n: int, m: int) -> int:
 
 def schubert_cells(n: int, m: int) -> list[SchubertSymbol]:
     """All Schubert symbols for G_n(C^{n+m}): nondecreasing omega in [0, m]^n."""
-    check_enumeration_size(euler_characteristic(n, m), "cell enumeration")
+    space = GrassmannSpace(n, m)
+    check_enumeration_size(space.N, "cell enumeration", choose=space.n)
     return [
         SchubertSymbol(w, m) for w in combinations_with_replacement(range(m + 1), n)
     ]
@@ -104,8 +116,9 @@ def orthogonal_coherent_count(space: GrassmannSpace) -> int:
 
 
 def _check_orthogonal_count(space: GrassmannSpace) -> None:
-    count = math.comb(space.N, space.n)
-    check_enumeration_size(count, "orthogonal coherent planes", MAX_ORTHOGONAL_PLANES)
+    check_enumeration_size(
+        space.N, "orthogonal coherent planes", MAX_ORTHOGONAL_PLANES, choose=space.n
+    )
 
 
 def characteristic_report(n: int, m: int, spec: EnergySpec) -> CharacteristicReport:

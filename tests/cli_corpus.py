@@ -8,7 +8,7 @@ built frames with small cosines at several tols, dual scans past
 DEXP_DUAL_LIMIT, the typed-error and usage-error cases, and one refusal of
 each size cap.  `strata` runs also on (4, 1) and (4, 2), where n - m angles
 with O are forced to zero, and on the shapes (1, 4) and (2, 4) of their
-complements.  On (4, 4), (1, 4) and (4, 1)
+complements.  On (4, 4), (1, 4), (4, 1), (5, 4) and (4, 5)
 one entry of each pointwise command runs on both signs.  Compact pairs whose
 overlap is below 1e-12 run off, just off and on the polar divisor.  `schubert
 --omega` runs on a plane whose dims turn on the tol, at the default tol and at 1e-3
@@ -44,7 +44,7 @@ import numpy as np
 DIGESTS = Path(__file__).with_name("cli_corpus.json")
 SHAPES = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
 STRATA_SHAPES = [(4, 1), (4, 2), (1, 4), (2, 4)]
-FOUR_SHAPES = [(4, 4), (1, 4), (4, 1)]
+FOUR_SHAPES = [(4, 4), (1, 4), (4, 1), (5, 4), (4, 5)]
 KINDS = ("compact", "noncompact")
 # argparse wraps its usage text at the terminal width
 FIXED_ENV = {"COLUMNS": "80", "LINES": "24", "GRASSGEO_TOL": None}
@@ -347,6 +347,14 @@ BAD_INPUTS = [
           ("schubert", "--space", "100", "100", "compact", "--seed", "0")),
     Entry("cut-test 1000x1000 seed frame over MAX_CELLS",
           ("cut-test", "--space", "1000", "1000", "compact", "--seed", "0")),
+    Entry("char-numbers 1000000x1000000 default eps over MAX_CELLS",
+          ("char-numbers", "--space", "1000000", "1000000", "compact")),
+    # binomial counts past 4300 digits, refused without being computed
+    *[
+        Entry(f"{command} {n}x{n} count over 4300 digits", (command, "--space", n, n, "compact"))
+        for command, n in (("char-numbers", "20000"), ("char-numbers", "100000"),
+                           ("critical-points", "100000"))
+    ],
 ]
 
 

@@ -629,6 +629,19 @@ class TestInputHoles:
                 [*SCAN, "--points", "1000000000"], {}, None, 2, None,
                 id="points-over-cap",
             ),
+            # a binomial count past 4300 digits once ended in a traceback: Python refuses to
+            # turn so long an int into text
+            *[
+                pytest.param(
+                    [command, "--space", size, size, "compact"], {}, None, 1,
+                    "EnumerationSizeError",
+                    id=f"{command}-{size}",
+                )
+                for command, size in (
+                    ("char-numbers", "20000"), ("char-numbers", "100000"),
+                    ("critical-points", "100000"), ("char-numbers", "1000000"),
+                )
+            ],
             pytest.param(
                 ["exp", "--space", "2", "2", "compact", "--verify",
                  "--steps", "1000000000"], {}, SQUARE_DOC, 1, "PreconditionError",

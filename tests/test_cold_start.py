@@ -43,6 +43,8 @@ LIST_MODULES = (
 RUN_CLI = "import runpy\nrunpy.run_module('grassgeo.cli', run_name='__main__', alter_sys=True)\n"
 # no cold start loads scipy or the test tools
 HEAVY = {"scipy", "mpmath", "hypothesis"}
+# nor dataclasses, whose decorator compiles each class's methods as its module loads
+CODEGEN = {"dataclasses"}
 
 # grassgeo submodules each subcommand loads, cli itself aside; a --seed,
 # --seed1 or --seed2 adds sampling, which draws the random plane
@@ -147,6 +149,7 @@ def test_a_cold_command_loads_only_what_its_handler_needs(cases, case):
     argv, (code, stdout, stderr, ours, packages, frozen) = cases[case]
     assert ours == _needs(argv), argv
     assert not HEAVY & packages
+    assert not CODEGEN & packages
     assert stderr == b""
     # the bytes of an in-process run, where every module may already be loaded
     assert (code, stdout.decode()) == run_main(argv)[:2]
@@ -198,6 +201,7 @@ def test_a_cold_import_loads_only_what_it_names(statement, loaded):
     assert (code, stdout, stderr) == (0, b"", b"")
     assert ours == loaded
     assert not HEAVY & packages
+    assert not CODEGEN & packages
     assert ("numpy" in packages) == bool(loaded)
     assert frozen == 0  # only cli.run freezes; importing cli does not
 

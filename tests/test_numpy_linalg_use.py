@@ -11,7 +11,8 @@ caller of numpy.arcsin.
 
 A cold start loads only what it uses: __init__ imports no submodule at module
 level (its names load lazily), and cli imports kernels, loci, topology and
-sampling only inside the handlers that need them.
+sampling only inside the handlers that need them.  No module imports
+dataclasses, whose decorator compiles each class's methods when its module loads.
 
 cli has one output boundary: nothing outside main touches sys.stdout, and no
 print goes anywhere but file=sys.stderr.
@@ -29,6 +30,8 @@ import pathlib
 import grassgeo
 
 FORBIDDEN = {"inv", "solve", "eigh", "eigvalsh", "pinv", "lstsq", "cholesky"}
+# modules that no module of the package imports, at any level
+REFUSED_MODULES = {"dataclasses"}
 # the unchecked Frame constructor, confined below like a numpy function
 BUILT_FRAME = "_built_frame"
 # numpy.linalg function, numpy.<function> or BUILT_FRAME -> the only (module, function) allowed
@@ -90,8 +93,8 @@ class _Raises(_Scoped):
 
 
 class _Uses(_Scoped):
-    """Every numpy.linalg.<name>, confined numpy.<name> and use of BUILT_FRAME of one
-    module, with the function it sits in."""
+    """Every numpy.linalg.<name>, confined numpy.<name>, use of BUILT_FRAME and import of a
+    REFUSED_MODULES module of one module, with the function it sits in."""
 
     def __init__(self, module):
         super().__init__(module)
@@ -103,9 +106,13 @@ class _Uses(_Scoped):
                 self.numpy.add(alias.asname or "numpy")
             elif alias.name.startswith("numpy.linalg"):
                 self._record("import numpy.linalg", node)
+            elif alias.name.split(".")[0] in REFUSED_MODULES:
+                self._record(f"import {alias.name}", node)
 
     def visit_ImportFrom(self, node):
-        if node.module == "numpy.linalg":
+        if not node.level and (node.module or "").split(".")[0] in REFUSED_MODULES:
+            self._record(f"from {node.module} import", node)
+        elif node.module == "numpy.linalg":
             for alias in node.names:
                 self._record(alias.name, node)
         elif node.module == "numpy":
@@ -277,6 +284,7 @@ MUTATIONS = [
     ("cli", "import numpy as np\n", "import numpy as np\n\nfrom grassgeo.sampling import random_plane\n"),
     ("cli", "import numpy as np\n", "import numpy as np\nimport grassgeo.topology\n"),
     ("__init__", "import importlib\n", "import importlib\n\nfrom .spaces import Frame\n"),
+    ("spaces", "import operator\n", "import operator\nfrom dataclasses import dataclass\n"),
     (
         "cli",
         '    return {"energy": kernels.energy(space, kernels.EnergySpec(args.eps), F)}',

@@ -29,7 +29,8 @@ from grassgeo.sampling import (
     random_plane_rng,
     random_tangent_rng,
 )
-from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, coordinate_plane_frame
+from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, check_enumeration_size
+from grassgeo.spaces import coordinate_plane_frame
 
 G24 = GrassmannSpace(2, 2)
 
@@ -372,12 +373,43 @@ P = PreconditionError
             )
             for route in (topology.fundamental_rep_dim, topology.weyl_group_ratio)
         ],
+        # C(200000, 100000) has 60204 digits: refused without computing or printing it
+        pytest.param(
+            lambda: topology.schubert_cells(100000, 100000), EnumerationSizeError,
+            "cell enumeration of size over 4300 digits exceeds 1000000",
+            id="schubert_cells-100000",
+        ),
     ],
 )
 def test_library_only_typed_errors(call, error, match):
     # no CLI command reaches these checks
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "count, choose, size",
+    [
+        pytest.param(3432, None, "3432", id="3432"),
+        pytest.param(14, 7, "3432", id="C(14,7)"),
+        pytest.param(10**4300 - 1, None, "9" * 4300, id="4300-digits"),
+        pytest.param(10**4300 - 1, 1, "9" * 4300, id="C(4300-digits,1)"),
+        pytest.param(10**4300, None, "over 4300 digits", id="4301-digits"),
+        pytest.param(10**4300, 1, "over 4300 digits", id="C(4301-digits,1)"),
+    ],
+)
+def test_a_refusal_prints_its_count_in_full_up_to_4300_digits(count, choose, size):
+    # what printed before keeps its bytes; Python turns no longer int into text
+    with pytest.raises(EnumerationSizeError) as refusal:
+        check_enumeration_size(count, "cells", 2000, choose=choose)
+    assert str(refusal.value) == f"cells of size {size} exceeds 2000"
+
+
+def test_an_admitted_binomial_is_returned():
+    assert check_enumeration_size(14, "cells", 3432, choose=7) == 3432
+    assert check_enumeration_size(14, "cells", 3432, choose=0) == 1
+    with pytest.raises(EnumerationSizeError, match="cells of size 3432 exceeds 3431"):
+        check_enumeration_size(14, "cells", 3431, choose=7)
 
 
 @pytest.mark.parametrize("tol", [1.0, 2.0, np.inf])

@@ -5,7 +5,11 @@ class Frozen:
     """Base of the package's value classes, written out by hand so that importing a module
     generates no code.  A subclass lists its fields in __slots__ and sets them in its own
     __init__ through object.__setattr__; assigning or deleting a field afterwards raises
-    AttributeError, and ==, hash and repr run over the field values in slot order."""
+    AttributeError, and ==, hash and repr run over the field values in slot order.  == compares
+    field by field, and a field with a shape (an array or numpy scalar) equals another only
+    if that has the same shape (a Python scalar has none) and every entry is equal, so ==
+    never broadcasts; hash of an object that holds an array raises TypeError, as the array
+    is unhashable."""
 
     __slots__ = ()
 
@@ -21,7 +25,7 @@ class Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_field_equal, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -29,6 +33,13 @@ class Frozen:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _field_equal(a, b) -> bool:
+    shape = getattr(a, "shape", None)
+    if shape is None and getattr(b, "shape", None) is None:
+        return a == b
+    return shape == getattr(b, "shape", None) and bool((a == b).all())
 
 
 class GrassGeoError(Exception):

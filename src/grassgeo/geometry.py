@@ -304,26 +304,30 @@ def _rk4_scalar(beta: float, eps: int, h: float, steps: int, scale: float) -> fl
 
     This is the coefficient equation where C acts as the scalar beta: each
     eigenvector of C (see geodesic_ode).  No numpy call is made per step.
-    Every 64 steps |x| scale, with scale the largest entry of the matrix that
-    x multiplies, must stay within BLOWUP_LIMIT (NaN fails too).  A stage
-    where 1 + eps beta x^2 vanishes (possible on the dual only) leaves the
-    chart.
+    After steps 0, 64, 128, ... |x| scale, with scale the largest entry of
+    the matrix that x multiplies, must stay within BLOWUP_LIMIT (NaN fails
+    too): the steps run in blocks of 1, then 64 at a time, each checked, then
+    an unchecked rest.  A stage where 1 + eps beta x^2 vanishes (possible on
+    the dual only) leaves the chart.
     """
     c, e = 2.0 * eps * beta, eps * beta
     p, sixth = 0.5 * h, h / 6.0
     x, y = 0.0, 1.0
+    checked, rest = divmod(steps - 1, 64)
+    blocks = [1] + [64] * checked + [rest]
     try:
-        for step in range(steps):
-            a1 = c * x * y * y / (1.0 + e * x * x)
-            x2, y2 = x + p * y, y + p * a1
-            a2 = c * x2 * y2 * y2 / (1.0 + e * x2 * x2)
-            x3, y3 = x + p * y2, y + p * a2
-            a3 = c * x3 * y3 * y3 / (1.0 + e * x3 * x3)
-            x4, y4 = x + h * y3, y + h * a3
-            a4 = c * x4 * y4 * y4 / (1.0 + e * x4 * x4)
-            x += sixth * (y + 2.0 * (y2 + y3) + y4)
-            y += sixth * (a1 + 2.0 * (a2 + a3) + a4)
-            if step % 64 == 0 and not abs(x) * scale <= BLOWUP_LIMIT:
+        for k, block in enumerate(blocks):
+            for _ in range(block):
+                a1 = c * x * y * y / (1.0 + e * x * x)
+                x2, y2 = x + p * y, y + p * a1
+                a2 = c * x2 * y2 * y2 / (1.0 + e * x2 * x2)
+                x3, y3 = x + p * y2, y + p * a2
+                a3 = c * x3 * y3 * y3 / (1.0 + e * x3 * x3)
+                x4, y4 = x + h * y3, y + h * a3
+                a4 = c * x4 * y4 * y4 / (1.0 + e * x4 * x4)
+                x += sixth * (y + 2.0 * (y2 + y3) + y4)
+                y += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+            if k <= checked and not abs(x) * scale <= BLOWUP_LIMIT:
                 raise LeftChartError("geodesic left the chart during integration")
     except ZeroDivisionError:
         raise LeftChartError("integration left the chart: singular stage Gram factor") from None
@@ -367,9 +371,11 @@ def _pair_angles(eps: int, Z1: np.ndarray, Z2: np.ndarray) -> tuple:
     diag(co2) up to unitary factors, vh1 full, so no sum cancels; both chart SVDs are one
     stacked call.  Role 2, where A2 damps Z2 - Z1, goes to the larger si[0] (norm), Z2 on a
     tie.  c = cos theta_i, the singular values of A1 (I + Z1 Z2^dagger) A2, or None (dual)."""
-    Z = np.stack([Z1, Z2] if Z1.shape[0] <= Z1.shape[1] else [Z1.T, Z2.T])
-    (Z1, u1, co1, si1, vh1), (Z2, u2, co2, si2, vh2) = sorted(
-        zip(Z, *_chart_svd(eps, Z, True)), key=lambda row: row[3][0])
+    Z = np.array([Z1, Z2] if Z1.shape[0] <= Z1.shape[1] else [Z1.T, Z2.T])
+    u, co, si, vh = _chart_svd(eps, Z, True)
+    i, j = (1, 0) if si[1, 0] < si[0, 0] else (0, 1)
+    Z1, u1, co1, si1, vh1 = Z[i], u[i], co[i], si[i], vh[i]
+    Z2, u2, co2, si2, vh2 = Z[j], u[j], co[j], si[j], vh[j]
     k, X = len(co1), vh1 @ ((Z2 - Z1).conj().T @ u2 * co2)
     s = _svdvals(np.concatenate([co1[:, None] * X[:k], X[k:]]))
     if eps < 0:

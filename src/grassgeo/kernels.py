@@ -156,12 +156,21 @@ def diastasis(space: GrassmannSpace, Z1: ChartPoint, Z2: ChartPoint) -> float:
 
 def plucker_embed(F: Frame) -> PluckerVector:
     """Vector of n x n row minors of the frame, lexicographic subset order."""
-    if not F.space.compact:
+    return PluckerVector(F.space.n, F.space.N, _plucker_minors(F.space, F)[0])
+
+
+def _plucker_minors(space: GrassmannSpace, *frames: Frame) -> np.ndarray:
+    """Row k is the vector of n x n row minors of frames[k], all of space, from one stacked
+    det; the size checks count the minors and entries of one frame."""
+    if not space.compact:
         raise UnsupportedSpaceError("Plucker embedding implemented for the compact space")
-    n, N = F.space.n, F.space.N
+    n, N = space.n, space.N
     count = check_enumeration_size(N, "Plucker embedding", choose=n)
     check_enumeration_size(count * n * n, "Plucker minor entries", MAX_PLUCKER_ENTRIES)
-    return PluckerVector(n, N, _det(F.F[_subset_rows(N, n)], "Plucker minors are not finite"))
+    # take keeps each frame's row of minors contiguous, where [:, rows] leaves it strided,
+    # and np.vdot rounds a strided row differently
+    stacked = np.array([F.F for F in frames]).take(_subset_rows(N, n), axis=1)
+    return _det(stacked, "Plucker minors are not finite")
 
 
 @functools.lru_cache(maxsize=32)
@@ -181,8 +190,7 @@ def plucker_overlap_oracle(F1: Frame, F2: Frame) -> complex:
     chart-kernel overlap in modulus (and up to a unit phase).
     """
     check_space(F1.space, F2)
-    p1 = plucker_embed(F1).components
-    p2 = plucker_embed(F2).components
+    p1, p2 = _plucker_minors(F1.space, F1, F2)
     ip = complex(np.vdot(p1, p2))
     return ip / (np.linalg.norm(p1) * np.linalg.norm(p2))
 

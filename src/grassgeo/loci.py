@@ -133,9 +133,10 @@ def _top_block(space: GrassmannSpace, F: Frame, tol: float) -> tuple:
         raise PreconditionError("cut locus test applies to the compact space")
     check_positive_finite(tol, "tol")
     check_space(space, F)
-    det_val = abs(_det(F.top, "top-block determinant is not finite"))
-    top_svd = _svd(F.top)
-    cosines = float(np.prod(top_svd[1]))
+    top = F.top
+    det_val = abs(_det(top, "top-block determinant is not finite"))
+    top_svd = _svd(top)
+    cosines = float(top_svd[1].prod())
     if not abs(det_val - cosines) <= DET_CROSS_CHECK_TOL:
         raise ConsistencyError(
             f"cut-locus criteria disagree: |det| = {det_val:.3e}, cosine product {cosines:.3e}"

@@ -638,13 +638,14 @@ class TestDistance:
             assert abs(d - t) < 1e-12
 
     def test_symmetry(self, rng):
+        # the roles go by norm, not by argument order, so swapping the points changes no bit
         for n, m in SIZES:
             for eps in (1, -1):
                 space = GrassmannSpace(n, m, eps)
-                p1 = random_chart_point_rng(space, rng, 0.6)
-                p2 = random_chart_point_rng(space, rng, 0.6)
-                d = distance(space, p1, p2)
-                assert abs(d - distance(space, p2, p1)) <= 1e-14 * d
+                for _ in range(50):
+                    p1 = random_chart_point_rng(space, rng, 0.6)
+                    p2 = random_chart_point_rng(space, rng, 0.6)
+                    assert distance(space, p1, p2) == distance(space, p2, p1)
 
     def test_triangle_inequality(self, g24, rng):
         for _ in range(100):

@@ -257,21 +257,28 @@ class TestDiastasisDomain:
                         assert D is None or D > 50.0  # -2 log 1e-11 = 50.66
 
 
+def assert_oracle_refuses_as_embed(F, message):
+    # the oracle counts the minors of one frame, as plucker_embed does
+    with pytest.raises(EnumerationSizeError, match=message) as embed:
+        plucker_embed(F)
+    with pytest.raises(EnumerationSizeError) as oracle:
+        plucker_overlap_oracle(F, F)
+    assert str(oracle.value) == str(embed.value)
+
+
 class TestPlucker:
     def test_enumeration_bounded(self, g24, monkeypatch):
         monkeypatch.setattr(spaces, "MAX_CELLS", 6)
         assert plucker_embed(origin_frame(g24)).components.size == 6
         monkeypatch.setattr(spaces, "MAX_CELLS", 5)
-        with pytest.raises(EnumerationSizeError):
-            plucker_embed(origin_frame(g24))
+        assert_oracle_refuses_as_embed(origin_frame(g24), "Plucker embedding of size 6 exceeds 5")
 
     def test_entry_count_bounded(self, g24, monkeypatch):
         # the stacked minors of G_2(C^4) hold C(4, 2) * 2 * 2 = 24 entries
         monkeypatch.setattr(kernels, "MAX_PLUCKER_ENTRIES", 24)
         assert plucker_embed(origin_frame(g24)).components.size == 6
         monkeypatch.setattr(kernels, "MAX_PLUCKER_ENTRIES", 23)
-        with pytest.raises(EnumerationSizeError, match="entries of size 24 exceeds 23"):
-            plucker_embed(origin_frame(g24))
+        assert_oracle_refuses_as_embed(origin_frame(g24), "entries of size 24 exceeds 23")
 
     def test_origin_components(self, g24):
         pv = plucker_embed(origin_frame(g24))
@@ -300,6 +307,28 @@ class TestPlucker:
         assert plucker_overlap_oracle(F, F) == pytest.approx(1.0)
         G = coordinate_plane_frame(g24, (2, 3))
         assert abs(plucker_overlap_oracle(F, G)) < 1e-14
+
+    def test_oracle_reads_the_two_embeddings_bit_for_bit(self, rng):
+        for n, m in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 4)]:
+            space = GrassmannSpace(n, m)
+            for _ in range(10):
+                F1, F2 = random_plane_rng(space, rng), random_plane_rng(space, rng)
+                p1, p2 = plucker_embed(F1).components, plucker_embed(F2).components
+                ip = complex(np.vdot(p1, p2))
+                expected = ip / (np.linalg.norm(p1) * np.linalg.norm(p2))
+                assert plucker_overlap_oracle(F1, F2) == expected
+
+    def test_oracle_takes_one_stacked_det(self, g24, rng, monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def counted(M):
+            calls.append(M.shape)
+            return det(M)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        plucker_overlap_oracle(random_plane_rng(g24, rng), random_plane_rng(g24, rng))
+        assert calls == [(2, 6, 2, 2)]
 
     def test_oracle_matches_kernel(self, g24, rng):
         for _ in range(200):

@@ -95,3 +95,55 @@ def test_the_tracer_counts_each_validation_once():
     calls = {name: calls for name, (calls, _) in spans.totals()[0].items()}
     validations = {name: n for name, n in calls.items() if name.startswith("spaces.")}
     assert validations == {"spaces.ChartPoint": 1, "spaces.TangentVector": 1, "spaces.Frame": 1}
+
+
+G23_DUAL = GrassmannSpace(2, 3, -1)
+Z23_WIDE = np.array([[0.1, 0.2j, 0.0, 0.0], [0.0, 0.3, -0.1, 0.0]])
+
+# class -> (fields, the same fields copied, one entry changed, another shape, another space);
+# None where the class has no space
+ARRAY_ROWS = {
+    ChartPoint: (
+        (G23, Z23), (G23, Z23.copy()), (G23, Z23 * 2), (GrassmannSpace(2, 4), Z23_WIDE),
+        (G23_DUAL, Z23),
+    ),
+    TangentVector: (
+        (G23, Z23), (G23, Z23.copy()), (G23, Z23 * 2), (GrassmannSpace(2, 4), Z23_WIDE),
+        (G23_DUAL, Z23),
+    ),
+    Frame: (
+        (G23, F23), (G23, F23.copy()), (G23, F23[::-1].copy()),
+        (GrassmannSpace(2, 4), np.eye(6, 2, dtype=complex)), (GrassmannSpace(2, 3, -1), F23),
+    ),
+    SvdResult: (
+        (np.eye(2), np.ones(2), np.eye(2)), (np.eye(2), np.ones(2).copy(), np.eye(2)),
+        (np.eye(2), np.array([1.0, 0.5]), np.eye(2)), (np.eye(2), np.ones((1, 2)), np.eye(2)),
+        None,
+    ),
+    EnergySpec: (
+        (np.array([3.0, 2.0, 1.0]),), (np.array([3.0, 2.0, 1.0]),), (np.array([3.0, 2.0, 0.0]),),
+        (np.array([3.0, 3.0, 3.0, 3.0]),), None,
+    ),
+    PluckerVector: (
+        (2, 4, np.arange(6.0)), (2, 4, np.arange(6.0)), (2, 4, np.arange(1.0, 7.0)),
+        (2, 4, np.arange(6.0)[None]), None,
+    ),
+    CartanVector: (
+        (np.array([0.6, 0.8]),), (np.array([0.6, 0.8]),), (np.array([0.8, 0.6]),),
+        (np.array([1.0]),), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", ARRAY_ROWS, ids=lambda cls: cls.__name__)
+def test_array_fields_compare_entry_by_entry_without_broadcasting(cls):
+    fields, copied, changed, reshaped, elsewhere = ARRAY_ROWS[cls]
+    obj = cls(*fields)
+    assert obj == cls(*copied) and not obj != cls(*copied)
+    assert obj != cls(*changed) and not obj == cls(*changed)
+    assert obj != cls(*reshaped)
+    if elsewhere is not None:
+        assert obj != cls(*elsewhere)
+    assert obj != fields
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(obj)

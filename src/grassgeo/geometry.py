@@ -32,6 +32,7 @@ BLOWUP_LIMIT = 1e8
 MAX_ODE_STEPS = 100_000
 JACOBI_TOL = 2.0**-60
 JACOBI_MAX_SWEEPS = 30
+DUAL_HELD_TOP = np.nextafter(1.0, 0.0)  # the largest float64 below 1
 
 
 def raw_frame(p: ChartPoint) -> np.ndarray:
@@ -46,12 +47,19 @@ def frame_of_chart(p: ChartPoint) -> Frame:
 
 
 def _chart_svd(eps: int, Z: np.ndarray, full: bool = False) -> tuple:
-    """(u, co, si, vh) of a matrix or a stack Z: the SVD u diag(s) vh, thin unless full,
-    and the chart factors co, si of s; a dual s >= 1 lies outside the bounded domain."""
+    """(u, co, si, vh): the _point_svd u diag(s) vh of Z, and the chart factors co, si of s."""
+    u, s, vh = _point_svd(eps, Z, full)
+    return (u, *_chart_factors(eps, s), vh)
+
+
+def _point_svd(eps: int, Z: np.ndarray, full: bool = False) -> tuple:
+    """_svd (u, s, vh) of a chart point Z or a stack that ChartPoint accepted, which alone
+    decides the dual domain |Z|_2 < 1: a dual top value that this SVD rounds to 1 or above
+    is held at DUAL_HELD_TOP, within the point's conditioning, and s < 1 keeps its bits."""
     u, s, vh = _svd(Z, full_matrices=full)
     if eps < 0 and not (s[..., 0] < 1.0).all():
-        raise DomainError("chart point lies outside the bounded domain")
-    return (u, *_chart_factors(eps, s), vh)
+        s = np.minimum(s, DUAL_HELD_TOP)
+    return u, s, vh
 
 
 def _chart_factors(eps: int, s: np.ndarray) -> tuple:
@@ -138,17 +146,11 @@ def exp0_frame(space: GrassmannSpace, B: TangentVector) -> Frame:
 
 
 def log0(space: GrassmannSpace, p: ChartPoint) -> TangentVector:
-    """Inverse of exp0 on the principal domain.
-
-    Compact: principal branch, all singular values of B land in [0, pi/2).
-    """
+    """Inverse of exp0 on the principal domain: u ta(s) vh for the _point_svd of Z, with
+    ta = arctan (compact; the singular values of B land in [0, pi/2)) or arctanh."""
     check_space(space, p)
-    if space.compact:
-        B = apply_spectral(p.Z, np.arctan)
-    else:
-        # bounded-domain invariant already enforced by ChartPoint
-        B = apply_spectral(p.Z, np.arctanh)
-    return TangentVector(space, B)
+    u, s, vh = _point_svd(space.epsilon, p.Z)
+    return TangentVector(space, (u * (np.arctan(s) if space.compact else np.arctanh(s))) @ vh)
 
 
 def geodesic_ode(
@@ -218,7 +220,7 @@ def geodesic_ode(
         if space.compact:
             raise
         # the exact noncompact geodesic never leaves the bounded domain
-        hB = abs(h) * np.linalg.norm(B.B, 2)
+        hB = abs(h) * _svdvals(B.B)[0]
         raise LeftChartError(
             f"RK4 integration diverged with step x |B|_2 = {hB:.3g}; "
             "the noncompact geodesic stays in the domain, so raise steps"
@@ -244,7 +246,8 @@ def _rk4_jacobi(V: np.ndarray, eps: int, h: float, steps: int) -> np.ndarray:
     ]
     Zs = Q @ (np.array(x)[:, None] * P)
     Z = np.ldexp(Zs.real, e) + 1j * np.ldexp(Zs.imag, e)
-    _check_in_chart(Z)
+    if not np.abs(Z).max() <= BLOWUP_LIMIT:  # "not <=", so that NaN fails too
+        raise LeftChartError("geodesic left the chart during integration")
     return Z
 
 
@@ -290,12 +293,6 @@ def _jacobi_eigh(A: list) -> tuple[list, list]:
         if not rotated:
             return [A[i][i].real for i in range(k)], Q
     raise NumericalFailure(f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-
-
-def _check_in_chart(Z: np.ndarray) -> None:
-    # written as "not <=" so that NaN fails too
-    if not np.abs(Z).max() <= BLOWUP_LIMIT:
-        raise LeftChartError("geodesic left the chart during integration")
 
 
 def _rk4_scalar(beta: float, eps: int, h: float, steps: int, scale: float) -> float:

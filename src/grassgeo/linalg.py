@@ -123,9 +123,7 @@ def apply_spectral(B, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     fs = np.asarray(f(r.s), dtype=float)
     if not np.all(np.isfinite(fs)):
         bad = r.s[~np.isfinite(fs)][0]
-        raise SingularityError(
-            f"scalar function undefined at singular value {bad!r}"
-        )
+        raise SingularityError(f"scalar function undefined at singular value {float(bad)!r}")
     return (r.u * fs) @ r.vh
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -144,10 +143,16 @@ def _top_block(space: GrassmannSpace, F: Frame, tol: float) -> tuple:
     return det_val, top_svd
 
 
-class DisjointUnionResult(NamedTuple):
-    branch: str  # "chart" | "polar-divisor" | "near-divisor"
-    det_modulus: float
-    chart_point: ChartPoint | None
+class DisjointUnionResult(Frozen):
+    """What disjoint_union_check decided: branch "chart", "polar-divisor" or "near-divisor",
+    |det F_top|, and the chart point on the "chart" branch, else None."""
+
+    __slots__ = ("branch", "det_modulus", "chart_point")
+
+    def __init__(self, branch: str, det_modulus: float, chart_point: ChartPoint | None):
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "det_modulus", det_modulus)
+        object.__setattr__(self, "chart_point", chart_point)
 
 
 def disjoint_union_check(
@@ -288,11 +293,12 @@ def _dexp_scan(space: GrassmannSpace, B: TangentVector, ts: np.ndarray) -> np.nd
     return ratios
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _perturbations(n: int, m: int) -> np.ndarray:
     """The 4nm central-difference offsets (+dB, then -dB), read-only since
     shared: entry 2 idx + {0, 1} of dB moves entry divmod(idx, m) by FD_STEP,
-    1j FD_STEP.  Refused where one point's 4nm projections, (n+m)^2 entries each, pass MAX_CELLS."""
+    1j FD_STEP; the 16 most recent (n, m) are kept, at most 3.7 MB each.
+    Refused where one point's 4nm projections, (n+m)^2 entries each, pass MAX_CELLS."""
     check_enumeration_size(4 * n * m * (n + m) ** 2, "dexp projection entries per point")
     E = np.eye(n * m).reshape(n * m, n, m)
     dB = np.stack([E * FD_STEP, E * (1j * FD_STEP)], axis=1).reshape(-1, n, m)

@@ -9,7 +9,9 @@ DEXP_DUAL_LIMIT, the typed-error and usage-error cases, and one refusal of
 each size cap.  `strata` runs also on (4, 1) and (4, 2), where n - m angles
 with O are forced to zero, and on the shapes (1, 4) and (2, 4) of their
 complements.  On (4, 4), (1, 4), (4, 1), (5, 4) and (4, 5)
-one entry of each pointwise command runs on both signs.  Compact pairs whose
+one entry of each pointwise command runs on both signs.  On the dual (4, 4) and
+(3, 4), `log` and `distance` to itself run on a point whose top singular value
+numpy reads below 1 alone and at 1 or above in a later SVD.  Compact pairs whose
 overlap is below 1e-12 run off, just off and on the polar divisor.  `schubert
 --omega` runs on a plane whose dims turn on the tol, at the default tol and at 1e-3
 through `--tol` and `GRASSGEO_TOL`, and every option of every subcommand is passed.
@@ -285,6 +287,35 @@ def _divisor_entries():
             yield Entry(f"{command} {tag} {label}", argv, files)
 
 
+# dual shapes of a point at the float64 edge of the bounded domain
+BOUNDARY_SHAPES = [(4, 4), (3, 4)]
+
+
+def boundary_point(n, m) -> np.ndarray:
+    """The first of seeded n x m matrices with top singular value 1 - k 2^-53, k = 1..3,
+    whose singular values alone numpy reads below 1, and its thin SVD, and the full SVD of
+    a stack of two copies, at 1 or above: the dual accepts it, and a later SVD rounds it up."""
+    rng, r = _rng("boundary", n, m), min(n, m)
+    for _ in range(10_000):
+        s = np.sort(rng.uniform(0.0, 1.0, r))[::-1]
+        s[0] = 1.0 - int(rng.integers(1, 4)) * 2.0**-53
+        Z = (_unitary(rng, n)[:, :r] * s) @ _unitary(rng, m)[:r]
+        thin = np.linalg.svd(Z, full_matrices=False)[1][0]
+        stacked = np.linalg.svd(np.array([Z, Z]))[1][:, 0].min()
+        if np.linalg.svd(Z, compute_uv=False)[0] < 1.0 <= min(thin, stacked):
+            return Z
+    raise AssertionError(f"no {n}x{m} boundary point in 10000 draws")
+
+
+def _boundary_entries():
+    for n, m in BOUNDARY_SHAPES:
+        sp, tag = ("--space", str(n), str(m), "noncompact"), f"{n}x{m} noncompact"
+        files = {"Z.json": doc(boundary_point(n, m))}
+        yield Entry(f"log {tag} boundary point", ("log", *sp, "--input", "Z.json"), files)
+        argv = ("distance", *sp, "--z1", "Z.json", "--z2", "Z.json")
+        yield Entry(f"distance {tag} boundary point to itself", argv, files)
+
+
 # typed errors (exit 1) and usage errors (exit 2) outside the per-space grid
 G22 = ("--space", "2", "2", "compact")
 BAD_INPUTS = [
@@ -402,6 +433,7 @@ def entries() -> list[Entry]:
         for kind in KINDS:
             out += _four_entries(n, m, kind)
     out += _divisor_entries()
+    out += _boundary_entries()
     out += _near_e1_entries()
     out += _option_entries()
     out += BAD_INPUTS

@@ -29,6 +29,14 @@ def test_the_corpus_covers_every_subcommand_on_both_signs(results):
     assert all(err == "" for code, _, err in results.values() if code != 2)
 
 
+def test_a_dual_point_at_the_float64_edge_answers_with_nothing_on_stderr(results):
+    # the dual accepts the point once, and no later SVD decides its domain again
+    edge = [key for key in results if key.endswith(("boundary point", "to itself"))]
+    assert len(edge) == 2 * len(cli_corpus.BOUNDARY_SHAPES)
+    assert all(results[key][0] == 0 and results[key][2] == "" for key in edge)
+    assert all(results[key][1] == '{"distance":0}\n' for key in edge if key.startswith("dist"))
+
+
 def test_the_corpus_passes_every_option_of_every_subcommand():
     subparsers = cli.build_parser()._subparsers._group_actions[0].choices
     passed = {(e.argv[0], a) for e in cli_corpus.entries() for a in e.argv[1:]}

@@ -370,6 +370,15 @@ class TestDexpScan:
         with pytest.raises(ValueError):
             dB[0, 0, 0] = 1.0
 
+    def test_perturbations_keep_the_16_most_recent_shapes(self):
+        # a long-lived process does not keep the offsets of every shape it touched
+        loci._perturbations.cache_clear()
+        for m in range(1, 18):
+            loci._perturbations(1, m)
+        assert loci._perturbations.cache_info().currsize == 16
+        dB = loci._perturbations(1, 17)
+        assert loci._perturbations(1, 17) is dB and loci._perturbations.cache_info().misses == 17
+
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(

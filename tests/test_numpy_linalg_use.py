@@ -1,10 +1,12 @@
 """A static scan of how src/grassgeo calls numpy.linalg, and numpy's arcsin,
 of what its package and CLI modules import at module level, and of where it
-raises its size refusal and three of its precondition messages.
+raises its size refusal, its dual-domain refusal and three of its precondition messages.
 
 The package takes no matrix inverse, linear solve, Hermitian eigensolver,
 least squares or Cholesky factor: every spectral step goes through one SVD
-wrapper, linalg._svd, which turns a LAPACK failure into NumericalFailure.
+wrapper, linalg._svd, which turns a LAPACK failure into NumericalFailure; no
+numpy.linalg.norm takes a spectral order (2, -2 or "nuc"), which is an SVD too,
+and no name is imported from numpy.linalg, so each call is seen as np.linalg.<name>.
 The one QR left orthonormalizes the Gaussian draw of a random compact plane.
 Every principal angle comes from one formula, linalg._angles, the only
 caller of numpy.arcsin.
@@ -12,7 +14,8 @@ caller of numpy.arcsin.
 A cold start loads only what it uses: __init__ imports no submodule at module
 level (its names load lazily), and cli imports kernels, loci, topology and
 sampling only inside the handlers that need them.  No module imports
-dataclasses, whose decorator compiles each class's methods when its module loads.
+dataclasses, whose decorator compiles each class's methods when its module loads,
+or names NamedTuple or namedtuple, which compile a __new__ for each class.
 
 cli has one output boundary: nothing outside main touches sys.stdout, and no
 print goes anywhere but file=sys.stderr.
@@ -32,6 +35,11 @@ import grassgeo
 FORBIDDEN = {"inv", "solve", "eigh", "eigvalsh", "pinv", "lstsq", "cholesky"}
 # modules that no module of the package imports, at any level
 REFUSED_MODULES = {"dataclasses"}
+# names that generate a class's code when its module loads, refused wherever they appear
+GENERATED_CLASSES = {"NamedTuple", "namedtuple"}
+# numpy.linalg norms, and the orders at which they take an SVD
+NORMS = {"norm", "matrix_norm"}
+SPECTRAL_ORDS = (2, -2, "nuc")
 # the unchecked Frame constructor, confined below like a numpy function
 BUILT_FRAME = "_built_frame"
 # numpy.linalg function, numpy.<function> or BUILT_FRAME -> the only (module, function) allowed
@@ -59,6 +67,7 @@ ONE_RAISE = {
     "n and m must be >= 1": ("spaces", "GrassmannSpace.__post_init__"),
     "eps must have length": ("kernels", "_check_energy"),
     "h must have length r": ("loci", "_cartan_rank"),
+    "noncompact chart point needs all singular values < 1": ("spaces", "ChartPoint.__post_init__"),
 }
 
 
@@ -93,8 +102,9 @@ class _Raises(_Scoped):
 
 
 class _Uses(_Scoped):
-    """Every numpy.linalg.<name>, confined numpy.<name>, use of BUILT_FRAME and import of a
-    REFUSED_MODULES module of one module, with the function it sits in."""
+    """Every numpy.linalg.<name>, confined numpy.<name>, use of BUILT_FRAME, import of a
+    REFUSED_MODULES module, GENERATED_CLASSES name and numpy.linalg norm at a spectral (or
+    unreadable) order of one module, with the function it sits in."""
 
     def __init__(self, module):
         super().__init__(module)
@@ -114,20 +124,38 @@ class _Uses(_Scoped):
             self._record(f"from {node.module} import", node)
         elif node.module == "numpy.linalg":
             for alias in node.names:
-                self._record(alias.name, node)
+                self._record(f"from numpy.linalg import {alias.name}", node)
         elif node.module == "numpy":
             for alias in node.names:
                 if alias.name == "linalg" or "numpy." + alias.name in CONFINED:
                     self._record(f"from numpy import {alias.name}", node)
+        for alias in node.names:
+            if alias.name in GENERATED_CLASSES:
+                self._record(f"generated class {alias.name}", node)
+
+    def _is_linalg(self, node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "linalg"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self.numpy
+        )
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in NORMS and self._is_linalg(func.value):
+            for order in node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]:
+                try:
+                    spectral = ast.literal_eval(order) in SPECTRAL_ORDS
+                except ValueError:
+                    spectral = True  # an order the scan cannot read may be spectral
+                if spectral:
+                    self._record(f"spectral {func.attr}(ord={ast.unparse(order)})", node)
+        self.generic_visit(node)
 
     def visit_Attribute(self, node):
         base = node.value
-        if (
-            isinstance(base, ast.Attribute)
-            and base.attr == "linalg"
-            and isinstance(base.value, ast.Name)
-            and base.value.id in self.numpy
-        ):
+        if self._is_linalg(base):
             self._record(node.attr, node)
         elif (
             isinstance(base, ast.Name)
@@ -137,6 +165,8 @@ class _Uses(_Scoped):
             self._record("numpy." + node.attr, node)
         elif node.attr == BUILT_FRAME:
             self._record(BUILT_FRAME, node)
+        elif node.attr in GENERATED_CLASSES:
+            self._record(f"generated class {node.attr}", node)
         self.generic_visit(node)
 
     def visit_Name(self, node):
@@ -242,7 +272,7 @@ def _violations(sources):
         if name in refused
     ]
     for name, where, at in _numpy_uses(sources):
-        if name in FORBIDDEN or name.startswith(("import ", "from ")):
+        if name in FORBIDDEN or name.startswith(("import ", "from ", "generated ", "spectral ")):
             bad.append(f"{at} {name}")
         elif name in CONFINED and where not in CONFINED[name]:
             bad.append(f"{at} {name} outside {sorted(CONFINED[name])}")
@@ -285,6 +315,20 @@ MUTATIONS = [
     ("cli", "import numpy as np\n", "import numpy as np\nimport grassgeo.topology\n"),
     ("__init__", "import importlib\n", "import importlib\n\nfrom .spaces import Frame\n"),
     ("spaces", "import operator\n", "import operator\nfrom dataclasses import dataclass\n"),
+    ("loci", "import operator\n", "import operator\nfrom typing import NamedTuple\n"),
+    ("errors", '"""Exception', 'import collections\n_R = collections.namedtuple("_R", "a")\n"""Exception'),
+    ("geometry", "abs(h) * _svdvals(B.B)[0]", "abs(h) * np.linalg.norm(B.B, 2)"),
+    ("geometry", "abs(h) * _svdvals(B.B)[0]", "abs(h) * np.linalg.norm(B.B, ord=-2)"),
+    ("kernels", "np.linalg.norm(p1)", 'np.linalg.norm(p1, "nuc")'),
+    ("kernels", "np.linalg.norm(p1)", "np.linalg.norm(p1, ord=order)"),
+    ("sampling", "/ np.linalg.norm(B)", "/ np.linalg.matrix_norm(B, ord=2)"),
+    ("topology", "import math\n", "import math\nfrom numpy.linalg import norm\n"),
+    (
+        "geometry",
+        "    u, s, vh = _svd(Z, full_matrices=full)\n",
+        "    u, s, vh = _svd(Z, full_matrices=full)\n    if eps < 0 and s[..., 0].max() >= 1.0:\n"
+        '        raise DomainError("noncompact chart point needs all singular values < 1")\n',
+    ),
     (
         "cli",
         '    return {"energy": kernels.energy(space, kernels.EnergySpec(args.eps), F)}',

@@ -1,4 +1,4 @@
-"""The twelve value classes are plain slotted classes on errors.Frozen: each is built
+"""The thirteen value classes are plain slotted classes on errors.Frozen: each is built
 by position or by keyword with the same defaults, refuses to assign or delete a
 field, compares, hashes and prints over its field values, and keeps its validation
 in __post_init__, which is what perfbench's tracer counts."""
@@ -9,7 +9,7 @@ import pytest
 from grassgeo.errors import Frozen
 from grassgeo.kernels import EnergySpec, OverlapValue, PluckerVector
 from grassgeo.linalg import SvdResult
-from grassgeo.loci import CartanVector, ConjugateTime, SchubertSymbol
+from grassgeo.loci import CartanVector, ConjugateTime, DisjointUnionResult, SchubertSymbol
 from grassgeo.spaces import ChartPoint, Frame, GrassmannSpace, TangentVector, _built_frame
 from grassgeo.topology import CharacteristicReport
 from test_tracer_names import tracer  # perfbench/tracer.py, loaded from its file
@@ -32,6 +32,7 @@ FIELDS = {
     ConjugateTime: (np.pi, "T2", 1, (0,), 1),
     SchubertSymbol: ((0, 1), 2),
     CharacteristicReport: (6,) * 7,
+    DisjointUnionResult: ("chart", 0.5, ChartPoint(G23, Z23)),
 }
 
 
